@@ -109,18 +109,14 @@ def step(a: CCA, config: Configuration, t: Transition) -> Configuration:
 # --------------------------------------------------------------------------
 # simple automata and the four-way state partition
 
+def _is_choice(out: tuple[Transition, ...]) -> bool:
+    return all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out)
+
+
 def is_simple(a: CCA) -> bool:
     """Each state either fires exactly one transition, or only silent
     no-op choices (possibly none)."""
-    adjacency = a.adjacency()
-    for s in a.states:
-        out = adjacency[s]
-        if len(out) == 1:
-            continue
-        if all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out):
-            continue
-        return False
-    return True
+    return all(len(out) == 1 or _is_choice(out) for out in a.adjacency().values())
 
 
 @dataclass(frozen=True)
@@ -131,29 +127,21 @@ class StateKind:
 
 def classify_state(a: CCA, state: str) -> StateKind:
     """Partition slot of a state of a simple automaton."""
-    if not is_simple(a):
-        raise CCAError("state classification requires a simple automaton")
-    out = a.outgoing(state)
-    if not out:
-        return StateKind("stuck")
-    if len(out) == 1:
-        t = out[0]
-        if t.op == CHECK:
-            return StateKind("check", t.counter)
-        if t.op == INC:
-            return StateKind("inc", t.counter)
-        if t.label is not None:
-            return StateKind("sym")
-        return StateKind("choice")
-    return StateKind("choice")
+    kinds = state_kinds(a)
+    if state not in kinds:
+        raise CCAError(f"{state!r} is not a state of this automaton")
+    return kinds[state]
 
 
-def state_kinds(a: CCA) -> dict[str, StateKind]:
-    if not is_simple(a):
-        raise CCAError("state classification requires a simple automaton")
+def state_kinds(
+    a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None
+) -> dict[str, StateKind]:
+    """Partition slot of every state of a simple automaton, from one pass
+    over its adjacency (``adjacency`` reuses one the caller already has)."""
+    if adjacency is None:
+        adjacency = a.adjacency()
     kinds = {}
-    for s in a.states:
-        out = a.outgoing(s)
+    for s, out in adjacency.items():
         if not out:
             kinds[s] = StateKind("stuck")
         elif len(out) == 1:
@@ -166,8 +154,10 @@ def state_kinds(a: CCA) -> dict[str, StateKind]:
                 kinds[s] = StateKind("sym")
             else:
                 kinds[s] = StateKind("choice")
-        else:
+        elif _is_choice(out):
             kinds[s] = StateKind("choice")
+        else:
+            raise CCAError("state classification requires a simple automaton")
     return kinds
 
 
@@ -192,9 +182,7 @@ def simplify(a: CCA) -> CCA:
     adjacency = a.adjacency()
     for s in sorted(a.states):
         out = adjacency[s]
-        if len(out) == 1 or all(
-            t.label is None and t.op == NO_OP and t.counter == 1 for t in out
-        ):
+        if len(out) == 1 or _is_choice(out):
             transitions.update(out)
             continue
         for t in out:
@@ -396,28 +384,48 @@ def to_json_dict(a: CCA) -> dict:
     }
 
 
+def _malformed(problem: str) -> CCAError:
+    return CCAError(f"malformed automaton JSON: {problem}")
+
+
+def _string_list(data: dict, key: str) -> list[str]:
+    value = data[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise _malformed(f"{key!r} must be a list of strings")
+    return value
+
+
 def from_json_dict(data: dict) -> CCA:
+    """Build an automaton from the JSON schema of ``to_json_dict``; names
+    must be strings and collections lists, nothing is coerced."""
+    if not isinstance(data, dict):
+        raise _malformed("expected an object")
     try:
-        transitions = frozenset(
-            Transition(
-                d["from"],
-                None if d["label"] == "eps" else d["label"],
-                d["to"],
-                int(d["counter"]),
-                d["op"],
-            )
-            for d in data["transitions"]
-        )
+        states = _string_list(data, "states")
+        alphabet = _string_list(data, "alphabet")
+        if not isinstance(data["transitions"], list):
+            raise _malformed("'transitions' must be a list")
+        transitions = []
+        for d in data["transitions"]:
+            if not isinstance(d, dict) or not all(
+                isinstance(d[key], str) for key in ("from", "label", "to", "op")
+            ):
+                raise _malformed(f"transition {d!r} needs string 'from', 'label', 'to' and 'op'")
+            label = None if d["label"] == "eps" else d["label"]
+            transitions.append(Transition(d["from"], label, d["to"], int(d["counter"]), d["op"]))
+        final = data.get("final")
+        if not isinstance(data["initial"], str) or not isinstance(final, (str, type(None))):
+            raise _malformed("'initial' must be a string and 'final' a string or null")
         return CCA(
-            states=frozenset(data["states"]),
-            alphabet=frozenset(data["alphabet"]),
+            states=frozenset(states),
+            alphabet=frozenset(alphabet),
             initial=data["initial"],
             counters=int(data["counters"]),
-            transitions=transitions,
-            final=data.get("final"),
+            transitions=frozenset(transitions),
+            final=final,
         )
     except (KeyError, TypeError) as err:
-        raise CCAError(f"malformed automaton JSON: {err}") from None
+        raise _malformed(str(err)) from None
 
 
 def to_dot(a: CCA) -> str:

@@ -229,6 +229,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalCheckError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: expression nests too deeply to process", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

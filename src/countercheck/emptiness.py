@@ -5,20 +5,24 @@ inside the set of realizable state paths: a path that returns to an anchor
 state, contains one pumpable increment loop per counter (free of that
 counter's checks), then one check position per counter in counter order, and
 finally revisits the anchor.  All conditions mention states only, never
-counter values, which is what makes a pure NFA pipeline possible:
+counter values, so the question is one about the automaton's graph:
 
-* ``build_potential_witness_nfa`` accepts exactly the words over the state
-  set that carry witness structure (they need not be realizable paths);
-* ``build_prefix_nfa`` accepts exactly the realizable state paths;
-* their product is empty iff the language of the automaton is.
+* ``decide`` runs a layered shortest-path search over that graph and
+  returns a shortest witness (see the comment above ``_shortest_witness``);
+* ``decide_by_product`` is the paper's construction, kept as the reference
+  the fuzzer compares ``decide`` with: ``build_potential_witness_nfa``
+  accepts exactly the words over the state set that carry witness structure,
+  ``build_prefix_nfa`` exactly the realizable state paths, and their product
+  is empty iff the language of the automaton is.
 
-Every nonempty answer is decoded into an :class:`AcceptingWitness` and
-re-verified; ``brute_force_witness`` provides the same answer by a direct
-search over paths and serves as the independent oracle.
+Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
+before it is returned; ``brute_force_witness`` provides the same answer by
+a direct search over paths and serves as the independent oracle.
 """
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -74,21 +78,20 @@ class _Partition:
     check: tuple[frozenset[str], ...]
 
 
-def _partition(a: CCA) -> _Partition:
-    kinds = state_kinds(a)
-    adjacency = a.adjacency()
+def _partition(a: CCA, adjacency: Optional[dict] = None) -> _Partition:
+    if adjacency is None:
+        adjacency = a.adjacency()
+    inc: list[set[str]] = [set() for _ in range(a.counters)]
+    check: list[set[str]] = [set() for _ in range(a.counters)]
+    for s, kind in state_kinds(a, adjacency).items():
+        if kind.kind == "inc":
+            inc[kind.counter - 1].add(s)
+        elif kind.kind == "check":
+            check[kind.counter - 1].add(s)
     lettered = frozenset(
-        s for s in a.states if any(t.label is not None for t in adjacency[s])
+        s for s, out in adjacency.items() if any(t.label is not None for t in out)
     )
-    inc = tuple(
-        frozenset(s for s, k in kinds.items() if k.kind == "inc" and k.counter == c)
-        for c in range(1, a.counters + 1)
-    )
-    check = tuple(
-        frozenset(s for s, k in kinds.items() if k.kind == "check" and k.counter == c)
-        for c in range(1, a.counters + 1)
-    )
-    return _Partition(lettered, inc, check)
+    return _Partition(lettered, tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
 
 
 # --------------------------------------------------------------------------
@@ -231,15 +234,7 @@ def build_prefix_nfa(a: CCA) -> NFA:
 
 
 # --------------------------------------------------------------------------
-# the decision procedure
-
-@dataclass(frozen=True)
-class EmptinessReport:
-    empty: bool
-    witness: Optional[AcceptingWitness]
-    simple: CCA
-    structure_nfa_states: int
-
+# the product reference: the paper's construction, kept for cross-checks
 
 def _decode(word: tuple[str, ...], product_path: tuple) -> AcceptingWitness:
     begin = end = None
@@ -266,22 +261,267 @@ def _decode(word: tuple[str, ...], product_path: tuple) -> AcceptingWitness:
     return AcceptingWitness(tuple(word), begin, tuple(pairs), tuple(checks), end)
 
 
-def decide(a: CCA) -> EmptinessReport:
-    """Decide emptiness; every nonempty answer carries a verified witness."""
+def decide_by_product(a: CCA) -> tuple[Optional[AcceptingWitness], NFA]:
+    """Decide emptiness the paper's way: intersect the witness-structure NFA
+    with the path NFA and decode a shortest accepting run.
+
+    Returns the re-verified shortest witness (None when the language is
+    empty) and the structure NFA that was built.  The full product costs
+    O(N·|S|²·|E|) transitions, so this is the reference ``decide`` is fuzzed
+    against, not the production path.
+    """
     simple = a if is_simple(a) else simplify(a)
     structure = build_potential_witness_nfa(simple)
     prefixes = build_prefix_nfa(simple)
-    product = intersect(structure, prefixes)
-    run = shortest_accepting_run(product)
+    run = shortest_accepting_run(intersect(structure, prefixes))
     if run is None:
-        return EmptinessReport(True, None, simple, len(structure.states))
-    word, product_path = run
-    witness = _decode(word, product_path)
+        return None, structure
+    witness = _decode(*run)
     if not verify_witness(simple, witness):
         raise InternalCheckError("decoded witness failed verification")
     if not accepts(prefixes, witness.path):
         raise InternalCheckError("decoded witness path is not a realizable path")
-    return EmptinessReport(False, witness, simple, len(structure.states))
+    return witness, structure
+
+
+# --------------------------------------------------------------------------
+# the decision procedure: a layered shortest-witness search
+#
+# A witness path splits at its marked positions into segments, so the length
+# of a shortest one is the least
+#
+#   d0(init, t) + d+(t, p1) + L1(p1) + d+(p1, p2) + ... + LN(pN)
+#               + d+(pN, c1) + d+(c1, c2) + ... + d+(cN, t)
+#
+# over lettered anchors t, inc-k states pk and check-k states ck.  d0 is the
+# breadth-first distance over walks of length >= 0, d+ over walks of length
+# >= 1, and Lk(p) the shortest closed walk at p that avoids the check-k
+# states.  Everything after d0 is a closed walk through t, so it stays in
+# t's strongly connected component.  For one anchor the least closed walk
+# takes 2N+1 breadth-first spreads, each seeded with the costs of the
+# previous layer: O(N·(|S|+|E|)).  One backward pass of the same spreads,
+# ending at any anchor instead of at t, bounds every anchor from below, so
+# only anchors whose bound can still win are searched, and none when the
+# language is empty.  No table outlives the call.
+
+def _search_tree(succ: dict, root: str) -> tuple[dict, dict]:
+    """Breadth-first distances and parents from ``root``."""
+    dist = {root: 0}
+    parent: dict = {root: None}
+    queue = deque([root])
+    while queue:
+        here = queue.popleft()
+        for there in succ[here]:
+            if there not in dist:
+                dist[there] = dist[here] + 1
+                parent[there] = here
+                queue.append(there)
+    return dist, parent
+
+
+def _components(succ: dict, root: str) -> dict[str, str]:
+    """Strongly connected component of every state reachable from ``root``,
+    named by one of its members (iterative Tarjan)."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: dict[str, str] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    work: list = []
+
+    def visit(s: str) -> None:
+        index[s] = low[s] = len(index)
+        stack.append(s)
+        on_stack.add(s)
+        work.append((s, iter(succ[s])))
+
+    visit(root)
+    while work:
+        here, successors = work[-1]
+        for there in successors:
+            if there not in index:
+                visit(there)
+                break
+            if there in on_stack:
+                low[here] = min(low[here], index[there])
+        else:
+            work.pop()
+            if work:
+                caller = work[-1][0]
+                low[caller] = min(low[caller], low[here])
+            if low[here] == index[here]:
+                while True:
+                    s = stack.pop()
+                    on_stack.discard(s)
+                    component[s] = here
+                    if s == here:
+                        break
+    return component
+
+
+def _walk(succ: dict, source: str, target: str, avoid=frozenset()) -> Optional[list[str]]:
+    """A shortest walk of at least one step from ``source`` to ``target``
+    that enters no state of ``avoid``, both ends included; breadth-first
+    with successors in adjacency order, so the first shortest walk wins."""
+    parent: dict = {}
+    queue = deque([source])
+    while queue and target not in parent:
+        here = queue.popleft()
+        for there in succ[here]:
+            if there not in parent and there not in avoid:
+                parent[there] = here
+                queue.append(there)
+    if target not in parent:
+        return None
+    walk = [target]
+    here = parent[target]
+    while here != source:
+        walk.append(here)
+        here = parent[here]
+    walk.append(source)
+    walk.reverse()
+    return walk
+
+
+def _spread(succ: dict, seeds: list, limit: float = math.inf) -> dict[str, tuple[int, str]]:
+    """Least ``c + d+(u, v)`` over the seeds ``(c, u)`` for every state v,
+    with the seed u that attains it; costs above ``limit`` are not explored.
+
+    A breadth-first search bucketed by cost.  Of equal costs the first to
+    reach v wins: seeds are expanded in the order given, before the states
+    they reach, and successors in adjacency order.
+    """
+    buckets: dict[int, list] = {}
+    for cost, seed in seeds:
+        if cost < limit:
+            buckets.setdefault(cost + 1, []).extend((there, seed) for there in succ[seed])
+    reached: dict[str, tuple[int, str]] = {}
+    level = min(buckets, default=0)
+    while buckets and level <= limit:
+        grown = []
+        for here, seed in buckets.pop(level, ()):
+            if here not in reached:
+                reached[here] = (level, seed)
+                grown += [(there, seed) for there in succ[here] if there not in reached]
+        if grown and level < limit:
+            buckets.setdefault(level + 1, []).extend(grown)
+        level += 1
+    return reached
+
+
+@dataclass(frozen=True)
+class EmptinessReport:
+    empty: bool
+    witness: Optional[AcceptingWitness]
+    simple: CCA
+
+
+def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
+    """The layered search on a simple automaton.
+
+    Tie-breaks: of the anchors with the least total the smallest name wins.
+    Its chain of inc and check states is traced back from the anchor
+    through the seed each spread recorded, every layer's seeds in name
+    order; each segment between them is the walk :func:`_walk` finds.
+    """
+    adjacency = a.adjacency()
+    part = _partition(a, adjacency)
+    succ = {s: tuple(t.target for t in out) for s, out in adjacency.items()}
+    n = a.counters
+    dist, parent = _search_tree(succ, a.initial)
+    component = _components(succ, a.initial)
+    # closed walks never leave a component, so they only need these edges
+    local = {
+        s: tuple(there for there in succ[s] if component[there] == component[s])
+        for s in sorted(component)
+    }
+    back: dict[str, list[str]] = {s: [] for s in local}
+    for s, targets in local.items():
+        for there in targets:
+            back[there].append(s)
+    anchors = sorted(part.lettered & component.keys())
+    inc = [sorted(part.inc[k] & component.keys()) for k in range(n)]
+    check = [sorted(part.check[k] & component.keys()) for k in range(n)]
+    loops: dict[tuple[int, str], Optional[list[str]]] = {}
+
+    def loop(k: int, p: str) -> Optional[list[str]]:
+        if (k, p) not in loops:
+            loops[k, p] = _walk(local, p, p, part.check[k])
+        return loops[k, p]
+
+    def pumped(reached: dict, k: int) -> list[tuple[int, str]]:
+        return [
+            (reached[p][0] + len(loop(k, p)) - 1, p)
+            for p in inc[k]
+            if p in reached and loop(k, p) is not None
+        ]
+
+    def checked(reached: dict, k: int) -> list[tuple[int, str]]:
+        return [(reached[c][0], c) for c in check[k] if c in reached]
+
+    # backward: the least closed walk from each anchor to any anchor
+    reached = _spread(back, [(0, t) for t in anchors])
+    for k in reversed(range(n)):
+        reached = _spread(back, checked(reached, k))
+    for k in reversed(range(n)):
+        reached = _spread(back, pumped(reached, k))
+    bounds = sorted((dist[t] + reached[t][0], t) for t in anchors if t in reached)
+
+    # forward, anchor by anchor, while the bound can still win
+    best = None  # (total, anchor, the anchor's 2N+1 spreads)
+    for bound, t in bounds:
+        if best is not None and (bound, t) > best[:2]:
+            break  # neither this anchor nor a later one can beat the best
+        # a later name has to be strictly shorter to win
+        limit = math.inf if best is None else best[0] - dist[t] - (1 if t > best[1] else 0)
+        spreads = [_spread(local, [(0, t)], limit)]
+        for k in range(n):
+            spreads.append(_spread(local, pumped(spreads[-1], k), limit))
+        for k in range(n):
+            spreads.append(_spread(local, checked(spreads[-1], k), limit))
+        if t in spreads[-1]:
+            total = dist[t] + spreads[-1][t][0]
+            if best is None or (total, t) < best[:2]:
+                best = (total, t, spreads)
+    if best is None:
+        return None
+
+    total, t, spreads = best
+    chain = [t]
+    for reached in reversed(spreads):
+        chain.append(reached[chain[-1]][1])
+    chain.reverse()  # t, p1..pN, c1..cN, t
+    path = [t]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    begin = len(path) - 1
+    pairs = []
+    for k, (here, pump) in enumerate(zip(chain, chain[1 : n + 1])):
+        path += _walk(local, here, pump)[1:]
+        opened = len(path) - 1
+        path += loop(k, pump)[1:]
+        pairs.append((opened, len(path) - 1))
+    checks = []
+    for here, there in zip(chain[n:], chain[n + 1 :]):
+        path += _walk(local, here, there)[1:]
+        checks.append(len(path) - 1)
+    end = checks.pop()
+    if len(path) - 1 != total:
+        raise InternalCheckError("certificate length differs from the layered minimum")
+    return AcceptingWitness(tuple(path), begin, tuple(pairs), tuple(checks), end)
+
+
+def decide(a: CCA) -> EmptinessReport:
+    """Decide emptiness; every nonempty answer carries a verified shortest
+    witness."""
+    simple = a if is_simple(a) else simplify(a)
+    witness = _shortest_witness(simple)
+    if witness is None:
+        return EmptinessReport(True, None, simple)
+    if not verify_witness(simple, witness):
+        raise InternalCheckError("layered witness failed verification")
+    return EmptinessReport(False, witness, simple)
 
 
 def is_empty(a: CCA) -> bool:

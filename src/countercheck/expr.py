@@ -142,10 +142,16 @@ class _Raw:
     right: "_Raw | None" = None
 
 
+# The parser recurses once per parenthesis level; deeper input is refused
+# with a ParseError instead of exhausting Python's stack.
+MAX_NESTING = 100
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.i = 0
+        self.depth = 0  # open parentheses
 
     def _skip_ws(self) -> None:
         while self.i < len(self.text) and self.text[self.i].isspace():
@@ -224,12 +230,16 @@ def _parse_atom(lexer: _Lexer) -> _Raw:
         lexer.advance(tok)
         return _Raw("sym", pos, letter=tok)
     if tok == "(":
+        if lexer.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+        lexer.depth += 1
         lexer.advance(tok)
         inner = _parse_raw(lexer)
         closing, cpos = lexer.peek()
         if closing != ")":
             raise ParseError("expected ')'", cpos)
         lexer.advance(closing)
+        lexer.depth -= 1
         return inner
     raise ParseError(f"unexpected token {tok!r}", pos)
 
@@ -294,7 +304,8 @@ def parse_omega_t(text: str, alphabet: frozenset[str] | set[str] | str) -> Omega
 
     ``alphabet`` may be given as a string of letters.  Raises ParseError on
     syntax errors, letters outside the alphabet, misplaced ``^T`` (legal only
-    underneath ``^w``) and misplaced or missing ``^w``.
+    underneath ``^w``), misplaced or missing ``^w``, and nesting deeper than
+    the parser's stack allows.
     """
     sigma = frozenset(alphabet)
     lexer = _Lexer(text)
@@ -302,7 +313,11 @@ def parse_omega_t(text: str, alphabet: frozenset[str] | set[str] | str) -> Omega
     trailing, tpos = lexer.peek()
     if trailing != "":
         raise ParseError(f"unexpected trailing input {trailing!r}", tpos)
-    return _to_omega(raw, sigma)
+    try:
+        return _to_omega(raw, sigma)
+    except RecursionError:
+        # long operator chains nest without parentheses
+        raise ParseError("expression nests too deeply", 0) from None
 
 
 def parse_regex(text: str, alphabet: frozenset[str] | set[str] | str) -> RegExpr:

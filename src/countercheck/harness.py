@@ -1,9 +1,9 @@
 """Randomized cross-validation of the emptiness pipeline.
 
 Seeded generators produce simple automata and expressions; every automaton
-is decided twice, by the NFA pipeline and by the bounded path search, and
-any mismatch (or invalid certificate) is shrunk by greedy transition and
-state deletion before being reported.
+is decided three times, by the layered search, by the product reference and
+by the bounded path search, and any mismatch (or invalid certificate) is
+shrunk by greedy transition and state deletion before being reported.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .emptiness import (
     InternalCheckError,
     brute_force_witness,
     decide,
+    decide_by_product,
     verify_witness,
     witness_nfa_state_bound,
 )
@@ -241,32 +242,46 @@ class CaseOutcome:
 
 
 def examine(a: CCA, depth: int = 40) -> CaseOutcome:
-    """Decide one simple automaton both ways and compare.
+    """Decide one simple automaton three ways and compare.
 
-    Checks, in both directions: a bounded-search witness forces a nonempty
-    pipeline answer; a nonempty pipeline answer with a witness of path
-    length L forces a bounded-search hit at depth >= L; an empty answer
-    forbids any bounded-search hit.  Also re-verifies certificates and the
-    structure-NFA size bound.
+    The layered search (``decide``) must match the product reference
+    (``decide_by_product``) in verdict and shortest witness length, and the
+    structure NFA the reference built must stay within its size bound.
+    Against the bounded search, in both directions: a bounded-search
+    witness forces a nonempty answer; a nonempty answer with a witness of
+    path length L forces a bounded-search hit, also of length L, at depth
+    >= L; an empty answer forbids any bounded-search hit.
     """
     try:
         report = decide(a)
+        reference, structure = decide_by_product(a)
     except InternalCheckError as err:
         return CaseOutcome(False, None, False, f"internal check failed: {err}")
-    bound_ok = report.structure_nfa_states <= witness_nfa_state_bound(report.simple)
-    failure = None
+    bound_ok = len(structure.states) <= witness_nfa_state_bound(report.simple)
     if not bound_ok:
         failure = "structure NFA exceeded its size bound"
+    elif report.empty != (reference is None):
+        failure = "the layered search and the product reference disagree on the verdict"
+    elif not report.empty and len(report.witness.path) != len(reference.path):
+        failure = "the layered search and the product reference disagree on the shortest length"
+    else:
+        failure = _oracle_disagreement(a, depth, report)
+    return CaseOutcome(report.empty, report.witness, bound_ok, failure, report.simple)
+
+
+def _oracle_disagreement(a: CCA, depth: int, report) -> Optional[str]:
     found = brute_force_witness(a, depth)
     if found is not None and not verify_witness(a, found):
-        failure = "bounded search produced an invalid witness"
-    elif found is not None and report.empty:
-        failure = "bounded search found a witness but the pipeline says empty"
-    elif not report.empty:
+        return "bounded search produced an invalid witness"
+    if found is not None and report.empty:
+        return "bounded search found a witness but the pipeline says empty"
+    if not report.empty:
         again = brute_force_witness(a, max(depth, len(report.witness.path)))
         if again is None:
-            failure = "pipeline is nonempty but the bounded search finds nothing"
-    return CaseOutcome(report.empty, report.witness, bound_ok, failure, report.simple)
+            return "pipeline is nonempty but the bounded search finds nothing"
+        if len(again.path) != len(report.witness.path):
+            return "the bounded search finds a shortest witness of another length"
+    return None
 
 
 def _fails(a: CCA, depth: int) -> bool:

@@ -18,8 +18,10 @@ State = Hashable
 Label = Optional[Hashable]  # None is the silent label
 
 
-def _key(x) -> str:
-    return repr(x)
+def _edge_key(edge: tuple) -> tuple:
+    """Sort key of a (label, target) pair: silent edges first, then by repr."""
+    label, target = edge
+    return (label is not None, repr(label), repr(target))
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,7 @@ class NFA:
         out = {s: [] for s in self.states}
         for source, label, target in self.transitions:
             out[source].append((label, target))
-        return {
-            s: tuple(sorted(ts, key=lambda lt: (lt[0] is not None, _key(lt[0]), _key(lt[1]))))
-            for s, ts in out.items()
-        }
+        return {s: tuple(sorted(ts, key=_edge_key)) for s, ts in out.items()}
 
 
 # --------------------------------------------------------------------------
@@ -193,17 +192,20 @@ def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
     """Breadth-first (word, state path) to some final state, or None.
 
     Ties resolve by sorted labels then targets, so results are reproducible
-    across runs.  Silent-free automata only.
+    across runs.  Silent-free automata only.  Only the successors of states
+    the search dequeues are sorted, in the order ``adjacency`` gives.
     """
     if n.has_silent_edges:
         raise ValueError("shortest-run search requires a silent-free automaton")
-    adjacency = n.adjacency()
+    successors: dict = {}
+    for source, label, target in n.transitions:
+        successors.setdefault(source, []).append((label, target))
     parents: dict = {n.initial: None}
     queue = deque([n.initial])
     goal = n.initial if n.initial in n.finals else None
     while queue and goal is None:
         here = queue.popleft()
-        for label, target in adjacency[here]:
+        for label, target in sorted(successors.get(here, ()), key=_edge_key):
             if target in parents:
                 continue
             parents[target] = (here, label)

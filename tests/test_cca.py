@@ -364,3 +364,43 @@ def test_export_is_deterministic(rng):
     a = random_general_cca(rng)
     assert cca.export(a, "json") == cca.export(a, "json")
     assert cca.export(a, "dot") == cca.export(a, "dot")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("states", "s0s1"),
+        ("alphabet", "ab"),
+        ("transitions", {"from": "s0"}),
+        ("states", ["s0", 1]),
+        ("initial", 0),
+        ("final", ["s1"]),
+    ],
+)
+def test_json_import_rejects_wrong_types(field, value):
+    data = cca.to_json_dict(atom_a())
+    data[field] = value
+    with pytest.raises(cca.CCAError, match="malformed automaton JSON"):
+        cca.from_json_dict(data)
+
+
+def test_json_import_rejects_non_string_transition_names():
+    data = cca.to_json_dict(atom_a())
+    data["transitions"][0]["to"] = ["s1"]
+    with pytest.raises(cca.CCAError, match="malformed automaton JSON"):
+        cca.from_json_dict(data)
+    with pytest.raises(cca.CCAError, match="malformed automaton JSON"):
+        cca.import_json("[]")
+
+
+def test_state_kinds_agree_with_classify_state(rng):
+    from countercheck.harness import random_simple_cca
+
+    for _ in range(20):
+        a = random_simple_cca(rng)
+        kinds = cca.state_kinds(a)
+        assert kinds.keys() == a.states
+        for s in sorted(a.states):
+            assert cca.classify_state(a, s) == kinds[s]
+    with pytest.raises(cca.CCAError):
+        cca.classify_state(atom_a(), "nowhere")

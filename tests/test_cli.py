@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from countercheck.cca import export, hat
 from countercheck.cli import main
@@ -201,3 +207,40 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "empty", "(a b)^w")
     assert code == 3
     assert "internal error" in err
+
+
+def test_deep_nesting_exits_with_one_line_error(capsys):
+    code, out, err = run(capsys, "empty", "(" * 600 + "a" + ")" * 600 + "^w")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nest" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_automaton_json_with_string_states_exits_cleanly(capsys, tmp_path):
+    data = json.loads(export(hat(atom_a()), "json"))
+    data["states"] = "".join(data["states"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "empty", "--automaton", str(bad))
+    assert code == 2
+    assert "malformed automaton JSON" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("expression", ["((a^T b)^T a)^w", "(a^T b)^w + (b^T a)^w", "(a + b)^w"])
+def test_empty_output_independent_of_hash_seed(expression):
+    import countercheck
+
+    src = str(Path(countercheck.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "countercheck.cli", "empty", expression],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].startswith(b"NONEMPTY\n")
+    assert outputs[0] == outputs[1]

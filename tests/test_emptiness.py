@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition, hat, is_simple, simplify, state_kinds
@@ -7,6 +10,7 @@ from countercheck.emptiness import (
     build_potential_witness_nfa,
     build_prefix_nfa,
     decide,
+    decide_by_product,
     is_empty,
     scan_path,
     verify_witness,
@@ -374,3 +378,95 @@ def test_unordered_checks_do_not_change_emptiness(rng):
             else:
                 agree += 1
     assert agree > 0
+
+
+# --------------------------------------------------------------------------
+# the layered search against the product reference
+
+def test_layered_search_matches_product_reference():
+    rng = random.Random(20261018)
+    nonempty = 0
+    for _ in range(400):
+        a = random_simple_cca(
+            rng, max_states=rng.randint(5, 12), max_counters=3, max_transitions=rng.randint(8, 20)
+        )
+        report = decide(a)
+        reference, structure = decide_by_product(a)
+        assert report.empty == (reference is None)
+        assert len(structure.states) <= witness_nfa_state_bound(report.simple)
+        if reference is not None:
+            nonempty += 1
+            assert len(report.witness.path) == len(reference.path)
+            assert verify_witness(report.simple, report.witness)
+    assert nonempty >= 30
+
+
+def test_product_reference_decides_non_simple_input():
+    witness, _ = decide_by_product(hat(atom_a()))
+    report = decide(hat(atom_a()))
+    assert witness is not None and len(witness.path) == len(report.witness.path)
+    assert decide_by_product(hat(atom_empty()))[0] is None
+
+
+def test_decide_never_builds_the_product(monkeypatch):
+    import countercheck.emptiness as emptiness
+
+    def refuse(*_):
+        raise AssertionError("decide built the product")
+
+    monkeypatch.setattr(emptiness, "intersect", refuse)
+    monkeypatch.setattr(emptiness, "build_potential_witness_nfa", refuse)
+    assert not decide(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")).empty
+
+
+@pytest.mark.parametrize(
+    "text, length", [("((a+b)(a+b)^T b)^w", 283), ("(((a+b)+(a+b))^T b)^w", 204)]
+)
+def test_large_compiled_rungs_decided_quickly(text, length):
+    # the materialized product of these takes minutes or runs out of memory
+    start = time.perf_counter()
+    report = decide(compile_expression(parse_omega_t(text, "ab"), "ab"))
+    assert time.perf_counter() - start < 10.0
+    assert not report.empty
+    assert verify_witness(report.simple, report.witness)
+    assert len(report.witness.path) == length
+
+
+def twin_cycles(left: str, right: str) -> CCA:
+    """A silent choice into two copies of one witness cycle, named by the
+    prefixes ``left`` and ``right``."""
+    transitions = {Transition("i", None, f"{left}0", 1, NO_OP), Transition("i", None, f"{right}0", 1, NO_OP)}
+    for c in (left, right):
+        transitions |= {
+            Transition(f"{c}0", "a", f"{c}1", 1, NO_OP),
+            Transition(f"{c}1", None, f"{c}2", 1, NO_OP),
+            Transition(f"{c}1", None, f"{c}3", 1, NO_OP),
+            Transition(f"{c}2", None, f"{c}1", 1, INC),
+            Transition(f"{c}3", None, f"{c}0", 1, CHECK),
+        }
+    states = frozenset({"i"} | {f"{c}{j}" for c in (left, right) for j in range(4)})
+    return CCA(states, frozenset("a"), "i", 1, frozenset(transitions))
+
+
+def test_equal_witnesses_go_to_the_smallest_anchor_name():
+    for left, right, anchor in (("x", "y", "x0"), ("x", "w", "w0")):
+        report = decide(twin_cycles(left, right))
+        w = report.witness
+        assert w.path[w.begin] == anchor
+        assert len(w.path) == 9
+        assert w == decide(twin_cycles(left, right)).witness
+
+
+def test_fuzz_examine_catches_a_layered_search_off_the_reference(monkeypatch):
+    from dataclasses import replace
+
+    from countercheck import harness
+
+    auto = closed_atom()
+    assert harness.examine(auto).failure is None
+    report = decide(auto)
+    longer = replace(report.witness, path=report.witness.path + ("s1",))
+    monkeypatch.setattr(harness, "decide", lambda a: replace(report, witness=longer))
+    assert "shortest length" in harness.examine(auto).failure
+    monkeypatch.setattr(harness, "decide", lambda a: replace(report, empty=True, witness=None))
+    assert "verdict" in harness.examine(auto).failure

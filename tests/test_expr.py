@@ -133,3 +133,17 @@ def test_contains_empty_leaf():
 
 def test_letters():
     assert ex.letters(ex.parse_omega_t("c (a^T b)^w", "abc")) == frozenset("abc")
+
+
+def test_deep_parentheses_rejected_with_parse_error():
+    deep = "(" * 600 + "a" + ")" * 600 + "^w"
+    with pytest.raises(ex.ParseError) as excinfo:
+        ex.parse_omega_t(deep, "a")
+    assert "nest" in str(excinfo.value)
+    limit = ex.MAX_NESTING
+    assert ex.parse_omega_t("(" * limit + "a" + ")" * limit + "^w", "a") == ex.parse_omega_t("a^w", "a")
+
+
+def test_long_operator_chain_rejected_with_parse_error():
+    with pytest.raises(ex.ParseError):
+        ex.parse_omega_t("(a" + "*" * 5000 + ")^w", "a")

@@ -145,3 +145,39 @@ def test_nonempty_witness_is_accepted_and_shortest():
             assert accepts(n, "".join(word))
             shorter = [w for w in all_words("xy", len(word) - 1)] if word else []
             assert not any(accepts(n, w) for w in shorter)
+
+
+def test_shortest_run_follows_sorted_adjacency():
+    # the search sorts successors only where it dequeues; its runs must be
+    # those of a breadth-first search over the fully sorted adjacency
+    from collections import deque
+
+    from countercheck.nfa import shortest_accepting_run
+
+    def reference(n):
+        adjacency = n.adjacency()
+        parents = {n.initial: None}
+        queue = deque([n.initial])
+        goal = n.initial if n.initial in n.finals else None
+        while queue and goal is None:
+            here = queue.popleft()
+            for label, target in adjacency[here]:
+                if target not in parents:
+                    parents[target] = (here, label)
+                    if target in n.finals:
+                        goal = target
+                        break
+                    queue.append(target)
+        if goal is None:
+            return None
+        word, path = [], [goal]
+        while parents[path[-1]] is not None:
+            here, label = parents[path[-1]]
+            word.append(label)
+            path.append(here)
+        return tuple(reversed(word)), tuple(reversed(path))
+
+    rng = random.Random(8)
+    for _ in range(60):
+        n = random_letter_nfa(rng, size=5)
+        assert shortest_accepting_run(n) == reference(n)
