@@ -17,7 +17,10 @@ counter values, so the question is one about the automaton's graph:
 
 Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
 before it is returned; ``brute_force_witness`` provides the same answer by
-a direct search over paths and serves as the independent oracle.
+a direct search over paths and serves as the independent oracle.  The
+structure NFA, the decoding of product runs, the oracle and ``scan_path``
+all follow one table of witness phases (see the comment above
+``_next_phases``); ``verify_witness`` and ``decide`` do not.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .cca import CCA, CCAError, is_simple, simplify, state_kinds
@@ -142,69 +146,98 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 
 
 # --------------------------------------------------------------------------
+# the witness phases: one table for the structure NFA, the product decoding,
+# the brute-force oracle and the path scan
+#
+# A witness is read off a state sequence left to right.  Reading state s,
+#
+#   ("scan",)             moves on to ("seek_inc", 1, s) if s is lettered;
+#   ("seek_inc", k, t)    moves on to ("in_loop", k, t, s) if s is inc-k;
+#   ("in_loop", k, t, p)  moves on to ("seek_inc", k + 1, t) if s is p,
+#                         to ("seek_check", 1, t) instead when k = N;
+#   ("seek_check", k, t)  moves on to ("seek_check", k + 1, t) if s is check-k,
+#                         to ("await_anchor", t) instead when k = N;
+#   ("await_anchor", t)   moves on to ("accept",) if s is t.
+#
+# Every phase also stays, except ("in_loop", k, ...) on a check-k state,
+# ("await_anchor", t) on t, and ("accept",), which has no move.  The
+# positions of the moves-on are the witness's marks, in the order begin,
+# open1, close1, ..., openN, closeN, check1, ..., checkN, end.  Neither
+# ``verify_witness`` nor ``decide`` reads this table, so a wrong move shows
+# up as a disagreement with them.
+
+_SCAN = ("scan",)
+_ACCEPT = ("accept",)
+
+
+def _next_phases(phase: tuple, s: str, part: _Partition, n: int) -> tuple[tuple, ...]:
+    """The phases reached from ``phase`` by reading state ``s``, a move-on
+    listed before a stay."""
+    role = phase[0]
+    if role == "scan":
+        return (("seek_inc", 1, s), phase) if s in part.lettered else (phase,)
+    if role == "seek_inc":
+        _, k, t = phase
+        return (("in_loop", k, t, s), phase) if s in part.inc[k - 1] else (phase,)
+    if role == "in_loop":
+        _, k, t, p = phase
+        if s in part.check[k - 1]:
+            return ()
+        if s != p:
+            return (phase,)
+        return (("seek_inc", k + 1, t) if k < n else ("seek_check", 1, t), phase)
+    if role == "seek_check":
+        _, k, t = phase
+        if s not in part.check[k - 1]:
+            return (phase,)
+        return (("seek_check", k + 1, t) if k < n else ("await_anchor", t), phase)
+    if role == "await_anchor":
+        return (_ACCEPT,) if s == phase[1] else (phase,)
+    return ()
+
+
+def _witness(path, marks: list[int]) -> AcceptingWitness:
+    """The witness on ``path`` whose marks, in table order, are ``marks``."""
+    n = (len(marks) - 2) // 3
+    loops = marks[1 : 2 * n + 1]
+    pairs = tuple(zip(loops[::2], loops[1::2]))
+    return AcceptingWitness(tuple(path), marks[0], pairs, tuple(marks[2 * n + 1 : -1]), marks[-1])
+
+
+# --------------------------------------------------------------------------
 # the witness-structure NFA (reads state sequences as words)
 
 def build_potential_witness_nfa(a: CCA) -> NFA:
     """NFA over the automaton's state set accepting words with witness
     structure, realizable or not.
 
-    State roles: ``scan`` before the anchor guess; ``seek_inc``/``in_loop``
-    guess and close each counter's pump loop; ``seek_check`` collects the
-    ordered check positions; ``await_anchor`` waits for the anchor state to
-    recur.  The state count is bounded by 2 + 2*N*|S| + N*|S|^2 + |S|.
+    Its states are the phases of the table above that ``("scan",)``
+    reaches, and its transitions are their moves; ``("accept",)`` is kept
+    even when no phase reaches it.  The state count is bounded by
+    2 + 2*N*|S| + N*|S|^2 + |S|.
     """
     if not is_simple(a):
         raise CCAError("the witness-structure NFA requires a simple automaton")
     part = _partition(a)
     everything = sorted(a.states)
     n = a.counters
-
-    scan = ("scan",)
-    accept = ("accept",)
-    states = {scan, accept}
+    states = {_SCAN, _ACCEPT}
     transitions = set()
-
-    for s in everything:
-        transitions.add((scan, s, scan))
-    for anchor in sorted(part.lettered):
-        states.add(("seek_inc", 1, anchor))
-        transitions.add((scan, anchor, ("seek_inc", 1, anchor)))
-        for k in range(1, n + 1):
-            seek = ("seek_inc", k, anchor)
-            states.add(seek)
-            for s in everything:
-                transitions.add((seek, s, seek))
-            for pump in sorted(part.inc[k - 1]):
-                loop = ("in_loop", k, anchor, pump)
-                states.add(loop)
-                transitions.add((seek, pump, loop))
-                for s in everything:
-                    if s not in part.check[k - 1]:
-                        transitions.add((loop, s, loop))
-                after = ("seek_check", 1, anchor) if k == n else ("seek_inc", k + 1, anchor)
-                states.add(after)
-                transitions.add((loop, pump, after))
-        for k in range(1, n + 1):
-            seek = ("seek_check", k, anchor)
-            states.add(seek)
-            for s in everything:
-                transitions.add((seek, s, seek))
-            after = ("await_anchor", anchor) if k == n else ("seek_check", k + 1, anchor)
-            states.add(after)
-            for c in sorted(part.check[k - 1]):
-                transitions.add((seek, c, after))
-        waiting = ("await_anchor", anchor)
+    todo = [_SCAN]
+    while todo:
+        phase = todo.pop()
         for s in everything:
-            if s != anchor:
-                transitions.add((waiting, s, waiting))
-        transitions.add((waiting, anchor, accept))
-
+            for after in _next_phases(phase, s, part, n):
+                transitions.add((phase, s, after))
+                if after not in states:
+                    states.add(after)
+                    todo.append(after)
     return NFA(
         states=frozenset(states),
         alphabet=frozenset(a.states),
         transitions=frozenset(transitions),
-        initial=scan,
-        finals=frozenset({accept}),
+        initial=_SCAN,
+        finals=frozenset({_ACCEPT}),
     )
 
 
@@ -236,29 +269,14 @@ def build_prefix_nfa(a: CCA) -> NFA:
 # --------------------------------------------------------------------------
 # the product reference: the paper's construction, kept for cross-checks
 
-def _decode(word: tuple[str, ...], product_path: tuple) -> AcceptingWitness:
-    begin = end = None
-    pairs: list[tuple[int, int]] = []
-    open_loop = None
-    checks: list[int] = []
-    for i, (before, after) in enumerate(zip(product_path, product_path[1:])):
-        q, q2 = before[0], after[0]
-        if q == q2:
-            continue
-        role = q[0]
-        if role == "scan":
-            begin = i
-        elif role == "seek_inc":
-            open_loop = i
-        elif role == "in_loop":
-            pairs.append((open_loop, i))
-        elif role == "seek_check":
-            checks.append(i)
-        elif role == "await_anchor":
-            end = i
-    if begin is None or end is None:
+def _decode(word: tuple[str, ...], product_path: tuple, n: int) -> AcceptingWitness:
+    """The witness an accepted product run marks: the positions where its
+    structure phase changes."""
+    steps = zip(product_path, product_path[1:])
+    marks = [i for i, (before, after) in enumerate(steps) if before[0] != after[0]]
+    if len(marks) != 3 * n + 2:
         raise InternalCheckError("accepted product run has no witness structure")
-    return AcceptingWitness(tuple(word), begin, tuple(pairs), tuple(checks), end)
+    return _witness(word, marks)
 
 
 def decide_by_product(a: CCA) -> tuple[Optional[AcceptingWitness], NFA]:
@@ -276,7 +294,7 @@ def decide_by_product(a: CCA) -> tuple[Optional[AcceptingWitness], NFA]:
     run = shortest_accepting_run(intersect(structure, prefixes))
     if run is None:
         return None, structure
-    witness = _decode(*run)
+    witness = _decode(*run, simple.counters)
     if not verify_witness(simple, witness):
         raise InternalCheckError("decoded witness failed verification")
     if not accepts(prefixes, witness.path):
@@ -530,86 +548,49 @@ def is_empty(a: CCA) -> bool:
 
 # --------------------------------------------------------------------------
 # brute-force oracle
-#
-# Progress tokens walk the witness conditions directly:
-#   ("pre",)                   before the anchor guess
-#   ("begun", t, k)            anchor t fixed; seeking counter k's pump state
-#   ("looping", t, k, p)       inside counter k's loop anchored at p
-#   ("checks", t, k)           loops done; seeking counter k's check position
-#   ("anchor", t)              checks done; waiting to reread t
-#   ("done",)                  complete witness embedded
-
-_PRE = ("pre",)
-_DONE = ("done",)
-
-
-def _advance_tokens(tokens: frozenset, letter: str, part: _Partition, n: int) -> frozenset:
-    out = set()
-    for token in tokens:
-        role = token[0]
-        if role == "pre":
-            out.add(token)
-            if letter in part.lettered:
-                out.add(("begun", letter, 1))
-        elif role == "begun":
-            _, anchor, k = token
-            out.add(token)
-            if letter in part.inc[k - 1]:
-                out.add(("looping", anchor, k, letter))
-        elif role == "looping":
-            _, anchor, k, pump = token
-            if letter not in part.check[k - 1]:
-                out.add(token)
-            if letter == pump:
-                out.add(("begun", anchor, k + 1) if k < n else ("checks", anchor, 1))
-        elif role == "checks":
-            _, anchor, k = token
-            out.add(token)
-            if letter in part.check[k - 1]:
-                out.add(("checks", anchor, k + 1) if k < n else ("anchor", anchor))
-        elif role == "anchor":
-            out.add(token)
-            if letter == token[1]:
-                out.add(_DONE)
-        else:
-            out.add(token)
-    return frozenset(out)
-
 
 def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     """Search all state paths of at most ``depth`` transitions for an
     embedded witness.
 
     Exhaustive path enumeration is folded into a breadth-first search over
-    (state, progress-token set) pairs: two paths reaching the same pair admit
-    exactly the same witness completions, so deduplicating them discards no
-    answers and a shortest embedding path is found first.
+    (state, phase set) pairs, where a path's phase set holds every phase of
+    the witness-phase table its states can reach: two paths reaching the
+    same pair admit exactly the same witness completions, so deduplicating
+    them discards no answers, and the first path whose set holds
+    ``("accept",)`` is a shortest one.  ``scan_path`` then marks it.
     """
     if not is_simple(a):
         raise CCAError("the brute-force search requires a simple automaton")
     if depth < 0:
         raise CCAError("depth must be nonnegative")
-    part = _partition(a)
-    n = a.counters
     adjacency = a.adjacency()
+    part = _partition(a, adjacency)
+    n = a.counters
+    # one table entry recurs in many phase sets, so each is computed once
+    moves: dict[str, dict] = {s: {} for s in a.states}
 
-    start_frontier = _advance_tokens(frozenset({_PRE}), a.initial, part, n)
-    start = (a.initial, start_frontier)
+    def step(phases: frozenset, s: str) -> frozenset:
+        row = moves[s]
+        for phase in phases.difference(row):
+            row[phase] = _next_phases(phase, s, part, n)
+        return frozenset(chain.from_iterable(map(row.__getitem__, phases)))
+
+    start = (a.initial, step(frozenset({_SCAN}), a.initial))
     parents: dict = {start: None}
     queue = deque([(start, 0)])
-    goal = start if _DONE in start_frontier else None
+    goal = start if _ACCEPT in start[1] else None
     while queue and goal is None:
         (node, used) = queue.popleft()
         if used >= depth:
             continue
         state, frontier = node
         for t in adjacency[state]:
-            frontier2 = _advance_tokens(frontier, t.target, part, n)
-            node2 = (t.target, frontier2)
+            node2 = (t.target, step(frontier, t.target))
             if node2 in parents:
                 continue
             parents[node2] = node
-            if _DONE in frontier2:
+            if _ACCEPT in node2[1]:
                 goal = node2
                 break
             queue.append((node2, used + 1))
@@ -629,10 +610,11 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
 
 
 def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWitness]:
-    """Dynamic scan of one concrete path for a witness index assignment.
+    """Mark one concrete path with a witness, or None when it embeds none.
 
-    Depth-first over progress tokens with memoized dead ends; independent of
-    the NFA pipeline and usable on paths from any source.
+    Depth-first over the witness-phase table from ``("scan",)``, one state
+    of the path per step, trying a move-on before a stay and remembering
+    dead ends; usable on paths from any source.
     """
     if not is_simple(a):
         raise CCAError("the path scan requires a simple automaton")
@@ -640,55 +622,17 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
     n = a.counters
     dead: set = set()
 
-    def run(token, i, acc) -> Optional[dict]:
-        if (token, i) in dead:
+    def run(phase: tuple, i: int, marks: list[int]) -> Optional[list[int]]:
+        if phase == _ACCEPT:
+            return marks
+        if i == len(path) or (phase, i) in dead:
             return None
-        if i == len(path):
-            dead.add((token, i))
-            return None
-        letter = path[i]
-        role = token[0]
-        if role == "anchor" and letter == token[1]:
-            return dict(acc, end=i)
-        moves = []
-        if role == "pre":
-            if letter in part.lettered:
-                moves.append((("begun", letter, 1), {"begin": i}))
-            moves.append((token, {}))
-        elif role == "begun":
-            _, anchor, k = token
-            if letter in part.inc[k - 1]:
-                moves.append((("looping", anchor, k, letter), {f"open{k}": i}))
-            moves.append((token, {}))
-        elif role == "looping":
-            _, anchor, k, pump = token
-            if letter == pump:
-                nxt = ("begun", anchor, k + 1) if k < n else ("checks", anchor, 1)
-                moves.append((nxt, {f"close{k}": i}))
-            if letter not in part.check[k - 1]:
-                moves.append((token, {}))
-        elif role == "checks":
-            _, anchor, k = token
-            if letter in part.check[k - 1]:
-                nxt = ("checks", anchor, k + 1) if k < n else ("anchor", anchor)
-                moves.append((nxt, {f"check{k}": i}))
-            moves.append((token, {}))
-        else:  # anchor, letter != t
-            moves.append((token, {}))
-        for nxt, updates in moves:
-            result = run(nxt, i + 1, {**acc, **updates})
-            if result is not None:
-                return result
-        dead.add((token, i))
+        for after in _next_phases(phase, path[i], part, n):
+            found = run(after, i + 1, marks if after == phase else marks + [i])
+            if found is not None:
+                return found
+        dead.add((phase, i))
         return None
 
-    assignment = run(_PRE, 0, {})
-    if assignment is None:
-        return None
-    return AcceptingWitness(
-        path=tuple(path),
-        begin=assignment["begin"],
-        pairs=tuple((assignment[f"open{k}"], assignment[f"close{k}"]) for k in range(1, n + 1)),
-        checks=tuple(assignment[f"check{k}"] for k in range(1, n + 1)),
-        end=assignment["end"],
-    )
+    marks = run(_SCAN, 0, [])
+    return None if marks is None else _witness(path, marks)

@@ -320,17 +320,6 @@ def parse_omega_t(text: str, alphabet: frozenset[str] | set[str] | str) -> Omega
         raise ParseError("expression nests too deeply", 0) from None
 
 
-def parse_regex(text: str, alphabet: frozenset[str] | set[str] | str) -> RegExpr:
-    """Parse a plain regular expression (no ``^T``/``^w``)."""
-    sigma = frozenset(alphabet)
-    lexer = _Lexer(text)
-    raw = _parse_raw(lexer)
-    trailing, tpos = lexer.peek()
-    if trailing != "":
-        raise ParseError(f"unexpected trailing input {trailing!r}", tpos)
-    return _to_regex(raw, sigma)
-
-
 # --------------------------------------------------------------------------
 # pretty-printing (parse . pretty == identity, structurally)
 

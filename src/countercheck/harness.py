@@ -276,10 +276,13 @@ def _oracle_disagreement(a: CCA, depth: int, report) -> Optional[str]:
     if found is not None and report.empty:
         return "bounded search found a witness but the pipeline says empty"
     if not report.empty:
-        again = brute_force_witness(a, max(depth, len(report.witness.path)))
-        if again is None:
+        # a deeper search dequeues the same nodes in the same order up to
+        # ``found`` and returns it again, so only a miss needs one
+        if found is None:
+            found = brute_force_witness(a, max(depth, len(report.witness.path)))
+        if found is None:
             return "pipeline is nonempty but the bounded search finds nothing"
-        if len(again.path) != len(report.witness.path):
+        if len(found.path) != len(report.witness.path):
             return "the bounded search finds a shortest witness of another length"
     return None
 

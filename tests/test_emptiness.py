@@ -141,6 +141,11 @@ def test_scan_path_matches_hand_witness():
     recovered = scan_path(a, list(w.path))
     assert recovered is not None
     assert verify_witness(a, recovered)
+    assert recovered == w
+    # the phases move on before they stay, so on the walk taken twice the
+    # earliest marks win
+    twice = w.path + w.path[1:]
+    assert scan_path(a, twice) == AcceptingWitness(twice, w.begin, w.pairs, w.checks, w.end)
 
 
 def test_brute_force_depth_zero():
@@ -155,6 +160,15 @@ def test_structure_nfa_size_bound(rng):
         a = random_simple_cca(rng)
         n1 = build_potential_witness_nfa(a)
         assert len(n1.states) <= witness_nfa_state_bound(a)
+        # only phases the scan reaches are built; accept is always kept
+        reached, todo = {n1.initial}, [n1.initial]
+        while todo:
+            here = todo.pop()
+            for source, _, target in n1.transitions:
+                if source == here and target not in reached:
+                    reached.add(target)
+                    todo.append(target)
+        assert n1.states - {("accept",)} <= reached
 
 
 def test_structure_nfa_trivial_when_no_lettered_states():
@@ -398,6 +412,7 @@ def test_layered_search_matches_product_reference():
             nonempty += 1
             assert len(report.witness.path) == len(reference.path)
             assert verify_witness(report.simple, report.witness)
+            assert verify_witness(report.simple, scan_path(report.simple, report.witness.path))
     assert nonempty >= 30
 
 
@@ -430,6 +445,8 @@ def test_large_compiled_rungs_decided_quickly(text, length):
     assert not report.empty
     assert verify_witness(report.simple, report.witness)
     assert len(report.witness.path) == length
+    # eleven counters: the scan's marks slice into many loop pairs
+    assert verify_witness(report.simple, scan_path(report.simple, report.witness.path))
 
 
 def twin_cycles(left: str, right: str) -> CCA:
@@ -455,6 +472,22 @@ def test_equal_witnesses_go_to_the_smallest_anchor_name():
         assert w.path[w.begin] == anchor
         assert len(w.path) == 9
         assert w == decide(twin_cycles(left, right)).witness
+
+
+def test_examine_runs_the_oracle_once_when_it_finds_the_witness(monkeypatch):
+    from countercheck import harness
+
+    calls = []
+
+    def counted(a, depth=40):
+        calls.append(depth)
+        return brute_force_witness(a, depth)
+
+    monkeypatch.setattr(harness, "brute_force_witness", counted)
+    outcome = harness.examine(closed_atom(), 40)
+    assert outcome.failure is None and not outcome.empty
+    assert len(outcome.witness.path) <= 40
+    assert calls == [40]
 
 
 def test_fuzz_examine_catches_a_layered_search_off_the_reference(monkeypatch):
