@@ -113,10 +113,13 @@ def _is_choice(out: tuple[Transition, ...]) -> bool:
     return all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out)
 
 
-def is_simple(a: CCA) -> bool:
+def is_simple(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None) -> bool:
     """Each state either fires exactly one transition, or only silent
-    no-op choices (possibly none)."""
-    return all(len(out) == 1 or _is_choice(out) for out in a.adjacency().values())
+    no-op choices (possibly none); ``adjacency`` reuses one the caller
+    already has."""
+    if adjacency is None:
+        adjacency = a.adjacency()
+    return all(len(out) == 1 or _is_choice(out) for out in adjacency.values())
 
 
 @dataclass(frozen=True)
@@ -170,16 +173,18 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def simplify(a: CCA) -> CCA:
+def simplify(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None) -> CCA:
     """Split every offending state into a silent choice over one fresh
     carrier state per original transition.  Adds at most one state per
-    transition and preserves which words admit a run prefix."""
-    if is_simple(a):
+    transition and preserves which words admit a run prefix; ``adjacency``
+    reuses one the caller already has."""
+    if adjacency is None:
+        adjacency = a.adjacency()
+    if is_simple(a, adjacency):
         return a
     taken = set(a.states)
     states = set(a.states)
     transitions = set()
-    adjacency = a.adjacency()
     for s in sorted(a.states):
         out = adjacency[s]
         if len(out) == 1 or _is_choice(out):

@@ -13,7 +13,12 @@ counter values, so the question is one about the automaton's graph:
   the fuzzer compares ``decide`` with: ``build_potential_witness_nfa``
   accepts exactly the words over the state set that carry witness structure,
   ``build_prefix_nfa`` exactly the realizable state paths, and their product
-  is empty iff the language of the automaton is.
+  is empty iff the language of the automaton is; the product is searched
+  on the fly, never materialized.
+
+Each public entry point derives the automaton's adjacency and state
+partition once and hands them to private helpers; nothing outlives the
+call or is stored on the automaton.
 
 Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
 before it is returned; ``brute_force_witness`` provides the same answer by
@@ -32,7 +37,7 @@ from itertools import chain
 from typing import Optional
 
 from .cca import CCA, CCAError, is_simple, simplify, state_kinds
-from .nfa import NFA, accepts, intersect, shortest_accepting_run
+from .nfa import NFA, accepts, shortest_product_run
 
 
 class InternalCheckError(RuntimeError):
@@ -98,6 +103,26 @@ def _partition(a: CCA, adjacency: Optional[dict] = None) -> _Partition:
     return _Partition(lettered, tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
 
 
+def _graph(a: CCA, purpose: str) -> tuple[dict, _Partition]:
+    """The adjacency and partition of a simple automaton, derived once per
+    public call and passed to the private helpers; a ``CCAError`` naming
+    ``purpose`` for any other automaton."""
+    adjacency = a.adjacency()
+    if not is_simple(a, adjacency):
+        raise CCAError(f"{purpose} requires a simple automaton")
+    return adjacency, _partition(a, adjacency)
+
+
+def _simple_graph(a: CCA) -> tuple[CCA, dict, _Partition]:
+    """The simple automaton a decision works on, with its adjacency and
+    partition."""
+    adjacency = a.adjacency()
+    if not is_simple(a, adjacency):
+        a = simplify(a, adjacency)
+        adjacency = a.adjacency()
+    return a, adjacency, _partition(a, adjacency)
+
+
 # --------------------------------------------------------------------------
 # verification
 
@@ -106,8 +131,11 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 
     Reads only the state path, never counter values.
     """
-    if not is_simple(a):
-        raise CCAError("witness verification requires a simple automaton")
+    _, part = _graph(a, "witness verification")
+    return _verify(a, w, part)
+
+
+def _verify(a: CCA, w: AcceptingWitness, part: _Partition) -> bool:
     n = len(w.path) - 1
     if n < 0 or len(w.pairs) != a.counters or len(w.checks) != a.counters:
         return False
@@ -124,7 +152,6 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
     if any((s, t) not in edges for s, t in zip(w.path, w.path[1:])):
         return False
 
-    part = _partition(a)
     anchor = w.path[w.begin]
     if anchor not in part.lettered:
         return False
@@ -216,9 +243,11 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
     even when no phase reaches it.  The state count is bounded by
     2 + 2*N*|S| + N*|S|^2 + |S|.
     """
-    if not is_simple(a):
-        raise CCAError("the witness-structure NFA requires a simple automaton")
-    part = _partition(a)
+    _, part = _graph(a, "the witness-structure NFA")
+    return _structure_nfa(a, part)
+
+
+def _structure_nfa(a: CCA, part: _Partition) -> NFA:
     everything = sorted(a.states)
     n = a.counters
     states = {_SCAN, _ACCEPT}
@@ -283,19 +312,21 @@ def decide_by_product(a: CCA) -> tuple[Optional[AcceptingWitness], NFA]:
     """Decide emptiness the paper's way: intersect the witness-structure NFA
     with the path NFA and decode a shortest accepting run.
 
-    Returns the re-verified shortest witness (None when the language is
-    empty) and the structure NFA that was built.  The full product costs
-    O(N·|S|²·|E|) transitions, so this is the reference ``decide`` is fuzzed
-    against, not the production path.
+    The product is searched on the fly, breadth-first, and only the state
+    pairs the search reaches are created; the run is the one a search of
+    the materialized product would find.  Returns the re-verified shortest
+    witness (None when the language is empty) and the full structure NFA.
+    This is the reference ``decide`` is fuzzed against, not the production
+    path.
     """
-    simple = a if is_simple(a) else simplify(a)
-    structure = build_potential_witness_nfa(simple)
+    simple, _, part = _simple_graph(a)
+    structure = _structure_nfa(simple, part)
     prefixes = build_prefix_nfa(simple)
-    run = shortest_accepting_run(intersect(structure, prefixes))
+    run = shortest_product_run(structure, prefixes)
     if run is None:
         return None, structure
     witness = _decode(*run, simple.counters)
-    if not verify_witness(simple, witness):
+    if not _verify(simple, witness, part):
         raise InternalCheckError("decoded witness failed verification")
     if not accepts(prefixes, witness.path):
         raise InternalCheckError("decoded witness path is not a realizable path")
@@ -434,7 +465,7 @@ class EmptinessReport:
     simple: CCA
 
 
-def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
+def _shortest_witness(a: CCA, adjacency: dict, part: _Partition) -> Optional[AcceptingWitness]:
     """The layered search on a simple automaton.
 
     Tie-breaks: of the anchors with the least total the smallest name wins.
@@ -442,8 +473,6 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
     through the seed each spread recorded, every layer's seeds in name
     order; each segment between them is the walk :func:`_walk` finds.
     """
-    adjacency = a.adjacency()
-    part = _partition(a, adjacency)
     succ = {s: tuple(t.target for t in out) for s, out in adjacency.items()}
     n = a.counters
     dist, parent = _search_tree(succ, a.initial)
@@ -533,11 +562,11 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
 def decide(a: CCA) -> EmptinessReport:
     """Decide emptiness; every nonempty answer carries a verified shortest
     witness."""
-    simple = a if is_simple(a) else simplify(a)
-    witness = _shortest_witness(simple)
+    simple, adjacency, part = _simple_graph(a)
+    witness = _shortest_witness(simple, adjacency, part)
     if witness is None:
         return EmptinessReport(True, None, simple)
-    if not verify_witness(simple, witness):
+    if not _verify(simple, witness, part):
         raise InternalCheckError("layered witness failed verification")
     return EmptinessReport(False, witness, simple)
 
@@ -560,12 +589,9 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     them discards no answers, and the first path whose set holds
     ``("accept",)`` is a shortest one.  ``scan_path`` then marks it.
     """
-    if not is_simple(a):
-        raise CCAError("the brute-force search requires a simple automaton")
+    adjacency, part = _graph(a, "the brute-force search")
     if depth < 0:
         raise CCAError("depth must be nonnegative")
-    adjacency = a.adjacency()
-    part = _partition(a, adjacency)
     n = a.counters
     # one table entry recurs in many phase sets, so each is computed once
     moves: dict[str, dict] = {s: {} for s in a.states}
@@ -603,7 +629,7 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
         path.append(node[0])
         node = parents[node]
     path.reverse()
-    witness = scan_path(a, path)
+    witness = _scan(path, part, n)
     if witness is None:
         raise InternalCheckError("path search found an embedding the scan cannot recover")
     return witness
@@ -616,10 +642,11 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
     of the path per step, trying a move-on before a stay and remembering
     dead ends; usable on paths from any source.
     """
-    if not is_simple(a):
-        raise CCAError("the path scan requires a simple automaton")
-    part = _partition(a)
-    n = a.counters
+    _, part = _graph(a, "the path scan")
+    return _scan(path, part, a.counters)
+
+
+def _scan(path, part: _Partition, n: int) -> Optional[AcceptingWitness]:
     dead: set = set()
 
     def run(phase: tuple, i: int, marks: list[int]) -> Optional[list[int]]:

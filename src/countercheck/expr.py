@@ -25,7 +25,7 @@ Concrete syntax (whitespace ignored)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union as TUnion
+from typing import Union as TUnion
 
 
 class ParseError(ValueError):
@@ -469,21 +469,3 @@ def contains_empty_leaf(e: "RegExpr | TExpr | OmegaTExpr") -> bool:
     if isinstance(e, Prefix):
         return contains_empty_leaf(e.prefix) or contains_empty_leaf(e.tail)
     return contains_empty_leaf(e.body)
-
-
-def letters(e: "RegExpr | TExpr | OmegaTExpr") -> frozenset[str]:
-    """All letters occurring in the expression."""
-
-    def walk(x) -> Iterator[str]:
-        if isinstance(x, (RSym, Sym)):
-            yield x.letter
-        elif isinstance(x, (RCat, RAlt, Cat, Sum, Union)):
-            yield from walk(x.left)
-            yield from walk(x.right)
-        elif isinstance(x, (RStar, Star, T, Omega)):
-            yield from walk(x.body)
-        elif isinstance(x, Prefix):
-            yield from walk(x.prefix)
-            yield from walk(x.tail)
-
-    return frozenset(walk(e))

@@ -38,6 +38,7 @@ from .logic import (
     Unbounding,
     Var,
 )
+from .translate import member_count, omega_member_count  # noqa: F401  (re-exported)
 
 
 # --------------------------------------------------------------------------
@@ -180,25 +181,6 @@ def random_omega_expr(
         random_regex(rng, depth - 1, alphabet, allow_empty),
         random_omega_expr(rng, depth - 1, alphabet, allow_empty),
     )
-
-
-def member_count(e: ex.TExpr) -> int:
-    """How many automata the compiler will produce for a block expression."""
-    if isinstance(e, (ex.Empty, ex.Sym)):
-        return 1
-    if isinstance(e, ex.Cat):
-        return member_count(e.left) * member_count(e.right)
-    if isinstance(e, ex.Sum):
-        return 3 * member_count(e.left) * member_count(e.right)
-    return member_count(e.body)
-
-
-def omega_member_count(e: ex.OmegaTExpr) -> int:
-    if isinstance(e, ex.Union):
-        return omega_member_count(e.left) + omega_member_count(e.right)
-    if isinstance(e, ex.Prefix):
-        return omega_member_count(e.tail)
-    return member_count(e.body)
 
 
 def random_formula(rng: random.Random, depth: int) -> object:

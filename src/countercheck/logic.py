@@ -258,11 +258,6 @@ def free_vars(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def is_closed(f: Formula) -> bool:
-    fo, so = free_vars(f)
-    return not fo and not so
-
-
 def all_var_names(f: Formula) -> frozenset[str]:
     """Every variable name occurring in ``f``, bound or free."""
     if isinstance(f, (InP, IsFirst)):

@@ -5,6 +5,13 @@ One NFA type serves two jobs: word-level automata for regular expressions
 counter-check automaton's state set used by the emptiness pipeline (always
 silent-free).  State labels are arbitrary hashables; every public operation
 iterates in a deterministic order.
+
+Shortest accepted runs come from one breadth-first search with one
+tie-break, run either on an automaton (``shortest_accepting_run``) or on the
+synchronous product of two automata explored on the fly
+(``shortest_product_run``), which creates only the state pairs it reaches
+and finds the run ``intersect`` followed by ``shortest_accepting_run``
+would.
 """
 from __future__ import annotations
 
@@ -132,46 +139,20 @@ def accepts(n: NFA, word) -> bool:
     return bool(frontier & n.finals)
 
 
-def accepts_extension(n: NFA, word) -> bool:
-    """True when ``word`` is a prefix of some accepted word."""
-    adjacency = n.adjacency()
-    productive = _coreachable(n)
-    frontier = _closure(adjacency, frozenset({n.initial}))
-    for letter in word:
-        frontier = _closure(
-            adjacency,
-            frozenset(t for s in frontier for lab, t in adjacency[s] if lab == letter),
-        )
-        if not frontier:
-            return False
-    return bool(frontier & productive)
-
-
-def _coreachable(n: NFA) -> frozenset:
-    incoming: dict = {s: [] for s in n.states}
-    for source, _, target in n.transitions:
-        incoming[target].append(source)
-    result = set(n.finals)
-    stack = list(n.finals)
-    while stack:
-        s = stack.pop()
-        for p in incoming[s]:
-            if p not in result:
-                result.add(p)
-                stack.append(p)
-    return frozenset(result)
-
-
 # --------------------------------------------------------------------------
 # product and emptiness
 
-def intersect(n1: NFA, n2: NFA) -> NFA:
-    """Synchronous product; both operands must be silent-free and share an
-    alphabet.  The state set is the full Cartesian product."""
+def _require_product_operands(n1: NFA, n2: NFA) -> None:
     if n1.alphabet != n2.alphabet:
         raise ValueError("product requires identical alphabets")
     if n1.has_silent_edges or n2.has_silent_edges:
         raise ValueError("product requires silent-free automata")
+
+
+def intersect(n1: NFA, n2: NFA) -> NFA:
+    """Synchronous product; both operands must be silent-free and share an
+    alphabet.  The state set is the full Cartesian product."""
+    _require_product_operands(n1, n2)
     by_letter: dict = {}
     for source, label, target in n2.transitions:
         by_letter.setdefault(label, []).append((source, target))
@@ -188,28 +169,25 @@ def intersect(n1: NFA, n2: NFA) -> NFA:
     )
 
 
-def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
-    """Breadth-first (word, state path) to some final state, or None.
+def _breadth_first(initial, is_final: Callable, successors: Callable) -> Optional[tuple[tuple, tuple]]:
+    """Breadth-first (word, state path) from ``initial`` to a state
+    ``is_final`` accepts, or None.
 
-    Ties resolve by sorted labels then targets, so results are reproducible
-    across runs.  Silent-free automata only.  Only the successors of states
-    the search dequeues are sorted, in the order ``adjacency`` gives.
+    ``successors`` lists the (label, target) pairs leaving a state in any
+    order; only those of states the search dequeues are sorted, by
+    ``_edge_key``, so ties resolve by sorted labels then targets and results
+    are reproducible across runs.
     """
-    if n.has_silent_edges:
-        raise ValueError("shortest-run search requires a silent-free automaton")
-    successors: dict = {}
-    for source, label, target in n.transitions:
-        successors.setdefault(source, []).append((label, target))
-    parents: dict = {n.initial: None}
-    queue = deque([n.initial])
-    goal = n.initial if n.initial in n.finals else None
+    parents: dict = {initial: None}
+    queue = deque([initial])
+    goal = initial if is_final(initial) else None
     while queue and goal is None:
         here = queue.popleft()
-        for label, target in sorted(successors.get(here, ()), key=_edge_key):
+        for label, target in sorted(successors(here), key=_edge_key):
             if target in parents:
                 continue
             parents[target] = (here, label)
-            if target in n.finals:
+            if is_final(target):
                 goal = target
                 break
             queue.append(target)
@@ -225,6 +203,45 @@ def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
     word.reverse()
     path.reverse()
     return tuple(word), tuple(path)
+
+
+def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
+    """Breadth-first (word, state path) to some final state, or None.
+
+    Ties resolve by sorted labels then targets.  Silent-free automata only.
+    """
+    if n.has_silent_edges:
+        raise ValueError("shortest-run search requires a silent-free automaton")
+    successors: dict = {}
+    for source, label, target in n.transitions:
+        successors.setdefault(source, []).append((label, target))
+    return _breadth_first(n.initial, n.finals.__contains__, lambda s: successors.get(s, ()))
+
+
+def shortest_product_run(n1: NFA, n2: NFA) -> Optional[tuple[tuple, tuple]]:
+    """``shortest_accepting_run(intersect(n1, n2))`` without building the
+    product: the search creates only the state pairs it reaches.
+
+    A pair's successors join each out-edge of its ``n2`` state with the
+    ``n1`` transitions on that letter, so runs, ties and errors are those of
+    the materialized product.
+    """
+    _require_product_operands(n1, n2)
+    moves: dict = {}  # (n1 state, letter) -> n1 targets
+    for source, label, target in n1.transitions:
+        moves.setdefault((source, label), []).append(target)
+    out: dict = {}  # n2 state -> (letter, n2 target) pairs
+    for source, label, target in n2.transitions:
+        out.setdefault(source, []).append((label, target))
+
+    def successors(pair: tuple) -> list:
+        p, q = pair
+        return [(label, (p2, q2)) for label, q2 in out.get(q, ()) for p2 in moves.get((p, label), ())]
+
+    def is_final(pair: tuple) -> bool:
+        return pair[0] in n1.finals and pair[1] in n2.finals
+
+    return _breadth_first((n1.initial, n2.initial), is_final, successors)
 
 
 def nonempty_witness(n: NFA) -> Optional[tuple]:

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition
+from countercheck.logic import free_vars
+from countercheck.nfa import NFA, _closure
 
 
 def atom_empty(alphabet="ab") -> CCA:
@@ -47,6 +49,36 @@ def random_general_cca(rng: random.Random, max_states=6, max_counters=2, alphabe
         counters=counters,
         transitions=frozenset(transitions),
     )
+
+
+def accepts_extension(n: NFA, word) -> bool:
+    """True when ``word`` is a prefix of some word ``n`` accepts."""
+    adjacency = n.adjacency()
+    incoming: dict = {s: [] for s in n.states}
+    for source, _, target in n.transitions:
+        incoming[target].append(source)
+    productive = set(n.finals)
+    stack = list(n.finals)
+    while stack:
+        for p in incoming[stack.pop()]:
+            if p not in productive:
+                productive.add(p)
+                stack.append(p)
+    frontier = _closure(adjacency, frozenset({n.initial}))
+    for letter in word:
+        frontier = _closure(
+            adjacency,
+            frozenset(t for s in frontier for lab, t in adjacency[s] if lab == letter),
+        )
+        if not frontier:
+            return False
+    return bool(frontier & productive)
+
+
+def is_closed(f) -> bool:
+    """True when the formula has no free variable."""
+    fo, so = free_vars(f)
+    return not fo and not so
 
 
 @pytest.fixture

@@ -21,13 +21,14 @@ from countercheck.logic import (
     block_formula,
     blockset_formula,
     emit_phi,
-    is_closed,
     pretty_formula,
     t_condition,
 )
 from countercheck.nfa import accepts
 from countercheck.translate import compile_expression, compile_t, expected_counters
 from countercheck.emptiness import decide
+
+from conftest import is_closed
 
 GOLDEN = Path(__file__).parent / "golden"
 AGREEMENT_SEED = 7

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,18 @@ def test_deep_nesting_exits_with_one_line_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "nest" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["compile", "empty"])
+def test_compile_blow_up_exits_before_building(capsys, command):
+    # 3^49 automata: refused from the expression's shape alone
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "(" + "+".join(["a"] * 50) + ")^w")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "automata" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -423,15 +423,32 @@ def test_product_reference_decides_non_simple_input():
     assert decide_by_product(hat(atom_empty()))[0] is None
 
 
-def test_decide_never_builds_the_product(monkeypatch):
+def refuse_the_product(monkeypatch, *names):
+    """Make ``intersect``, wherever it is looked up, and the named
+    ``emptiness`` functions fail when called."""
     import countercheck.emptiness as emptiness
+    import countercheck.nfa as nfa
 
     def refuse(*_):
-        raise AssertionError("decide built the product")
+        raise AssertionError("the product was built")
 
-    monkeypatch.setattr(emptiness, "intersect", refuse)
-    monkeypatch.setattr(emptiness, "build_potential_witness_nfa", refuse)
+    monkeypatch.setattr(nfa, "intersect", refuse)
+    monkeypatch.setattr(emptiness, "intersect", refuse, raising=False)
+    for name in names:
+        monkeypatch.setattr(emptiness, name, refuse)
+
+
+def test_decide_never_builds_the_product(monkeypatch):
+    refuse_the_product(monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "shortest_product_run")
     assert not decide(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")).empty
+
+
+def test_decide_by_product_never_calls_intersect(monkeypatch):
+    expected = decide_by_product(closed_atom())
+    refuse_the_product(monkeypatch)
+    assert decide_by_product(closed_atom()) == expected
+    assert expected[0] is not None
+    assert decide_by_product(hat(atom_empty()))[0] is None
 
 
 @pytest.mark.parametrize(
@@ -447,6 +464,39 @@ def test_large_compiled_rungs_decided_quickly(text, length):
     assert len(report.witness.path) == length
     # eleven counters: the scan's marks slice into many loop pairs
     assert verify_witness(report.simple, scan_path(report.simple, report.witness.path))
+
+
+# the hand-written ladder, smallest to largest, with its shortest witness
+# lengths (None: empty); it reaches 15 counters and 183 simple states
+LADDER = (
+    ("(a 0)^w", None),
+    ("(a^T)^w", 36),
+    ("(a b)^w", 38),
+    ("(a* b)^w", 68),
+    ("(a^T b)^w", 86),
+    ("b (a^T b)^w", 88),
+    ("((a^T 0)^T b)^w", None),
+    ("(a (b 0)^T)^w", None),
+    ("(a^T b)^w + (b^T a)^w", 86),
+    ("(a + b)^w", 35),
+    ("((a^T b)^T)^w", 148),
+    ("((a b^T)* a)^w", 180),
+    ("((a^T b)^T a)^w", 212),
+    ("(a^T b + a b^T)^w", 132),
+    ("((a^T b + a b^T)^T a)^w", 279),
+)
+
+
+def test_product_reference_agrees_on_the_ladder():
+    # the random automata are rarely nonempty with more than two counters;
+    # these rungs have 3 to 15
+    for text, length in LADDER:
+        report = decide(compile_expression(parse_omega_t(text, "ab"), "ab"))
+        reference, _ = decide_by_product(report.simple)
+        assert report.empty == (reference is None) == (length is None), text
+        if reference is not None:
+            assert len(reference.path) == len(report.witness.path) == length, text
+            assert verify_witness(report.simple, scan_path(report.simple, reference.path)), text
 
 
 def twin_cycles(left: str, right: str) -> CCA:

@@ -131,8 +131,26 @@ def test_contains_empty_leaf():
     assert not ex.contains_empty_leaf(ex.parse_omega_t("(a^T b)^w", "ab"))
 
 
+def letters(e) -> frozenset[str]:
+    """All letters occurring in the expression."""
+
+    def walk(x):
+        if isinstance(x, (ex.RSym, ex.Sym)):
+            yield x.letter
+        elif isinstance(x, (ex.RCat, ex.RAlt, ex.Cat, ex.Sum, ex.Union)):
+            yield from walk(x.left)
+            yield from walk(x.right)
+        elif isinstance(x, (ex.RStar, ex.Star, ex.T, ex.Omega)):
+            yield from walk(x.body)
+        elif isinstance(x, ex.Prefix):
+            yield from walk(x.prefix)
+            yield from walk(x.tail)
+
+    return frozenset(walk(e))
+
+
 def test_letters():
-    assert ex.letters(ex.parse_omega_t("c (a^T b)^w", "abc")) == frozenset("abc")
+    assert letters(ex.parse_omega_t("c (a^T b)^w", "abc")) == frozenset("abc")
 
 
 def test_deep_parentheses_rejected_with_parse_error():

@@ -6,6 +6,8 @@ import pytest
 from countercheck import logic as lg
 from countercheck.expr import RAlt, RCat, RSym, RStar, parse_omega_t, substitute_t_with_star
 from countercheck.harness import random_formula
+
+from conftest import is_closed
 from countercheck.logic import (
     And,
     Bounding,
@@ -25,7 +27,6 @@ from countercheck.logic import (
     blockset_formula,
     emit_phi,
     free_vars,
-    is_closed,
     is_regexp_formula,
     omega_word_formula,
     pretty_formula,

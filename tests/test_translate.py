@@ -3,6 +3,7 @@ import pytest
 from countercheck import expr as ex
 from countercheck.cca import (
     CCA,
+    CCAError,
     CHECK,
     INC,
     NO_OP,
@@ -14,17 +15,22 @@ from countercheck.cca import (
     split_with_residue,
 )
 from countercheck.emptiness import brute_force_witness, is_empty
-from countercheck.harness import member_count, omega_member_count, random_texpr, random_omega_expr
-from countercheck.nfa import accepts, accepts_extension, thompson
+from countercheck.harness import random_texpr, random_omega_expr
+from countercheck.nfa import accepts, thompson
 from countercheck.translate import (
+    MAX_MEMBERS,
     AutomatonSet,
     FreshNames,
     compile_expression,
     compile_omega,
     compile_t,
     expected_counters,
+    member_count,
     merge,
+    omega_member_count,
 )
+
+from conftest import accepts_extension
 
 SIGMA = frozenset("ab")
 
@@ -389,3 +395,13 @@ def test_witness_blocks_match_block_shape(e):
         for block in blocks:
             assert accepts(shape, block), (ex.pretty(e), block)
         assert accepts_extension(shape, residue) or residue == ""
+
+
+def test_compile_refuses_more_members_than_the_limit():
+    under = ex.parse_omega_t("(" + "(a+b)" * 5 + ")^w", "ab")
+    assert omega_member_count(under) == 243 <= MAX_MEMBERS
+    assert compile_expression(under, "ab").counters == expected_counters(under.body)
+    over = ex.parse_omega_t("(" + "(a+b)" * 7 + ")^w + (a^T)^w", "ab")
+    assert omega_member_count(over) == 2188 > MAX_MEMBERS
+    with pytest.raises(CCAError, match="2188 automata"):
+        compile_expression(over, "ab")
