@@ -351,47 +351,82 @@ def decide_by_product(a: CCA) -> tuple[Optional[AcceptingWitness], NFA]:
 # previous layer: O(N·(|S|+|E|)).  One backward pass of the same spreads,
 # ending at any anchor instead of at t, bounds every anchor from below, so
 # only anchors whose bound can still win are searched, and none when the
-# language is empty.  No table outlives the call.
+# language is empty.  A least bound above MAX_WITNESS states refuses the
+# input before any forward spread.
+#
+# The search runs on the states reachable from the initial state, numbered
+# once in name order: succ[i] lists the numbers of i's successors in
+# adjacency order, and every table is a list indexed by state number, so
+# "smallest name" and "name order" are index order.  Names come back only
+# when the witness is built.  No table outlives the call.
 
-def _search_tree(succ: dict, root: str) -> tuple[dict, dict]:
-    """Breadth-first distances and parents from ``root``."""
-    dist = {root: 0}
-    parent: dict = {root: None}
+# the longest certificate, in states, that a decision may return: n = 100
+# letters of the flat word (a b a b ...)^w need 99,900, decided in about
+# 3 s at 42 MB on a 2-vCPU machine; a shortest witness grows about as
+# 10·n², so longer ones soon take minutes
+MAX_WITNESS = 100_000
+
+
+def _numbered(adjacency: dict, initial: str) -> tuple[list[str], dict, list]:
+    """The states reachable from ``initial`` in name order, the number of
+    each, and the numbers of each one's successors in adjacency order."""
+    seen = {initial}
+    todo = [initial]
+    while todo:
+        for t in adjacency[todo.pop()]:
+            if t.target not in seen:
+                seen.add(t.target)
+                todo.append(t.target)
+    names = sorted(seen)
+    number = {s: i for i, s in enumerate(names)}
+    return names, number, [tuple(number[t.target] for t in adjacency[s]) for s in names]
+
+
+def _search_tree(succ: list, root: int) -> tuple[list, list]:
+    """Breadth-first distances and parents from ``root`` (None where there
+    is none)."""
+    dist: list = [None] * len(succ)
+    parent: list = [None] * len(succ)
+    dist[root] = 0
     queue = deque([root])
     while queue:
         here = queue.popleft()
         for there in succ[here]:
-            if there not in dist:
+            if dist[there] is None:
                 dist[there] = dist[here] + 1
                 parent[there] = here
                 queue.append(there)
     return dist, parent
 
 
-def _components(succ: dict, root: str) -> dict[str, str]:
+def _components(succ: list, root: int) -> list:
     """Strongly connected component of every state reachable from ``root``,
-    named by one of its members (iterative Tarjan)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    component: dict[str, str] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
+    named by one of its members (iterative Tarjan); None elsewhere."""
+    size = len(succ)
+    index: list = [None] * size
+    low = [0] * size
+    component: list = [None] * size
+    on_stack = [False] * size
+    stack: list[int] = []
     work: list = []
+    visited = 0
 
-    def visit(s: str) -> None:
-        index[s] = low[s] = len(index)
+    def visit(s: int) -> None:
+        nonlocal visited
+        index[s] = low[s] = visited
+        visited += 1
         stack.append(s)
-        on_stack.add(s)
+        on_stack[s] = True
         work.append((s, iter(succ[s])))
 
     visit(root)
     while work:
         here, successors = work[-1]
         for there in successors:
-            if there not in index:
+            if index[there] is None:
                 visit(there)
                 break
-            if there in on_stack:
+            if on_stack[there]:
                 low[here] = min(low[here], index[there])
         else:
             work.pop()
@@ -401,14 +436,14 @@ def _components(succ: dict, root: str) -> dict[str, str]:
             if low[here] == index[here]:
                 while True:
                     s = stack.pop()
-                    on_stack.discard(s)
+                    on_stack[s] = False
                     component[s] = here
                     if s == here:
                         break
     return component
 
 
-def _walk(succ: dict, source: str, target: str, avoid=frozenset()) -> Optional[list[str]]:
+def _walk(succ: list, source: int, target: int, avoid=frozenset()) -> Optional[list[int]]:
     """A shortest walk of at least one step from ``source`` to ``target``
     that enters no state of ``avoid``, both ends included; breadth-first
     with successors in adjacency order, so the first shortest walk wins."""
@@ -432,30 +467,46 @@ def _walk(succ: dict, source: str, target: str, avoid=frozenset()) -> Optional[l
     return walk
 
 
-def _spread(succ: dict, seeds: list, limit: float = math.inf) -> dict[str, tuple[int, str]]:
+def _spread(succ: list, seeds: list, limit: float = math.inf) -> tuple[list, list]:
     """Least ``c + d+(u, v)`` over the seeds ``(c, u)`` for every state v,
-    with the seed u that attains it; costs above ``limit`` are not explored.
+    and the seed u that attains it (None where v is not reached); costs
+    above ``limit`` are not explored.
 
-    A breadth-first search bucketed by cost.  Of equal costs the first to
-    reach v wins: seeds are expanded in the order given, before the states
-    they reach, and successors in adjacency order.
+    A breadth-first search by cost level that marks a state when it is
+    first pushed.  Level l + 1 takes the seeds of cost l first, in the order
+    given, then the growth of level l in order, successors in adjacency
+    order, so of equal costs the first to reach v wins.
     """
-    buckets: dict[int, list] = {}
-    for cost, seed in seeds:
-        if cost < limit:
-            buckets.setdefault(cost + 1, []).extend((there, seed) for there in succ[seed])
-    reached: dict[str, tuple[int, str]] = {}
-    level = min(buckets, default=0)
-    while buckets and level <= limit:
+    cost: list = [None] * len(succ)
+    origin: list = [None] * len(succ)
+    injections: dict[int, list[int]] = {}
+    for c, u in seeds:
+        if c < limit:
+            injections.setdefault(c + 1, []).append(u)
+    frontier: list[int] = []
+    level = 0
+    while injections or frontier:
+        if not frontier:
+            level = min(injections)
+        if level > limit:
+            break
         grown = []
-        for here, seed in buckets.pop(level, ()):
-            if here not in reached:
-                reached[here] = (level, seed)
-                grown += [(there, seed) for there in succ[here] if there not in reached]
-        if grown and level < limit:
-            buckets.setdefault(level + 1, []).extend(grown)
+        for u in injections.pop(level, ()):
+            for v in succ[u]:
+                if cost[v] is None:
+                    cost[v] = level
+                    origin[v] = u
+                    grown.append(v)
+        for here in frontier:
+            u = origin[here]
+            for v in succ[here]:
+                if cost[v] is None:
+                    cost[v] = level
+                    origin[v] = u
+                    grown.append(v)
+        frontier = grown
         level += 1
-    return reached
+    return cost, origin
 
 
 @dataclass(frozen=True)
@@ -472,72 +523,101 @@ def _shortest_witness(a: CCA, adjacency: dict, part: _Partition) -> Optional[Acc
     Its chain of inc and check states is traced back from the anchor
     through the seed each spread recorded, every layer's seeds in name
     order; each segment between them is the walk :func:`_walk` finds.
+    Raises ``CCAError`` when no witness has at most ``MAX_WITNESS`` states.
     """
-    succ = {s: tuple(t.target for t in out) for s, out in adjacency.items()}
+    names, number, succ = _numbered(adjacency, a.initial)
     n = a.counters
-    dist, parent = _search_tree(succ, a.initial)
-    component = _components(succ, a.initial)
+    dist, parent = _search_tree(succ, number[a.initial])
+    component = _components(succ, number[a.initial])
     # closed walks never leave a component, so they only need these edges
-    local = {
-        s: tuple(there for there in succ[s] if component[there] == component[s])
-        for s in sorted(component)
-    }
-    back: dict[str, list[str]] = {s: [] for s in local}
-    for s, targets in local.items():
-        for there in targets:
-            back[there].append(s)
-    anchors = sorted(part.lettered & component.keys())
-    inc = [sorted(part.inc[k] & component.keys()) for k in range(n)]
-    check = [sorted(part.check[k] & component.keys()) for k in range(n)]
-    loops: dict[tuple[int, str], Optional[list[str]]] = {}
+    local = [
+        tuple(there for there in out if component[there] == component[here])
+        for here, out in enumerate(succ)
+    ]
+    back: list[list[int]] = [[] for _ in local]
+    for here, out in enumerate(local):
+        for there in out:
+            back[there].append(here)
 
-    def loop(k: int, p: str) -> Optional[list[str]]:
+    def numbers(states: frozenset[str]) -> list[int]:
+        return sorted(number[s] for s in states if s in number)
+
+    anchors = numbers(part.lettered)
+    inc = [numbers(part.inc[k]) for k in range(n)]
+    check = [numbers(part.check[k]) for k in range(n)]
+    avoid = [frozenset(c) for c in check]
+    loops: dict[tuple[int, int], Optional[list[int]]] = {}
+
+    def loop(k: int, p: int) -> Optional[list[int]]:
         if (k, p) not in loops:
-            loops[k, p] = _walk(local, p, p, part.check[k])
+            loops[k, p] = _walk(local, p, p, avoid[k])
         return loops[k, p]
 
-    def pumped(reached: dict, k: int) -> list[tuple[int, str]]:
+    def pumped(cost: list, k: int, incs: list, members) -> list[tuple[int, int]]:
         return [
-            (reached[p][0] + len(loop(k, p)) - 1, p)
-            for p in inc[k]
-            if p in reached and loop(k, p) is not None
+            (cost[p] + len(loop(k, members[p])) - 1, p)
+            for p in incs[k]
+            if cost[p] is not None and loop(k, members[p]) is not None
         ]
 
-    def checked(reached: dict, k: int) -> list[tuple[int, str]]:
-        return [(reached[c][0], c) for c in check[k] if c in reached]
+    def checked(cost: list, k: int, checks: list) -> list[tuple[int, int]]:
+        return [(cost[c], c) for c in checks[k] if cost[c] is not None]
 
     # backward: the least closed walk from each anchor to any anchor
-    reached = _spread(back, [(0, t) for t in anchors])
+    everything = range(len(succ))
+    cost = _spread(back, [(0, t) for t in anchors])[0]
     for k in reversed(range(n)):
-        reached = _spread(back, checked(reached, k))
+        cost = _spread(back, checked(cost, k, check))[0]
     for k in reversed(range(n)):
-        reached = _spread(back, pumped(reached, k))
-    bounds = sorted((dist[t] + reached[t][0], t) for t in anchors if t in reached)
+        cost = _spread(back, pumped(cost, k, inc, everything))[0]
+    bounds = sorted((dist[t] + cost[t], t) for t in anchors if cost[t] is not None)
+    if bounds and bounds[0][0] + 1 > MAX_WITNESS:
+        raise CCAError(
+            f"a shortest witness has at least {bounds[0][0] + 1} states, more than {MAX_WITNESS}"
+        )
 
-    # forward, anchor by anchor, while the bound can still win
-    best = None  # (total, anchor, the anchor's 2N+1 spreads)
+    # forward, anchor by anchor, while the bound can still win; each
+    # anchor's spreads run on its component alone, renumbered in name order
+    blocks: dict[int, tuple] = {}
+
+    def block(root: int) -> tuple:
+        if root not in blocks:
+            members = [s for s in everything if component[s] == root]
+            at = {s: j for j, s in enumerate(members)}
+            blocks[root] = (
+                members,
+                [tuple(at[there] for there in local[s]) for s in members],
+                [[at[p] for p in ps if p in at] for ps in inc],
+                [[at[c] for c in cs if c in at] for cs in check],
+            )
+        return blocks[root]
+
+    best = None  # (total, anchor, the anchor's 2N+1 spreads, its component)
     for bound, t in bounds:
         if best is not None and (bound, t) > best[:2]:
             break  # neither this anchor nor a later one can beat the best
         # a later name has to be strictly shorter to win
         limit = math.inf if best is None else best[0] - dist[t] - (1 if t > best[1] else 0)
-        spreads = [_spread(local, [(0, t)], limit)]
+        members, sub, incs, checks = block(component[t])
+        start = members.index(t)
+        spreads = [_spread(sub, [(0, start)], limit)]
         for k in range(n):
-            spreads.append(_spread(local, pumped(spreads[-1], k), limit))
+            spreads.append(_spread(sub, pumped(spreads[-1][0], k, incs, members), limit))
         for k in range(n):
-            spreads.append(_spread(local, checked(spreads[-1], k), limit))
-        if t in spreads[-1]:
-            total = dist[t] + spreads[-1][t][0]
+            spreads.append(_spread(sub, checked(spreads[-1][0], k, checks), limit))
+        closing = spreads[-1][0][start]
+        if closing is not None:
+            total = dist[t] + closing
             if best is None or (total, t) < best[:2]:
-                best = (total, t, spreads)
+                best = (total, t, spreads, members)
     if best is None:
         return None
 
-    total, t, spreads = best
-    chain = [t]
-    for reached in reversed(spreads):
-        chain.append(reached[chain[-1]][1])
-    chain.reverse()  # t, p1..pN, c1..cN, t
+    total, t, spreads, members = best
+    chain = [members.index(t)]
+    for _, origin in reversed(spreads):
+        chain.append(origin[chain[-1]])
+    chain = [members[j] for j in reversed(chain)]  # t, p1..pN, c1..cN, t
     path = [t]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
@@ -556,7 +636,9 @@ def _shortest_witness(a: CCA, adjacency: dict, part: _Partition) -> Optional[Acc
     end = checks.pop()
     if len(path) - 1 != total:
         raise InternalCheckError("certificate length differs from the layered minimum")
-    return AcceptingWitness(tuple(path), begin, tuple(pairs), tuple(checks), end)
+    return AcceptingWitness(
+        tuple(names[i] for i in path), begin, tuple(pairs), tuple(checks), end
+    )
 
 
 def decide(a: CCA) -> EmptinessReport:

@@ -75,6 +75,12 @@ def accepts_extension(n: NFA, word) -> bool:
     return bool(frontier & productive)
 
 
+def flat_word(letters: int) -> str:
+    """The expression ``(a b a b ...)^w`` with ``letters`` letters; its
+    shortest witness has about 10 * letters**2 states."""
+    return "(" + " ".join("ab"[i % 2] for i in range(letters)) + ")^w"
+
+
 def is_closed(f) -> bool:
     """True when the formula has no free variable."""
     fo, so = free_vars(f)

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from countercheck.cca import export, hat
-from countercheck.cli import main
+from countercheck import cli
+from countercheck.cli import build_parser, main
 
-from conftest import atom_a
+from conftest import atom_a, flat_word
 
 
 def run(capsys, *argv):
@@ -228,6 +229,34 @@ def test_compile_blow_up_exits_before_building(capsys, command):
     assert out == ""
     assert err.startswith("error:") and "automata" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_witness_over_the_limit_exits_with_one_line_error(capsys):
+    # its shortest witness has 899,700 states; the backward bound says so
+    # before any forward search
+    start = time.perf_counter()
+    code, out, err = run(capsys, "empty", flat_word(300))
+    assert time.perf_counter() - start < 10.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "899700 states" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    first = run(capsys, "empty", "(a^T b)^w")
+    second = run(capsys, "empty", "(a^T b)^w")
+    assert first[0] == 0 and first[1].startswith("NONEMPTY\n")
+    assert first == second
+    assert built == [1]
 
 
 def test_automaton_json_with_string_states_exits_cleanly(capsys, tmp_path):

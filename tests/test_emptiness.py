@@ -1,9 +1,13 @@
+import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition, hat, is_simple, simplify, state_kinds
+from countercheck import emptiness
+from countercheck.cca import CCA, CCAError, CHECK, INC, NO_OP, Transition, hat, is_simple, simplify, state_kinds
+from countercheck.cli import main
 from countercheck.emptiness import (
     AcceptingWitness,
     brute_force_witness,
@@ -22,7 +26,7 @@ from countercheck.harness import random_simple_cca, run_fuzz
 from countercheck.nfa import accepts, nonempty_witness
 from countercheck.translate import compile_expression
 
-from conftest import atom_a, atom_empty
+from conftest import atom_a, atom_empty, flat_word
 
 
 def closed_atom() -> CCA:
@@ -499,11 +503,13 @@ def test_product_reference_agrees_on_the_ladder():
             assert verify_witness(report.simple, scan_path(report.simple, reference.path)), text
 
 
-def twin_cycles(left: str, right: str) -> CCA:
+def twin_cycles(left: str, right: str, stray: str = "") -> CCA:
     """A silent choice into two copies of one witness cycle, named by the
-    prefixes ``left`` and ``right``."""
+    prefixes ``left`` and ``right``; ``stray`` names a third copy that
+    nothing reaches."""
     transitions = {Transition("i", None, f"{left}0", 1, NO_OP), Transition("i", None, f"{right}0", 1, NO_OP)}
-    for c in (left, right):
+    cycles = (left, right, stray) if stray else (left, right)
+    for c in cycles:
         transitions |= {
             Transition(f"{c}0", "a", f"{c}1", 1, NO_OP),
             Transition(f"{c}1", None, f"{c}2", 1, NO_OP),
@@ -511,17 +517,75 @@ def twin_cycles(left: str, right: str) -> CCA:
             Transition(f"{c}2", None, f"{c}1", 1, INC),
             Transition(f"{c}3", None, f"{c}0", 1, CHECK),
         }
-    states = frozenset({"i"} | {f"{c}{j}" for c in (left, right) for j in range(4)})
+    states = frozenset({"i"} | {f"{c}{j}" for c in cycles for j in range(4)})
     return CCA(states, frozenset("a"), "i", 1, frozenset(transitions))
 
 
 def test_equal_witnesses_go_to_the_smallest_anchor_name():
-    for left, right, anchor in (("x", "y", "x0"), ("x", "w", "w0")):
-        report = decide(twin_cycles(left, right))
+    # in the last input the unreachable x0..x3 sort between the anchors
+    for left, right, stray, anchor in (("x", "y", "", "x0"), ("x", "w", "", "w0"), ("y", "w", "x", "w0")):
+        report = decide(twin_cycles(left, right, stray))
         w = report.witness
         assert w.path[w.begin] == anchor
         assert len(w.path) == 9
-        assert w == decide(twin_cycles(left, right)).witness
+        assert w == decide(twin_cycles(left, right, stray)).witness
+        assert not set(w.path) & {f"{stray}{j}" for j in range(4)}
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def ladder_transcript(capsys) -> str:
+    """``countercheck empty`` on every ladder rung, as one transcript."""
+    lines = []
+    for text, _ in LADDER:
+        code = main(["empty", text])
+        lines.append(f"$ countercheck empty {text!r}\n{capsys.readouterr().out}exit {code}\n")
+    return "".join(lines)
+
+
+def test_ladder_certificates_are_pinned(capsys):
+    # the certificates are part of the interface: byte for byte
+    expected = (GOLDEN / "ladder_empty.txt").read_text(encoding="utf-8")
+    assert ladder_transcript(capsys) == expected
+
+
+def test_random_witnesses_are_pinned():
+    # every witness, not only its length; retuning random_simple_cca
+    # changes the cases, and the digest with them
+    rng = random.Random(424242)
+    digest = hashlib.sha256()
+    nonempty = 0
+    for _ in range(2000):
+        a = random_simple_cca(
+            rng, max_states=rng.randint(5, 12), max_counters=3, max_transitions=rng.randint(8, 20)
+        )
+        witness = decide(a).witness
+        nonempty += witness is not None
+        digest.update(repr(witness).encode())
+    assert nonempty >= 150
+    assert digest.hexdigest() == "bf51e2bedc45ad9b80bbafaa68ec215af27f2d25d7a6ba2a16a12dc5c792833f"
+
+
+def test_long_certificate_under_the_limit_is_returned():
+    report = decide(compile_expression(parse_omega_t(flat_word(40), "ab"), "ab"))
+    assert not report.empty
+    assert len(report.witness.path) == 15_960 <= emptiness.MAX_WITNESS
+    assert verify_witness(report.simple, report.witness)
+
+
+def test_witness_limit_never_refuses_an_answer_that_fits(monkeypatch):
+    for text, length in LADDER:
+        if length is None:
+            continue
+        a = compile_expression(parse_omega_t(text, "ab"), "ab")
+        expected = decide(a).witness
+        with monkeypatch.context() as patched:
+            patched.setattr(emptiness, "MAX_WITNESS", length)
+            assert decide(a).witness == expected, text
+    monkeypatch.setattr(emptiness, "MAX_WITNESS", 20)
+    with pytest.raises(CCAError, match="more than 20"):
+        decide(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab"))
 
 
 def test_examine_runs_the_oracle_once_when_it_finds_the_witness(monkeypatch):
