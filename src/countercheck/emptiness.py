@@ -13,8 +13,9 @@ counter values, so the question is one about the automaton's graph:
   the fuzzer compares ``decide`` with: ``build_potential_witness_nfa``
   accepts exactly the words over the state set that carry witness structure,
   ``build_prefix_nfa`` exactly the realizable state paths, and their product
-  is empty iff the language of the automaton is; the product is searched
-  on the fly, never materialized.
+  is empty iff the language of the automaton is.  The reference builds
+  neither NFA: it searches their product breadth-first, reading the
+  structure side from the phase table and the path side from the graph.
 
 Each public entry point derives the automaton's adjacency and state
 partition once and hands them to private helpers; nothing outlives the
@@ -23,8 +24,8 @@ call or is stored on the automaton.
 Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
 before it is returned; ``brute_force_witness`` provides the same answer by
 a direct search over paths and serves as the independent oracle.  The
-structure NFA, the decoding of product runs, the oracle and ``scan_path``
-all follow one table of witness phases (see the comment above
+structure NFA, the product reference and its decoding, the oracle and
+``scan_path`` all follow one table of witness phases (see the comment above
 ``_next_phases``); ``verify_witness`` and ``decide`` do not.
 """
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import chain
 from typing import Optional
 
 from .cca import CCA, CCAError, is_simple, simplify, state_kinds
-from .nfa import NFA, accepts, shortest_product_run
+from .nfa import NFA, accepts, breadth_first_run
 
 
 class InternalCheckError(RuntimeError):
@@ -64,16 +65,27 @@ class AcceptingWitness:
 
 
 def witness_from_json(text: str) -> AcceptingWitness:
+    """The witness a JSON object describes; ``ValueError`` unless its path
+    is a list of state names and every index a JSON integer."""
     data = json.loads(text)
+
+    def index(value) -> int:
+        if type(value) is not int:
+            raise TypeError(f"index {value!r} is not an integer")
+        return value
+
     try:
+        path = data["path"]
+        if not isinstance(path, list) or not all(isinstance(s, str) for s in path):
+            raise TypeError("path is not a list of state names")
         return AcceptingWitness(
-            path=tuple(data["path"]),
-            begin=int(data["begin"]),
-            pairs=tuple((int(b), int(e)) for b, e in data["pairs"]),
-            checks=tuple(int(c) for c in data["checks"]),
-            end=int(data["end"]),
+            path=tuple(path),
+            begin=index(data["begin"]),
+            pairs=tuple((index(b), index(e)) for b, e in data["pairs"]),
+            checks=tuple(index(c) for c in data["checks"]),
+            end=index(data["end"]),
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"malformed witness JSON: {err}") from None
 
 
@@ -173,7 +185,7 @@ def _verify(a: CCA, w: AcceptingWitness, part: _Partition) -> bool:
 
 
 # --------------------------------------------------------------------------
-# the witness phases: one table for the structure NFA, the product decoding,
+# the witness phases: one table for the structure NFA, the product reference,
 # the brute-force oracle and the path scan
 #
 # A witness is read off a state sequence left to right.  Reading state s,
@@ -308,29 +320,39 @@ def _decode(word: tuple[str, ...], product_path: tuple, n: int) -> AcceptingWitn
     return _witness(word, marks)
 
 
-def decide_by_product(a: CCA) -> tuple[Optional[AcceptingWitness], NFA]:
+def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     """Decide emptiness the paper's way: intersect the witness-structure NFA
     with the path NFA and decode a shortest accepting run.
 
-    The product is searched on the fly, breadth-first, and only the state
-    pairs the search reaches are created; the run is the one a search of
-    the materialized product would find.  Returns the re-verified shortest
-    witness (None when the language is empty) and the full structure NFA.
+    Neither NFA is built.  A breadth-first search runs over the product's
+    nodes ``(phase, ("path", s))``, reading each state ``u`` the graph
+    leads to from ``s`` with the phase table, and creates only the nodes it
+    reaches.  The nodes, letters and tie-break are those of
+    ``intersect(build_potential_witness_nfa(a), build_prefix_nfa(a))``, so
+    the run is the one a search of that product finds.  Returns the
+    re-verified shortest witness, or None when the language is empty.
     This is the reference ``decide`` is fuzzed against, not the production
     path.
     """
-    simple, _, part = _simple_graph(a)
-    structure = _structure_nfa(simple, part)
-    prefixes = build_prefix_nfa(simple)
-    run = shortest_product_run(structure, prefixes)
+    simple, adjacency, part = _simple_graph(a)
+    n = simple.counters
+
+    def successors(node: tuple) -> list:
+        phase, (_, s) = node
+        letters = (simple.initial,) if s is None else (t.target for t in adjacency[s])
+        return [
+            (u, (after, ("path", u))) for u in letters for after in _next_phases(phase, u, part, n)
+        ]
+
+    run = breadth_first_run((_SCAN, ("path", None)), lambda node: node[0] == _ACCEPT, successors)
     if run is None:
-        return None, structure
-    witness = _decode(*run, simple.counters)
+        return None
+    witness = _decode(*run, n)
     if not _verify(simple, witness, part):
         raise InternalCheckError("decoded witness failed verification")
-    if not accepts(prefixes, witness.path):
+    if not accepts(build_prefix_nfa(simple), witness.path):
         raise InternalCheckError("decoded witness path is not a realizable path")
-    return witness, structure
+    return witness
 
 
 # --------------------------------------------------------------------------

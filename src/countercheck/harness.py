@@ -17,6 +17,7 @@ from .emptiness import (
     AcceptingWitness,
     InternalCheckError,
     brute_force_witness,
+    build_potential_witness_nfa,
     decide,
     decide_by_product,
     verify_witness,
@@ -228,7 +229,8 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
 
     The layered search (``decide``) must match the product reference
     (``decide_by_product``) in verdict and shortest witness length, and the
-    structure NFA the reference built must stay within its size bound.
+    paper's witness-structure NFA, built in full, must stay within its size
+    bound.
     Against the bounded search, in both directions: a bounded-search
     witness forces a nonempty answer; a nonempty answer with a witness of
     path length L forces a bounded-search hit, also of length L, at depth
@@ -236,9 +238,10 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     """
     try:
         report = decide(a)
-        reference, structure = decide_by_product(a)
+        reference = decide_by_product(a)
     except InternalCheckError as err:
         return CaseOutcome(False, None, False, f"internal check failed: {err}")
+    structure = build_potential_witness_nfa(report.simple)
     bound_ok = len(structure.states) <= witness_nfa_state_bound(report.simple)
     if not bound_ok:
         failure = "structure NFA exceeded its size bound"

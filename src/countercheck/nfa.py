@@ -7,11 +7,9 @@ silent-free).  State labels are arbitrary hashables; every public operation
 iterates in a deterministic order.
 
 Shortest accepted runs come from one breadth-first search with one
-tie-break, run either on an automaton (``shortest_accepting_run``) or on the
-synchronous product of two automata explored on the fly
-(``shortest_product_run``), which creates only the state pairs it reaches
-and finds the run ``intersect`` followed by ``shortest_accepting_run``
-would.
+tie-break, ``breadth_first_run``, over any graph given by a successor
+function: ``shortest_accepting_run`` runs it on an automaton, and the
+emptiness module's product reference on a product it explores on the fly.
 """
 from __future__ import annotations
 
@@ -142,17 +140,13 @@ def accepts(n: NFA, word) -> bool:
 # --------------------------------------------------------------------------
 # product and emptiness
 
-def _require_product_operands(n1: NFA, n2: NFA) -> None:
+def intersect(n1: NFA, n2: NFA) -> NFA:
+    """Synchronous product; both operands must be silent-free and share an
+    alphabet.  The state set is the full Cartesian product."""
     if n1.alphabet != n2.alphabet:
         raise ValueError("product requires identical alphabets")
     if n1.has_silent_edges or n2.has_silent_edges:
         raise ValueError("product requires silent-free automata")
-
-
-def intersect(n1: NFA, n2: NFA) -> NFA:
-    """Synchronous product; both operands must be silent-free and share an
-    alphabet.  The state set is the full Cartesian product."""
-    _require_product_operands(n1, n2)
     by_letter: dict = {}
     for source, label, target in n2.transitions:
         by_letter.setdefault(label, []).append((source, target))
@@ -169,7 +163,7 @@ def intersect(n1: NFA, n2: NFA) -> NFA:
     )
 
 
-def _breadth_first(initial, is_final: Callable, successors: Callable) -> Optional[tuple[tuple, tuple]]:
+def breadth_first_run(initial, is_final: Callable, successors: Callable) -> Optional[tuple[tuple, tuple]]:
     """Breadth-first (word, state path) from ``initial`` to a state
     ``is_final`` accepts, or None.
 
@@ -215,33 +209,7 @@ def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
     successors: dict = {}
     for source, label, target in n.transitions:
         successors.setdefault(source, []).append((label, target))
-    return _breadth_first(n.initial, n.finals.__contains__, lambda s: successors.get(s, ()))
-
-
-def shortest_product_run(n1: NFA, n2: NFA) -> Optional[tuple[tuple, tuple]]:
-    """``shortest_accepting_run(intersect(n1, n2))`` without building the
-    product: the search creates only the state pairs it reaches.
-
-    A pair's successors join each out-edge of its ``n2`` state with the
-    ``n1`` transitions on that letter, so runs, ties and errors are those of
-    the materialized product.
-    """
-    _require_product_operands(n1, n2)
-    moves: dict = {}  # (n1 state, letter) -> n1 targets
-    for source, label, target in n1.transitions:
-        moves.setdefault((source, label), []).append(target)
-    out: dict = {}  # n2 state -> (letter, n2 target) pairs
-    for source, label, target in n2.transitions:
-        out.setdefault(source, []).append((label, target))
-
-    def successors(pair: tuple) -> list:
-        p, q = pair
-        return [(label, (p2, q2)) for label, q2 in out.get(q, ()) for p2 in moves.get((p, label), ())]
-
-    def is_final(pair: tuple) -> bool:
-        return pair[0] in n1.finals and pair[1] in n2.finals
-
-    return _breadth_first((n1.initial, n2.initial), is_final, successors)
+    return breadth_first_run(n.initial, n.finals.__contains__, lambda s: successors.get(s, ()))
 
 
 def nonempty_witness(n: NFA) -> Optional[tuple]:

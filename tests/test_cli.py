@@ -191,11 +191,21 @@ def test_malformed_witness_file_exits_cleanly(capsys, tmp_path):
     auto = tmp_path / "auto.json"
     code, compiled, _ = run(capsys, "compile", "(a b)^w")
     auto.write_text(compiled, encoding="utf-8")
+    code, out, _ = run(capsys, "empty", "--automaton", str(auto))
+    witness = json.loads("\n".join(out.splitlines()[1:]))
+    # a well-shaped witness with one path entry that is not a state name,
+    # and one whose end index overflows a float
+    listed = dict(witness, path=[witness["path"][0], ["x"], *witness["path"][2:]])
+    huge = json.dumps(witness).replace(f'"end": {witness["end"]}', '"end": 1e400')
+    assert "1e400" in huge
     bad = tmp_path / "w.json"
-    bad.write_text('{"path": ["s0"]}', encoding="utf-8")
-    code, _, err = run(capsys, "verify", "--automaton", str(auto), "--witness", str(bad))
-    assert code == 2
-    assert "malformed witness JSON" in err
+    for text in ('{"path": ["s0"]}', json.dumps(listed), huge):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--automaton", str(auto), "--witness", str(bad))
+        assert code == 2, text
+        assert out == ""
+        assert "malformed witness JSON" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):

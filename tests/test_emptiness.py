@@ -23,7 +23,7 @@ from countercheck.emptiness import (
 )
 from countercheck.expr import parse_omega_t
 from countercheck.harness import random_simple_cca, run_fuzz
-from countercheck.nfa import accepts, nonempty_witness
+from countercheck.nfa import accepts, intersect, nonempty_witness, shortest_accepting_run
 from countercheck.translate import compile_expression
 
 from conftest import atom_a, atom_empty, flat_word
@@ -409,8 +409,9 @@ def test_layered_search_matches_product_reference():
             rng, max_states=rng.randint(5, 12), max_counters=3, max_transitions=rng.randint(8, 20)
         )
         report = decide(a)
-        reference, structure = decide_by_product(a)
+        reference = decide_by_product(a)
         assert report.empty == (reference is None)
+        structure = build_potential_witness_nfa(report.simple)
         assert len(structure.states) <= witness_nfa_state_bound(report.simple)
         if reference is not None:
             nonempty += 1
@@ -420,11 +421,36 @@ def test_layered_search_matches_product_reference():
     assert nonempty >= 30
 
 
+def test_product_reference_matches_the_materialized_product():
+    # the reference searches the product of the structure NFA and the path
+    # NFA without building either; it must find the run the built product's
+    # own shortest-run search finds.  The random automata are rarely
+    # nonempty with two counters, so the ladder's rungs up to 43 states
+    # (3 to 9 counters) join them; the built products of the last two take
+    # seconds.
+    rng = random.Random(20261019)
+    cases = [
+        random_simple_cca(
+            rng, max_states=rng.randint(5, 12), max_counters=3, max_transitions=rng.randint(8, 20)
+        )
+        for _ in range(300)
+    ]
+    for text, _ in LADDER[:-2]:
+        cases.append(decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple)
+    nonempty = 0
+    for a in cases:
+        run = shortest_accepting_run(intersect(build_potential_witness_nfa(a), build_prefix_nfa(a)))
+        expected = None if run is None else emptiness._decode(*run, a.counters)
+        assert decide_by_product(a) == expected
+        nonempty += expected is not None
+    assert nonempty >= 30
+
+
 def test_product_reference_decides_non_simple_input():
-    witness, _ = decide_by_product(hat(atom_a()))
+    witness = decide_by_product(hat(atom_a()))
     report = decide(hat(atom_a()))
     assert witness is not None and len(witness.path) == len(report.witness.path)
-    assert decide_by_product(hat(atom_empty()))[0] is None
+    assert decide_by_product(hat(atom_empty())) is None
 
 
 def refuse_the_product(monkeypatch, *names):
@@ -443,21 +469,24 @@ def refuse_the_product(monkeypatch, *names):
 
 
 def test_decide_never_builds_the_product(monkeypatch):
-    refuse_the_product(monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "shortest_product_run")
+    refuse_the_product(monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "breadth_first_run")
     assert not decide(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")).empty
 
 
 def test_decide_by_product_never_calls_intersect(monkeypatch):
     expected = decide_by_product(closed_atom())
-    refuse_the_product(monkeypatch)
+    refuse_the_product(monkeypatch, "build_potential_witness_nfa", "_structure_nfa")
     assert decide_by_product(closed_atom()) == expected
-    assert expected[0] is not None
-    assert decide_by_product(hat(atom_empty()))[0] is None
+    assert expected is not None
+    assert decide_by_product(hat(atom_empty())) is None
 
 
-@pytest.mark.parametrize(
-    "text, length", [("((a+b)(a+b)^T b)^w", 283), ("(((a+b)+(a+b))^T b)^w", 204)]
-)
+# the two largest rungs, with their shortest witness lengths; the benchmark
+# does not time them
+LARGE_RUNGS = (("((a+b)(a+b)^T b)^w", 283), ("(((a+b)+(a+b))^T b)^w", 204))
+
+
+@pytest.mark.parametrize("text, length", LARGE_RUNGS)
 def test_large_compiled_rungs_decided_quickly(text, length):
     # the materialized product of these takes minutes or runs out of memory
     start = time.perf_counter()
@@ -494,9 +523,11 @@ LADDER = (
 def test_product_reference_agrees_on_the_ladder():
     # the random automata are rarely nonempty with more than two counters;
     # these rungs have 3 to 15
-    for text, length in LADDER:
+    for text, length in LADDER + LARGE_RUNGS:
         report = decide(compile_expression(parse_omega_t(text, "ab"), "ab"))
-        reference, _ = decide_by_product(report.simple)
+        start = time.perf_counter()
+        reference = decide_by_product(report.simple)
+        assert time.perf_counter() - start < 10.0, text
         assert report.empty == (reference is None) == (length is None), text
         if reference is not None:
             assert len(reference.path) == len(report.witness.path) == length, text

@@ -11,7 +11,6 @@ from countercheck.nfa import (
     intersect,
     nonempty_witness,
     shortest_accepting_run,
-    shortest_product_run,
     thompson,
 )
 from countercheck.translate import FreshNames
@@ -189,44 +188,3 @@ def test_shortest_run_follows_sorted_adjacency():
     for _ in range(60):
         n = random_letter_nfa(rng, size=5)
         assert shortest_accepting_run(n) == reference(n)
-
-
-def test_product_search_matches_the_materialized_product():
-    rng = random.Random(9)
-    empty = initial_final = longer = 0
-
-    def operand(alphabet: str) -> NFA:
-        names = [f"p{i}" for i in range(rng.randint(1, 6))]
-        pairs = [
-            (rng.choice(names), rng.choice(alphabet), rng.choice(names))
-            for _ in range(rng.randint(len(names), 4 * len(names)))
-        ]
-        finals = [s for s in names if rng.random() < (0.1 if s == names[0] else 0.6)]
-        return letter_nfa(pairs, names[0], finals, alphabet)
-
-    for _ in range(600):
-        alphabet = rng.choice(("xy", "xyz"))
-        n1, n2 = operand(alphabet), operand(alphabet)
-        expected = shortest_accepting_run(intersect(n1, n2))
-        assert shortest_product_run(n1, n2) == expected
-        if expected is None:
-            empty += 1
-        elif not expected[0]:
-            initial_final += 1
-        elif len(expected[0]) > 1:
-            longer += 1
-    assert empty >= 20 and initial_final >= 5 and longer >= 50, (empty, initial_final, longer)
-
-
-def test_product_search_raises_what_intersect_raises():
-    silent = letter_nfa([("u", None, "u")], "u", ["u"])
-    for n1, n2 in (
-        (universal("xy"), universal("xz")),
-        (silent, universal()),
-        (universal(), silent),
-    ):
-        with pytest.raises(ValueError) as expected:
-            intersect(n1, n2)
-        with pytest.raises(ValueError) as raised:
-            shortest_product_run(n1, n2)
-        assert str(raised.value) == str(expected.value)
