@@ -11,13 +11,22 @@ Acceptance of infinite words asks every counter to have infinitely many
 distinct values at its check points.  That limit condition is never
 evaluated by simulation here; the emptiness module decides it through
 finite witnesses.
+
+A compilation builds many thousands of transitions, so a transition is a
+named tuple, hashed and compared at C level, and the constructor of an
+automaton validates its transitions by set containment: the sources,
+targets, letters and distinct ``(counter, op)`` pairs are tested as sets,
+and only an automaton that fails a test is walked transition by
+transition, to report the first offending transition.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 NO_OP = "no_op"
 INC = "inc"
@@ -29,8 +38,7 @@ class CCAError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     label: Optional[str]  # None is the silent label
     target: str
@@ -38,7 +46,11 @@ class Transition:
     op: str
 
     def sort_key(self):
-        return (self.source, self.label is not None, self.label or "", self.target, self.counter, self.op)
+        source, label, target, counter, op = self
+        return (source, label is not None, label or "", target, counter, op)
+
+
+_SOURCE, _LABEL, _TARGET, _COUNTER_OP = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(3, 4)
 
 
 @dataclass(frozen=True)
@@ -59,6 +71,8 @@ class CCA:
             raise CCAError(f"initial state {self.initial!r} not among states")
         if self.final is not None and self.final not in self.states:
             raise CCAError(f"final state {self.final!r} not among states")
+        if not self.transitions or self._transitions_fit():
+            return
         for t in self.transitions:
             if t.source not in self.states or t.target not in self.states:
                 raise CCAError(f"transition {t} references unknown states")
@@ -71,6 +85,25 @@ class CCA:
             if t.op == NO_OP and t.counter != 1:
                 raise CCAError(f"no_op transitions must use counter 1: {t}")
 
+    def _transitions_fit(self) -> bool:
+        """Every transition passes the checks of ``__post_init__``, tested
+        field by field over the whole set; only the few distinct
+        ``(counter, op)`` pairs are looked at one by one.  (Transposing
+        the set with ``zip(*transitions)`` would allocate one iterator per
+        transition and set off the cyclic collector on large automata.)"""
+        transitions = self.transitions
+        letters = set(map(_LABEL, transitions))
+        letters.discard(None)
+        return (
+            self.states.issuperset(map(_SOURCE, transitions))
+            and self.states.issuperset(map(_TARGET, transitions))
+            and self.alphabet.issuperset(letters)
+            and all(
+                1 <= k <= self.counters and op in _OPS and (op != NO_OP or k == 1)
+                for k, op in set(map(_COUNTER_OP, transitions))
+            )
+        )
+
     def outgoing(self, state: str) -> tuple[Transition, ...]:
         return tuple(sorted((t for t in self.transitions if t.source == state), key=Transition.sort_key))
 
@@ -78,7 +111,10 @@ class CCA:
         out: dict[str, list[Transition]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t.source].append(t)
-        return {s: tuple(sorted(ts, key=Transition.sort_key)) for s, ts in out.items()}
+        return {
+            s: tuple(sorted(ts, key=Transition.sort_key)) if len(ts) > 1 else tuple(ts)
+            for s, ts in out.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -412,8 +448,12 @@ def from_json_dict(data: dict) -> CCA:
             raise _malformed("'transitions' must be a list")
         transitions = []
         for d in data["transitions"]:
-            if not isinstance(d, dict) or not all(
-                isinstance(d[key], str) for key in ("from", "label", "to", "op")
+            if not (
+                isinstance(d, dict)
+                and isinstance(d["from"], str)
+                and isinstance(d["label"], str)
+                and isinstance(d["to"], str)
+                and isinstance(d["op"], str)
             ):
                 raise _malformed(f"transition {d!r} needs string 'from', 'label', 'to' and 'op'")
             label = None if d["label"] == "eps" else d["label"]
@@ -446,10 +486,48 @@ def to_dot(a: CCA) -> str:
     return "\n".join(lines)
 
 
+def _to_json_text(a: CCA) -> str:
+    """``json.dumps(to_json_dict(a), indent=2)``, written directly.
+
+    Names are strings and counters integers, as ``from_json_dict`` and the
+    compiler build them.  Each name is escaped once; the transitions come
+    in ``Transition.sort_key`` order, which starts with the source, by
+    walking the sorted states through the per-state sorted adjacency.
+    """
+    quoted = {s: encode_basestring_ascii(s) for s in a.states}
+    labels = {x: encode_basestring_ascii(x) for x in a.alphabet}
+    labels[None] = '"eps"'
+    ops = {op: encode_basestring_ascii(op) for op in _OPS}
+    states = sorted(a.states)
+    adjacency = a.adjacency()
+    items = ",\n".join(
+        f'    {{\n      "from": {quoted[t.source]},\n      "label": {labels[t.label]},\n'
+        f'      "to": {quoted[t.target]},\n      "counter": {t.counter},\n      "op": {ops[t.op]}\n    }}'
+        for s in states
+        for t in adjacency[s]
+    )
+    return "\n".join(
+        [
+            "{",
+            '  "states": [',
+            ",\n".join(f"    {quoted[s]}" for s in states),
+            "  ],",
+            '  "alphabet": [',
+            ",\n".join(f"    {labels[x]}" for x in sorted(a.alphabet)),
+            "  ],",
+            f'  "initial": {quoted[a.initial]},',
+            f'  "final": {"null" if a.final is None else quoted[a.final]},',
+            f'  "counters": {a.counters},',
+            f'  "transitions": [\n{items}\n  ]' if items else '  "transitions": []',
+            "}",
+        ]
+    )
+
+
 def export(a: CCA, format: str) -> str:
     """Deterministic textual form; ``format`` is ``json`` or ``dot``."""
     if format == "json":
-        return json.dumps(to_json_dict(a), indent=2)
+        return _to_json_text(a)
     if format == "dot":
         return to_dot(a)
     raise CCAError(f"unknown export format {format!r}")

@@ -751,19 +751,24 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
 
 
 def _scan(path, part: _Partition, n: int) -> Optional[AcceptingWitness]:
+    # an explicit stack, one frame per path state, since a path may be
+    # longer than the interpreter's recursion limit; a frame holds the
+    # successors of its (phase, i) not yet tried, and a frame whose
+    # successors all fail marks its pair dead
     dead: set = set()
-
-    def run(phase: tuple, i: int, marks: list[int]) -> Optional[list[int]]:
-        if phase == _ACCEPT:
-            return marks
-        if i == len(path) or (phase, i) in dead:
+    stack: list = []
+    phase, i, marks = _SCAN, 0, []
+    while phase != _ACCEPT:
+        if i < len(path) and (phase, i) not in dead:
+            stack.append((phase, i, marks, iter(_next_phases(phase, path[i], part, n))))
+        while stack:
+            here, j, upto, untried = stack[-1]
+            after = next(untried, None)
+            if after is not None:
+                phase, i, marks = after, j + 1, upto if after == here else upto + [j]
+                break
+            dead.add((here, j))
+            stack.pop()
+        else:
             return None
-        for after in _next_phases(phase, path[i], part, n):
-            found = run(after, i + 1, marks if after == phase else marks + [i])
-            if found is not None:
-                return found
-        dead.add((phase, i))
-        return None
-
-    marks = run(_SCAN, 0, [])
-    return None if marks is None else _witness(path, marks)
+    return _witness(path, marks)

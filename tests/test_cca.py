@@ -86,6 +86,56 @@ def test_constructor_validates_counter_range():
         two_counter_host(Transition("s", "a", "t", 3, INC))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (
+            Transition("x", "a", "t", 1, NO_OP),
+            "transition Transition(source='x', label='a', target='t', counter=1, op='no_op')"
+            " references unknown states",
+        ),
+        (
+            Transition("s", "b", "x", 2, CHECK),
+            "transition Transition(source='s', label='b', target='x', counter=2, op='check')"
+            " references unknown states",
+        ),
+        (
+            Transition("s", "c", "t", 1, NO_OP),
+            "transition Transition(source='s', label='c', target='t', counter=1, op='no_op')"
+            " reads a letter outside the alphabet",
+        ),
+        (
+            Transition("s", None, "t", 0, INC),
+            "transition Transition(source='s', label=None, target='t', counter=0, op='inc')"
+            " touches counter 0 of 2",
+        ),
+        (
+            Transition("t", "a", "t", 3, CHECK),
+            "transition Transition(source='t', label='a', target='t', counter=3, op='check')"
+            " touches counter 3 of 2",
+        ),
+        (
+            Transition("s", "a", "s", 2, "reset"),
+            "transition Transition(source='s', label='a', target='s', counter=2, op='reset')"
+            " has unknown operation 'reset'",
+        ),
+        (
+            Transition("t", None, "t", 2, NO_OP),
+            "no_op transitions must use counter 1:"
+            " Transition(source='t', label=None, target='t', counter=2, op='no_op')",
+        ),
+    ],
+    ids=["source", "target", "letter", "counter-0", "counter-N+1", "op", "no-op-counter"],
+)
+def test_constructor_names_the_offending_transition(bad, message):
+    # the set-containment checks must report exactly what the loop reports
+    good = (Transition("s", "a", "t", 1, NO_OP), Transition("t", None, "u", 2, INC))
+    two_counter_host(*good)
+    with pytest.raises(cca.CCAError) as caught:
+        two_counter_host(*good, bad)
+    assert str(caught.value) == message
+
+
 # --------------------------------------------------------------------------
 # simplicity and classification
 
@@ -353,6 +403,46 @@ def test_json_round_trip_random(rng):
     for _ in range(25):
         a = random_general_cca(rng)
         assert cca.import_json(cca.export(a, "json")) == a
+
+
+def test_json_writer_matches_json_dumps():
+    from random import Random
+
+    from countercheck.harness import random_omega_expr
+
+    def same(a: CCA) -> None:
+        assert cca.export(a, "json") == json.dumps(cca.to_json_dict(a), indent=2)
+
+    for seed in range(200):
+        a = compile_expression(random_omega_expr(Random(seed), 3), "ab")
+        same(a)
+        same(cca.simplify(a))
+    same(atom_empty())
+    assert atom_empty().final is not None
+    same(two_counter_host())
+    same(cca.hat(atom_a()))
+    assert cca.hat(atom_a()).final == "s1"
+    same(random_general_cca(Random(1)))
+    assert random_general_cca(Random(1)).final is None
+    odd = ('q"1', "q\\2", "qé", "日本", "tab\there")
+    same(
+        CCA(
+            states=frozenset(odd),
+            alphabet=frozenset({"a", "ß", '"'}),
+            initial=odd[0],
+            counters=2,
+            transitions=frozenset(
+                {
+                    Transition(odd[0], "ß", odd[1], 1, NO_OP),
+                    Transition(odd[1], '"', odd[2], 2, INC),
+                    Transition(odd[2], None, odd[3], 2, CHECK),
+                    Transition(odd[3], "a", odd[0], 1, NO_OP),
+                    Transition(odd[3], None, odd[4], 1, CHECK),
+                }
+            ),
+            final=odd[3],
+        )
+    )
 
 
 def test_export_unknown_format():

@@ -108,6 +108,7 @@ def test_compile_intermediate_dumps_sets(capsys):
     assert code == 0
     assert out.count("==") >= 8  # one banner per sub-expression
     assert "a^T" in out
+    assert out == (Path(__file__).parent / "golden" / "compile_intermediate.txt").read_text(encoding="utf-8")
 
 
 def test_dot_output(capsys, tmp_path):

@@ -605,6 +605,15 @@ def test_long_certificate_under_the_limit_is_returned():
     assert verify_witness(report.simple, report.witness)
 
 
+@pytest.mark.parametrize("letters, length", [(12, 1428), (40, 15_960)])
+def test_scan_path_marks_certificates_longer_than_the_recursion_limit(letters, length):
+    report = decide(compile_expression(parse_omega_t(flat_word(letters), "ab"), "ab"))
+    assert len(report.witness.path) == length
+    marked = scan_path(report.simple, report.witness.path)
+    assert marked is not None and marked.path == report.witness.path
+    assert verify_witness(report.simple, marked)
+
+
 def test_witness_limit_never_refuses_an_answer_that_fits(monkeypatch):
     for text, length in LADDER:
         if length is None:

@@ -11,6 +11,7 @@ from countercheck.cca import (
     hat,
     replay,
     satisfies_final_contract,
+    shift,
     simplify,
     split_with_residue,
 )
@@ -28,9 +29,10 @@ from countercheck.translate import (
     member_count,
     merge,
     omega_member_count,
+    rename_apart,
 )
 
-from conftest import accepts_extension
+from conftest import accepts_extension, random_general_cca
 
 SIGMA = frozenset("ab")
 
@@ -223,6 +225,19 @@ def test_final_contract_everywhere(rng):
         for _, auto_set in trace:
             for m in auto_set.automata:
                 assert satisfies_final_contract(m)
+
+
+def test_rename_apart_lifts_counters_as_shift_does(rng):
+    # the rules rename and lift each operand in one pass
+    for _ in range(60):
+        a = random_general_cca(rng, max_states=8, max_counters=3)
+        if rng.random() < 0.5:
+            a = CCA(a.states, a.alphabet, a.initial, a.counters, a.transitions, max(a.states))
+        offset = rng.randint(0, 3)
+        once = rename_apart(a, FreshNames("r"), offset)
+        assert once == shift(rename_apart(a, FreshNames("r")), offset)
+    member = the(compile_t(ex.parse_omega_t("(a^T b)^w", "ab").body, SIGMA))
+    assert rename_apart(member, FreshNames(), 2) == shift(rename_apart(member, FreshNames()), 2)
 
 
 def test_state_disjointness_across_compilation(rng):
