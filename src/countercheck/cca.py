@@ -13,11 +13,7 @@ evaluated by simulation here; the emptiness module decides it through
 finite witnesses.
 
 A compilation builds many thousands of transitions, so a transition is a
-named tuple, hashed and compared at C level, and the constructor of an
-automaton validates its transitions by set containment: the sources,
-targets, letters and distinct ``(counter, op)`` pairs are tested as sets,
-and only an automaton that fails a test is walked transition by
-transition, to report the first offending transition.
+named tuple, hashed and compared at C level.
 """
 from __future__ import annotations
 
@@ -25,7 +21,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 NO_OP = "no_op"
@@ -50,7 +45,11 @@ class Transition(NamedTuple):
         return (source, label is not None, label or "", target, counter, op)
 
 
-_SOURCE, _LABEL, _TARGET, _COUNTER_OP = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(3, 4)
+def lifted_counter(t: Transition, offset: int) -> int:
+    """The counter of ``t`` once counters are renumbered upward by
+    ``offset``; silent bookkeeping no-ops stay on counter 1 (their counter
+    is immaterial and must remain 1)."""
+    return t.counter if t.op == NO_OP else t.counter + offset
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,6 @@ class CCA:
             raise CCAError(f"initial state {self.initial!r} not among states")
         if self.final is not None and self.final not in self.states:
             raise CCAError(f"final state {self.final!r} not among states")
-        if not self.transitions or self._transitions_fit():
-            return
         for t in self.transitions:
             if t.source not in self.states or t.target not in self.states:
                 raise CCAError(f"transition {t} references unknown states")
@@ -85,25 +82,6 @@ class CCA:
             if t.op == NO_OP and t.counter != 1:
                 raise CCAError(f"no_op transitions must use counter 1: {t}")
 
-    def _transitions_fit(self) -> bool:
-        """Every transition passes the checks of ``__post_init__``, tested
-        field by field over the whole set; only the few distinct
-        ``(counter, op)`` pairs are looked at one by one.  (Transposing
-        the set with ``zip(*transitions)`` would allocate one iterator per
-        transition and set off the cyclic collector on large automata.)"""
-        transitions = self.transitions
-        letters = set(map(_LABEL, transitions))
-        letters.discard(None)
-        return (
-            self.states.issuperset(map(_SOURCE, transitions))
-            and self.states.issuperset(map(_TARGET, transitions))
-            and self.alphabet.issuperset(letters)
-            and all(
-                1 <= k <= self.counters and op in _OPS and (op != NO_OP or k == 1)
-                for k, op in set(map(_COUNTER_OP, transitions))
-            )
-        )
-
     def outgoing(self, state: str) -> tuple[Transition, ...]:
         return tuple(sorted((t for t in self.transitions if t.source == state), key=Transition.sort_key))
 
@@ -111,10 +89,7 @@ class CCA:
         out: dict[str, list[Transition]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t.source].append(t)
-        return {
-            s: tuple(sorted(ts, key=Transition.sort_key)) if len(ts) > 1 else tuple(ts)
-            for s, ts in out.items()
-        }
+        return {s: tuple(sorted(ts, key=Transition.sort_key)) for s, ts in out.items()}
 
 
 @dataclass(frozen=True)
@@ -253,13 +228,11 @@ def hat(a: CCA) -> CCA:
 
 
 def shift(a: CCA, offset: int) -> CCA:
-    """Renumber counters upward by ``offset``; silent bookkeeping no-ops stay
-    on counter 1 (their counter is immaterial and must remain 1)."""
+    """Renumber counters upward by ``offset`` (see ``lifted_counter``)."""
     if offset < 0:
         raise CCAError("shift offset must be nonnegative")
     moved = frozenset(
-        t if t.op == NO_OP else Transition(t.source, t.label, t.target, t.counter + offset, t.op)
-        for t in a.transitions
+        Transition(t.source, t.label, t.target, lifted_counter(t, offset), t.op) for t in a.transitions
     )
     return CCA(a.states, a.alphabet, a.initial, a.counters + offset, moved, a.final)
 

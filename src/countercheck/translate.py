@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import expr as ex
-from .cca import CCA, CHECK, INC, NO_OP, CCAError, Transition, hat, satisfies_final_contract
+from .cca import CCA, CHECK, INC, NO_OP, CCAError, Transition, hat, lifted_counter, satisfies_final_contract
 from .nfa import thompson
 
 # The most automata one expression may compile to.  On a 2-vCPU machine
@@ -50,8 +50,8 @@ class FreshNames:
 
 def rename_apart(a: CCA, names: FreshNames, offset: int = 0) -> CCA:
     """A copy of ``a`` with fresh state names, drawn in sorted state order,
-    and its counters renumbered upward by ``offset`` as ``cca.shift`` does:
-    silent bookkeeping no-ops stay on counter 1."""
+    and its counters renumbered upward by ``offset`` as ``cca.shift`` does
+    (``cca.lifted_counter``)."""
     mapping = {s: names() for s in sorted(a.states)}
     return CCA(
         states=frozenset(mapping.values()),
@@ -59,13 +59,7 @@ def rename_apart(a: CCA, names: FreshNames, offset: int = 0) -> CCA:
         initial=mapping[a.initial],
         counters=a.counters + offset,
         transitions=frozenset(
-            Transition(
-                mapping[t.source],
-                t.label,
-                mapping[t.target],
-                t.counter if t.op == NO_OP else t.counter + offset,
-                t.op,
-            )
+            Transition(mapping[t.source], t.label, mapping[t.target], lifted_counter(t, offset), t.op)
             for t in a.transitions
         ),
         final=None if a.final is None else mapping[a.final],
