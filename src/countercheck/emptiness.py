@@ -15,11 +15,16 @@ counter values, so the question is one about the automaton's graph:
   ``build_prefix_nfa`` exactly the realizable state paths, and their product
   is empty iff the language of the automaton is.  The reference builds
   neither NFA: it searches their product breadth-first, reading the
-  structure side from the phase table and the path side from the graph.
+  structure side from the phase table and the path side from the graph,
+  and hands the search each node's edges already in the product's
+  tie-break order.  ``witness_nfa_state_count`` counts the structure NFA's
+  states by walking the same table, for the size-bound check, without
+  building it.
 
 Each public entry point derives the automaton's adjacency and state
-partition once and hands them to private helpers; nothing outlives the
-call or is stored on the automaton.
+partition once, the partition in one pass over the adjacency, and hands
+them to private helpers; nothing outlives the call or is stored on the
+automaton.
 
 Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
 before it is returned; ``brute_force_witness`` provides the same answer by
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .cca import CCA, CCAError, is_simple, simplify, state_kinds
+from .cca import CCA, CCAError, CHECK, INC, _is_choice, is_simple, simplify
 from .nfa import NFA, accepts, breadth_first_run
 
 
@@ -100,19 +105,27 @@ class _Partition:
 
 
 def _partition(a: CCA, adjacency: Optional[dict] = None) -> _Partition:
+    """The partition of a simple automaton, from one pass over its
+    adjacency: a state firing one transition is inc-k or check-k by that
+    transition's op and lettered by its label; stuck and choice states are
+    in no set."""
     if adjacency is None:
         adjacency = a.adjacency()
+    lettered: set[str] = set()
     inc: list[set[str]] = [set() for _ in range(a.counters)]
     check: list[set[str]] = [set() for _ in range(a.counters)]
-    for s, kind in state_kinds(a, adjacency).items():
-        if kind.kind == "inc":
-            inc[kind.counter - 1].add(s)
-        elif kind.kind == "check":
-            check[kind.counter - 1].add(s)
-    lettered = frozenset(
-        s for s, out in adjacency.items() if any(t.label is not None for t in out)
-    )
-    return _Partition(lettered, tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
+    for s, out in adjacency.items():
+        if len(out) == 1:
+            t = out[0]
+            if t.op == INC:
+                inc[t.counter - 1].add(s)
+            elif t.op == CHECK:
+                check[t.counter - 1].add(s)
+            if t.label is not None:
+                lettered.add(s)
+        elif out and not _is_choice(out):
+            raise CCAError("state classification requires a simple automaton")
+    return _Partition(frozenset(lettered), tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
 
 
 def _graph(a: CCA, purpose: str) -> tuple[dict, _Partition]:
@@ -259,24 +272,34 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
     return _structure_nfa(a, part)
 
 
-def _structure_nfa(a: CCA, part: _Partition) -> NFA:
-    everything = sorted(a.states)
+def _structure_phases(a: CCA, part: _Partition) -> set:
+    """The phases ``("scan",)`` reaches, plus ``("accept",)``: the states of
+    the witness-structure NFA."""
     n = a.counters
-    states = {_SCAN, _ACCEPT}
-    transitions = set()
+    phases = {_SCAN, _ACCEPT}
     todo = [_SCAN]
     while todo:
         phase = todo.pop()
-        for s in everything:
+        for s in a.states:
             for after in _next_phases(phase, s, part, n):
-                transitions.add((phase, s, after))
-                if after not in states:
-                    states.add(after)
+                if after not in phases:
+                    phases.add(after)
                     todo.append(after)
+    return phases
+
+
+def _structure_nfa(a: CCA, part: _Partition) -> NFA:
+    n = a.counters
+    phases = _structure_phases(a, part)
     return NFA(
-        states=frozenset(states),
+        states=frozenset(phases),
         alphabet=frozenset(a.states),
-        transitions=frozenset(transitions),
+        transitions=frozenset(
+            (phase, s, after)
+            for phase in phases
+            for s in a.states
+            for after in _next_phases(phase, s, part, n)
+        ),
         initial=_SCAN,
         finals=frozenset({_ACCEPT}),
     )
@@ -285,6 +308,13 @@ def _structure_nfa(a: CCA, part: _Partition) -> NFA:
 def witness_nfa_state_bound(a: CCA) -> int:
     s = len(a.states)
     return 2 + 2 * a.counters * s + a.counters * s * s + s
+
+
+def witness_nfa_state_count(a: CCA) -> int:
+    """The number of states of ``build_potential_witness_nfa(a)``, counted
+    by walking the phase table without building the NFA."""
+    _, part = _graph(a, "the witness-structure NFA")
+    return len(_structure_phases(a, part))
 
 
 def build_prefix_nfa(a: CCA) -> NFA:
@@ -329,20 +359,31 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     leads to from ``s`` with the phase table, and creates only the nodes it
     reaches.  The nodes, letters and tie-break are those of
     ``intersect(build_potential_witness_nfa(a), build_prefix_nfa(a))``, so
-    the run is the one a search of that product finds.  Returns the
-    re-verified shortest witness, or None when the language is empty.
-    This is the reference ``decide`` is fuzzed against, not the production
-    path.
+    the run is the one a search of that product finds: each node's edges
+    come out ordered by the repr of their letter, then of their phase,
+    which is ``nfa._edge_key``'s order, with each state's letters sorted
+    once per call.  Returns the re-verified shortest witness, or None when
+    the language is empty.  This is the reference ``decide`` is fuzzed
+    against, not the production path.
     """
     simple, adjacency, part = _simple_graph(a)
     n = simple.counters
+    letters_of: dict = {}  # the letters leaving each state, in repr order
 
-    def successors(node: tuple) -> list:
+    def successors(node: tuple):
         phase, (_, s) = node
-        letters = (simple.initial,) if s is None else (t.target for t in adjacency[s])
-        return [
-            (u, (after, ("path", u))) for u in letters for after in _next_phases(phase, u, part, n)
-        ]
+        if s not in letters_of:
+            targets = {simple.initial} if s is None else {t.target for t in adjacency[s]}
+            letters_of[s] = sorted(targets, key=repr)
+        for u in letters_of[s]:
+            # every target of letter u ends in ("path", u), and no tuple's
+            # repr is a prefix of another's, so ordering the phases by repr
+            # orders the targets as ``_edge_key`` does
+            afters = _next_phases(phase, u, part, n)
+            if len(afters) == 2 and repr(afters[1]) < repr(afters[0]):
+                afters = afters[::-1]
+            for after in afters:
+                yield u, (after, ("path", u))
 
     run = breadth_first_run((_SCAN, ("path", None)), lambda node: node[0] == _ACCEPT, successors)
     if run is None:

@@ -12,16 +12,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import expr as ex
-from .cca import CCA, CHECK, INC, NO_OP, Transition, is_simple
+from .cca import CCA, CCAError, CHECK, INC, NO_OP, Transition, is_simple
 from .emptiness import (
     AcceptingWitness,
     InternalCheckError,
     brute_force_witness,
-    build_potential_witness_nfa,
     decide,
     decide_by_product,
     verify_witness,
     witness_nfa_state_bound,
+    witness_nfa_state_count,
 )
 from .logic import (
     And,
@@ -229,8 +229,8 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
 
     The layered search (``decide``) must match the product reference
     (``decide_by_product``) in verdict and shortest witness length, and the
-    paper's witness-structure NFA, built in full, must stay within its size
-    bound.
+    paper's witness-structure NFA must stay within its size bound; its
+    states are counted by ``witness_nfa_state_count``, not built.
     Against the bounded search, in both directions: a bounded-search
     witness forces a nonempty answer; a nonempty answer with a witness of
     path length L forces a bounded-search hit, also of length L, at depth
@@ -241,8 +241,7 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
         reference = decide_by_product(a)
     except InternalCheckError as err:
         return CaseOutcome(False, None, False, f"internal check failed: {err}")
-    structure = build_potential_witness_nfa(report.simple)
-    bound_ok = len(structure.states) <= witness_nfa_state_bound(report.simple)
+    bound_ok = witness_nfa_state_count(report.simple) <= witness_nfa_state_bound(report.simple)
     if not bound_ok:
         failure = "structure NFA exceeded its size bound"
     elif report.empty != (reference is None):
@@ -319,6 +318,10 @@ def run_fuzz(
     log: Optional[Callable[[str], None]] = None,
     **generator_options,
 ) -> FuzzReport:
+    if cases < 0:
+        raise CCAError("the number of cases must be nonnegative")
+    if depth < 0:
+        raise CCAError("depth must be nonnegative")
     nonempty = 0
     failures = []
     for index in range(cases):

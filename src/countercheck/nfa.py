@@ -6,10 +6,12 @@ counter-check automaton's state set used by the emptiness pipeline (always
 silent-free).  State labels are arbitrary hashables; every public operation
 iterates in a deterministic order.
 
-Shortest accepted runs come from one breadth-first search with one
-tie-break, ``breadth_first_run``, over any graph given by a successor
-function: ``shortest_accepting_run`` runs it on an automaton, and the
-emptiness module's product reference on a product it explores on the fly.
+Shortest accepted runs come from one breadth-first search,
+``breadth_first_run``, over any graph given by a successor function that
+yields each state's edges already in tie-break order: ``shortest_accepting_run``
+sorts an automaton's edges by ``_edge_key`` once as it indexes them, and the
+emptiness module's product reference, which explores a product on the fly,
+yields its edges in that same order.
 """
 from __future__ import annotations
 
@@ -167,17 +169,18 @@ def breadth_first_run(initial, is_final: Callable, successors: Callable) -> Opti
     """Breadth-first (word, state path) from ``initial`` to a state
     ``is_final`` accepts, or None.
 
-    ``successors`` lists the (label, target) pairs leaving a state in any
-    order; only those of states the search dequeues are sorted, by
-    ``_edge_key``, so ties resolve by sorted labels then targets and results
-    are reproducible across runs.
+    ``successors`` yields the (label, target) pairs leaving a state in
+    tie-break order: the search follows them in the order given, and the
+    first pair to reach a state is the one its run keeps.  Callers order
+    them as ``_edge_key`` does, silent labels first, then by the repr of
+    the label and of the target, so results are reproducible across runs.
     """
     parents: dict = {initial: None}
     queue = deque([initial])
     goal = initial if is_final(initial) else None
     while queue and goal is None:
         here = queue.popleft()
-        for label, target in sorted(successors(here), key=_edge_key):
+        for label, target in successors(here):
             if target in parents:
                 continue
             parents[target] = (here, label)
@@ -209,6 +212,8 @@ def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
     successors: dict = {}
     for source, label, target in n.transitions:
         successors.setdefault(source, []).append((label, target))
+    for edges in successors.values():
+        edges.sort(key=_edge_key)
     return breadth_first_run(n.initial, n.finals.__contains__, lambda s: successors.get(s, ()))
 
 

@@ -175,6 +175,20 @@ def test_fuzz_small_run(capsys):
     assert "25/25 cases agree" in out
 
 
+@pytest.mark.parametrize("option, message", [("--cases", "number of cases"), ("--depth", "depth")])
+def test_fuzz_refuses_negative_counts_before_any_case(capsys, monkeypatch, option, message):
+    from countercheck import harness
+
+    def refuse(*_):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(harness, "examine", refuse)
+    code, out, err = run(capsys, "fuzz", option, "-5")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err and "nonnegative" in err
+
+
 def test_missing_expression_and_automaton(capsys):
     code, _, err = run(capsys, "empty")
     assert code == 2

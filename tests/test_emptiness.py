@@ -6,7 +6,19 @@ from pathlib import Path
 import pytest
 
 from countercheck import emptiness
-from countercheck.cca import CCA, CCAError, CHECK, INC, NO_OP, Transition, hat, is_simple, simplify, state_kinds
+from countercheck.cca import (
+    CCA,
+    CCAError,
+    CHECK,
+    INC,
+    NO_OP,
+    StateKind,
+    Transition,
+    hat,
+    is_simple,
+    simplify,
+    state_kinds,
+)
 from countercheck.cli import main
 from countercheck.emptiness import (
     AcceptingWitness,
@@ -20,6 +32,7 @@ from countercheck.emptiness import (
     verify_witness,
     witness_from_json,
     witness_nfa_state_bound,
+    witness_nfa_state_count,
 )
 from countercheck.expr import parse_omega_t
 from countercheck.harness import random_simple_cca, run_fuzz
@@ -173,6 +186,40 @@ def test_structure_nfa_size_bound(rng):
                     reached.add(target)
                     todo.append(target)
         assert n1.states - {("accept",)} <= reached
+
+
+def test_structure_nfa_state_count_matches_the_built_nfa():
+    # the size-bound check counts the phases instead of building the NFA;
+    # the ladder's rungs up to 43 states bring 3 to 9 counters
+    rng = random.Random(20261020)
+    cases = [random_simple_cca(rng, max_counters=3) for _ in range(300)]
+    for text, _ in LADDER[:-2]:
+        cases.append(decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple)
+    for a in cases:
+        assert witness_nfa_state_count(a) == len(build_potential_witness_nfa(a).states)
+
+
+def test_partition_matches_the_state_kinds(rng):
+    from countercheck.emptiness import _partition  # test-only access
+
+    for _ in range(500):
+        a = random_simple_cca(rng, max_counters=3)
+        kinds = state_kinds(a)
+        part = _partition(a)
+        for k in range(1, a.counters + 1):
+            assert part.inc[k - 1] == {s for s, kind in kinds.items() if kind == StateKind("inc", k)}
+            assert part.check[k - 1] == {s for s, kind in kinds.items() if kind == StateKind("check", k)}
+        adjacency = a.adjacency()
+        assert part.lettered == {s for s in a.states if any(t.label is not None for t in adjacency[s])}
+    branching = CCA(
+        frozenset({"s", "t"}),
+        frozenset("a"),
+        "s",
+        1,
+        frozenset({Transition("s", "a", "t", 1, NO_OP), Transition("s", None, "s", 1, NO_OP)}),
+    )
+    with pytest.raises(CCAError, match="simple automaton"):
+        _partition(branching)
 
 
 def test_structure_nfa_trivial_when_no_lettered_states():
@@ -446,6 +493,53 @@ def test_product_reference_matches_the_materialized_product():
     assert nonempty >= 30
 
 
+def repr_order_automaton() -> CCA:
+    """Two equally short witnesses from a silent fork at ``s``: one through
+    the anchor ``p``, one through ``q'``.  ``p`` sorts first by name, but
+    ``repr("q'")`` opens with a double quote and sorts before ``repr("p")``."""
+    transitions = {Transition("s", None, "p", 1, NO_OP), Transition("s", None, "q'", 1, NO_OP)}
+    for anchor in ("p", "q'"):
+        hub, pump, reset = anchor + ".h", anchor + ".i", anchor + ".c"
+        transitions |= {
+            Transition(anchor, "a", hub, 1, NO_OP),
+            Transition(hub, None, pump, 1, NO_OP),
+            Transition(hub, None, reset, 1, NO_OP),
+            Transition(pump, None, hub, 1, INC),
+            Transition(reset, "b", anchor, 1, CHECK),
+        }
+    states = frozenset({t.source for t in transitions})
+    return CCA(states, frozenset("ab"), "s", 1, frozenset(transitions))
+
+
+def phase_order_automaton() -> CCA:
+    """A random automaton on which trying each letter's move-on before its
+    stay, instead of ordering the two phases by repr, gives another witness
+    of the same length."""
+    transitions = {
+        Transition("q0", "b", "q1", 1, CHECK),
+        Transition("q1", None, "q0", 1, NO_OP),
+        Transition("q1", None, "q2", 1, NO_OP),
+        Transition("q2", "b", "q4", 1, NO_OP),
+        Transition("q3", "b", "q5", 1, INC),
+        Transition("q4", "b", "q5", 1, INC),
+        Transition("q5", None, "q0", 1, NO_OP),
+        Transition("q5", None, "q3", 1, NO_OP),
+    }
+    return CCA(frozenset(f"q{i}" for i in range(6)), frozenset("ab"), "q0", 1, frozenset(transitions))
+
+
+@pytest.mark.parametrize("build", [repr_order_automaton, phase_order_automaton])
+def test_product_reference_breaks_ties_in_repr_order(build):
+    a = build()
+    assert is_simple(a)
+    run = shortest_accepting_run(intersect(build_potential_witness_nfa(a), build_prefix_nfa(a)))
+    expected = emptiness._decode(*run, a.counters)
+    assert decide_by_product(a) == expected
+    assert len(decide(a).witness.path) == len(expected.path)
+    if build is repr_order_automaton:
+        assert expected.path[1] == "q'"
+
+
 def test_product_reference_decides_non_simple_input():
     witness = decide_by_product(hat(atom_a()))
     report = decide(hat(atom_a()))
@@ -657,3 +751,15 @@ def test_fuzz_examine_catches_a_layered_search_off_the_reference(monkeypatch):
     assert "shortest length" in harness.examine(auto).failure
     monkeypatch.setattr(harness, "decide", lambda a: replace(report, empty=True, witness=None))
     assert "verdict" in harness.examine(auto).failure
+
+
+def test_examine_reports_a_structure_nfa_over_its_size_bound(monkeypatch):
+    from countercheck import harness
+
+    auto = closed_atom()
+    outcome = harness.examine(auto)
+    assert outcome.bound_ok and outcome.failure is None
+    monkeypatch.setattr(harness, "witness_nfa_state_count", lambda a: witness_nfa_state_bound(a) + 1)
+    outcome = harness.examine(auto)
+    assert not outcome.bound_ok
+    assert outcome.failure == "structure NFA exceeded its size bound"

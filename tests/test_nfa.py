@@ -8,6 +8,7 @@ from countercheck.harness import random_regex
 from countercheck.nfa import (
     NFA,
     accepts,
+    breadth_first_run,
     intersect,
     nonempty_witness,
     shortest_accepting_run,
@@ -157,8 +158,8 @@ def test_nonempty_witness_is_accepted_and_shortest():
 
 
 def test_shortest_run_follows_sorted_adjacency():
-    # the search sorts successors only where it dequeues; its runs must be
-    # those of a breadth-first search over the fully sorted adjacency
+    # the search sorts each state's edges once as it indexes them; its runs
+    # must be those of a breadth-first search over the sorted adjacency
     from collections import deque
 
     def reference(n):
@@ -188,3 +189,17 @@ def test_shortest_run_follows_sorted_adjacency():
     for _ in range(60):
         n = random_letter_nfa(rng, size=5)
         assert shortest_accepting_run(n) == reference(n)
+
+
+def test_breadth_first_run_follows_the_order_of_its_successors():
+    # two runs of two edges reach f; the search keeps the one whose first
+    # edge comes first from ``successors``, whatever the labels' sort order
+    graph = {"s": [("y", "r"), ("x", "q")], "q": [("x", "f")], "r": [("x", "f")], "f": []}
+    assert breadth_first_run("s", "f".__eq__, graph.__getitem__) == (("y", "x"), ("s", "r", "f"))
+    graph["s"].reverse()
+    assert breadth_first_run("s", "f".__eq__, graph.__getitem__) == (("x", "x"), ("s", "q", "f"))
+    # a generator serves as well as a list
+    assert breadth_first_run("s", "f".__eq__, lambda here: iter(graph[here])) == (
+        ("x", "x"),
+        ("s", "q", "f"),
+    )
