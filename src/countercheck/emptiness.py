@@ -21,10 +21,14 @@ counter values, so the question is one about the automaton's graph:
   states by walking the same table, for the size-bound check, without
   building it.
 
-Each public entry point derives the automaton's adjacency and state
-partition once, the partition in one pass over the adjacency, and hands
-them to private helpers; nothing outlives the call or is stored on the
-automaton.
+Each public entry point takes the automaton's adjacency and state
+partition from a one-entry memo and hands them to private helpers; the
+partition is built in one pass over the adjacency.  The memo holds the
+last automaton seen, compared by identity, so the entry points a fuzz case
+calls in turn on one automaton derive its graph once.  It refers to that
+automaton weakly and keeps its adjacency and partition alive until
+another automaton is passed or this one is freed; nothing is stored on
+the automaton.
 
 Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
 before it is returned; ``brute_force_witness`` provides the same answer by
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -128,24 +133,55 @@ def _partition(a: CCA, adjacency: Optional[dict] = None) -> _Partition:
     return _Partition(frozenset(lettered), tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
 
 
-def _graph(a: CCA, purpose: str) -> tuple[dict, _Partition]:
-    """The adjacency and partition of a simple automaton, derived once per
-    public call and passed to the private helpers; a ``CCAError`` naming
-    ``purpose`` for any other automaton."""
+# a weak reference to the last automaton ``_derive`` saw, its adjacency,
+# and its partition (None when it is not simple); rebound whole, so a reader
+# never pairs one automaton with another's graph
+_last: tuple = (None, None, None)
+
+
+def _derive(a: CCA) -> tuple[dict, Optional[_Partition]]:
+    """The adjacency of ``a`` and, when ``a`` is simple, its partition.
+
+    The automaton is immutable, so the values derived for the last one
+    passed, compared by identity, are handed out again: the entry points a
+    fuzz case calls in turn on one automaton share one graph.  Callers never
+    mutate what they get.
+    """
+    global _last
+    last = _last
+    if last[0] is not None and last[0]() is a:
+        return last[1], last[2]
     adjacency = a.adjacency()
-    if not is_simple(a, adjacency):
+    part = _partition(a, adjacency) if is_simple(a, adjacency) else None
+    _last = (weakref.ref(a, _forget), adjacency, part)
+    return adjacency, part
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the memo with its automaton, so that the graph never outlives
+    it; a race with ``_derive`` can only cost a later miss."""
+    global _last
+    if _last[0] is ref:
+        _last = (None, None, None)
+
+
+def _graph(a: CCA, purpose: str) -> tuple[dict, _Partition]:
+    """The adjacency and partition of a simple automaton; a ``CCAError``
+    naming ``purpose`` for any other automaton."""
+    adjacency, part = _derive(a)
+    if part is None:
         raise CCAError(f"{purpose} requires a simple automaton")
-    return adjacency, _partition(a, adjacency)
+    return adjacency, part
 
 
 def _simple_graph(a: CCA) -> tuple[CCA, dict, _Partition]:
     """The simple automaton a decision works on, with its adjacency and
     partition."""
-    adjacency = a.adjacency()
-    if not is_simple(a, adjacency):
+    adjacency, part = _derive(a)
+    if part is None:
         a = simplify(a, adjacency)
-        adjacency = a.adjacency()
-    return a, adjacency, _partition(a, adjacency)
+        adjacency, part = _derive(a)
+    return a, adjacency, part
 
 
 # --------------------------------------------------------------------------
@@ -274,13 +310,18 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
 
 def _structure_phases(a: CCA, part: _Partition) -> set:
     """The phases ``("scan",)`` reaches, plus ``("accept",)``: the states of
-    the witness-structure NFA."""
+    the witness-structure NFA.
+
+    By the table, a state that is neither lettered, inc nor check only
+    keeps a phase or ends it, so the walk reads the other states alone.
+    """
     n = a.counters
+    movers = part.lettered.union(*part.inc, *part.check)
     phases = {_SCAN, _ACCEPT}
     todo = [_SCAN]
     while todo:
         phase = todo.pop()
-        for s in a.states:
+        for s in movers:
             for after in _next_phases(phase, s, part, n):
                 if after not in phases:
                     phases.add(after)

@@ -235,6 +235,10 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     witness forces a nonempty answer; a nonempty answer with a witness of
     path length L forces a bounded-search hit, also of length L, at depth
     >= L; an empty answer forbids any bounded-search hit.
+
+    Every call here is a public ``emptiness`` entry point on the same
+    automaton, and they take its graph from ``emptiness``'s one-entry memo:
+    a simple case derives its adjacency and partition once, in ``decide``.
     """
     try:
         report = decide(a)

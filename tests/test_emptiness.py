@@ -191,12 +191,26 @@ def test_structure_nfa_size_bound(rng):
 def test_structure_nfa_state_count_matches_the_built_nfa():
     # the size-bound check counts the phases instead of building the NFA;
     # the ladder's rungs up to 43 states bring 3 to 9 counters
+    from countercheck.emptiness import _next_phases, _partition, _structure_phases  # test-only access
+
     rng = random.Random(20261020)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(300)]
     for text, _ in LADDER[:-2]:
         cases.append(decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple)
     for a in cases:
         assert witness_nfa_state_count(a) == len(build_potential_witness_nfa(a).states)
+        # the walk reads lettered, inc and check states alone; it must
+        # reach what a closure over every state reaches
+        part = _partition(a)
+        phases, todo = {("scan",), ("accept",)}, [("scan",)]
+        while todo:
+            phase = todo.pop()
+            for s in a.states:
+                for after in _next_phases(phase, s, part, a.counters):
+                    if after not in phases:
+                        phases.add(after)
+                        todo.append(after)
+        assert _structure_phases(a, part) == phases
 
 
 def test_partition_matches_the_state_kinds(rng):
@@ -763,3 +777,113 @@ def test_examine_reports_a_structure_nfa_over_its_size_bound(monkeypatch):
     outcome = harness.examine(auto)
     assert not outcome.bound_ok
     assert outcome.failure == "structure NFA exceeded its size bound"
+
+
+def counted_adjacency(monkeypatch) -> list:
+    """Record every ``CCA.adjacency`` call from here on."""
+    calls = []
+    derive = CCA.adjacency
+
+    def counted(a):
+        calls.append(a)
+        return derive(a)
+
+    monkeypatch.setattr(CCA, "adjacency", counted)
+    return calls
+
+
+def test_examine_derives_one_graph_per_simple_case(monkeypatch):
+    from countercheck import harness
+
+    auto = closed_atom()
+    verified = []
+
+    def verify(a, w):
+        verified.append(w)
+        return verify_witness(a, w)
+
+    monkeypatch.setattr(harness, "verify_witness", verify)
+    calls = counted_adjacency(monkeypatch)
+    outcome = harness.examine(auto)
+    assert outcome.failure is None and not outcome.empty and verified
+    # decide, the reference, the count, the oracle and the verification
+    # share one graph
+    assert calls == [auto]
+    # a non-simple automaton: its own graph, then its simplification's
+    compiled = compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")
+    assert not is_simple(compiled)
+    calls.clear()
+    report = decide(compiled)
+    assert calls == [compiled, report.simple]
+
+
+def test_the_graph_memo_never_serves_a_stale_graph(monkeypatch):
+    from dataclasses import replace
+
+    def fresh(a):
+        monkeypatch.setattr(emptiness, "_last", (None, None, None))
+        return decide(a)
+
+    rng = random.Random(20261022)
+    autos = [random_simple_cca(rng, max_counters=3) for _ in range(60)]
+    autos += [closed_atom(), compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")]
+    expected = [fresh(b) for b in autos]
+    assert any(r.empty for r in expected) and not all(r.empty for r in expected)
+    for a, b, b_expected in zip(autos, autos[1:] + autos[:1], expected[1:] + expected[:1]):
+        decide(a)
+        assert decide(b) == b_expected
+    # an equal automaton that is another object gets its own graph
+    calls = counted_adjacency(monkeypatch)
+    for a, a_expected in zip(autos, expected):
+        twin = replace(a)
+        assert twin == a and twin is not a
+        decide(a)
+        calls.clear()
+        assert decide(twin) == a_expected
+        assert calls[0] is twin
+    # the memo holds the simplification after this, and must not lend its
+    # partition to the non-simple automaton
+    compiled = autos[-1]
+    report = decide(compiled)
+    with pytest.raises(CCAError, match="^witness verification requires a simple automaton$"):
+        verify_witness(compiled, report.witness)
+
+
+def test_the_graph_memo_keeps_no_automaton_alive():
+    import weakref
+
+    auto = closed_atom()
+    assert not decide(auto).empty
+    ref = weakref.ref(auto)
+    del auto
+    assert ref() is None
+    assert emptiness._last == (None, None, None)
+
+
+def test_the_graph_memo_under_threads():
+    # four threads decide the same automata in different orders while the
+    # interpreter switches between them as often as it can
+    import sys
+    import threading
+
+    rng = random.Random(20261023)
+    autos = [random_simple_cca(rng, max_counters=3) for _ in range(40)]
+    expected = [decide(a) for a in autos]
+    results: dict = {}
+
+    def work(offset: int) -> None:
+        order = autos[offset:] + autos[:offset]
+        results[offset] = [decide(a) for a in order] == expected[offset:] + expected[:offset]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 7, 19, 31)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {0: True, 7: True, 19: True, 31: True}
