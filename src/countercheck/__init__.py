@@ -6,16 +6,14 @@ __version__ = "0.1.0"
 from .cca import (
     CCA,
     Configuration,
-    StateKind,
     Transition,
-    classify_state,
     export,
     has_run_prefix,
     hat,
     import_json,
     initial_configuration,
     is_simple,
-    shift,
+    partition,
     simplify,
     split_by_checks,
     step,
@@ -32,13 +30,12 @@ from .emptiness import (
 from .exponents import ClassFlags, classify, decompose_prefix, sample
 from .expr import OmegaTExpr, ParseError, RegExpr, TExpr, parse_omega_t, pretty, substitute_t_with_star
 from .logic import block_formula, blockset_formula, emit_phi, is_regexp_formula, pretty_formula, t_condition
-from .nfa import NFA, intersect, nonempty_witness, thompson
+from .nfa import NFA, intersect, thompson
 from .translate import AutomatonSet, compile_expression, compile_omega, compile_t, merge
 
 __all__ = [
     "CCA",
     "Configuration",
-    "StateKind",
     "Transition",
     "AcceptingWitness",
     "AutomatonSet",
@@ -54,7 +51,6 @@ __all__ = [
     "build_potential_witness_nfa",
     "build_prefix_nfa",
     "classify",
-    "classify_state",
     "compile_expression",
     "compile_omega",
     "compile_t",
@@ -71,12 +67,11 @@ __all__ = [
     "is_regexp_formula",
     "is_simple",
     "merge",
-    "nonempty_witness",
     "parse_omega_t",
+    "partition",
     "pretty",
     "pretty_formula",
     "sample",
-    "shift",
     "simplify",
     "split_by_checks",
     "step",

@@ -82,9 +82,6 @@ class CCA:
             if t.op == NO_OP and t.counter != 1:
                 raise CCAError(f"no_op transitions must use counter 1: {t}")
 
-    def outgoing(self, state: str) -> tuple[Transition, ...]:
-        return tuple(sorted((t for t in self.transitions if t.source == state), key=Transition.sort_key))
-
     def adjacency(self) -> dict[str, tuple[Transition, ...]]:
         out: dict[str, list[Transition]] = {s: [] for s in self.states}
         for t in self.transitions:
@@ -118,7 +115,7 @@ def step(a: CCA, config: Configuration, t: Transition) -> Configuration:
 
 
 # --------------------------------------------------------------------------
-# simple automata and the four-way state partition
+# simple automata and their state partition
 
 def _is_choice(out: tuple[Transition, ...]) -> bool:
     return all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out)
@@ -134,45 +131,34 @@ def is_simple(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = N
 
 
 @dataclass(frozen=True)
-class StateKind:
-    kind: str  # "check" | "inc" | "sym" | "choice" | "stuck"
-    counter: Optional[int] = None
+class Partition:
+    lettered: frozenset[str]  # states firing a lettered transition
+    inc: tuple[frozenset[str], ...]  # per counter, 1-based at index k-1
+    check: tuple[frozenset[str], ...]
 
 
-def classify_state(a: CCA, state: str) -> StateKind:
-    """Partition slot of a state of a simple automaton."""
-    kinds = state_kinds(a)
-    if state not in kinds:
-        raise CCAError(f"{state!r} is not a state of this automaton")
-    return kinds[state]
-
-
-def state_kinds(
-    a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None
-) -> dict[str, StateKind]:
-    """Partition slot of every state of a simple automaton, from one pass
-    over its adjacency (``adjacency`` reuses one the caller already has)."""
+def partition(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None) -> Partition:
+    """The partition of a simple automaton, from one pass over its
+    adjacency: a state firing one transition is inc-k or check-k by that
+    transition's op and lettered by its label.  Stuck and choice states are
+    in no set: a stuck state has no out-edge, a choice state has some."""
     if adjacency is None:
         adjacency = a.adjacency()
-    kinds = {}
+    lettered: set[str] = set()
+    inc: list[set[str]] = [set() for _ in range(a.counters)]
+    check: list[set[str]] = [set() for _ in range(a.counters)]
     for s, out in adjacency.items():
-        if not out:
-            kinds[s] = StateKind("stuck")
-        elif len(out) == 1:
+        if len(out) == 1:
             t = out[0]
-            if t.op == CHECK:
-                kinds[s] = StateKind("check", t.counter)
-            elif t.op == INC:
-                kinds[s] = StateKind("inc", t.counter)
-            elif t.label is not None:
-                kinds[s] = StateKind("sym")
-            else:
-                kinds[s] = StateKind("choice")
-        elif _is_choice(out):
-            kinds[s] = StateKind("choice")
-        else:
+            if t.op == INC:
+                inc[t.counter - 1].add(s)
+            elif t.op == CHECK:
+                check[t.counter - 1].add(s)
+            if t.label is not None:
+                lettered.add(s)
+        elif out and not _is_choice(out):
             raise CCAError("state classification requires a simple automaton")
-    return kinds
+    return Partition(frozenset(lettered), tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -225,16 +211,6 @@ def hat(a: CCA) -> CCA:
         raise CCAError("loop-back closure needs a final state")
     loop = Transition(a.final, None, a.initial, 1, CHECK)
     return CCA(a.states, a.alphabet, a.initial, a.counters, a.transitions | {loop}, a.final)
-
-
-def shift(a: CCA, offset: int) -> CCA:
-    """Renumber counters upward by ``offset`` (see ``lifted_counter``)."""
-    if offset < 0:
-        raise CCAError("shift offset must be nonnegative")
-    moved = frozenset(
-        Transition(t.source, t.label, t.target, lifted_counter(t, offset), t.op) for t in a.transitions
-    )
-    return CCA(a.states, a.alphabet, a.initial, a.counters + offset, moved, a.final)
 
 
 def satisfies_final_contract(a: CCA) -> bool:
@@ -409,9 +385,16 @@ def _string_list(data: dict, key: str) -> list[str]:
     return value
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:
+        raise _malformed(f"{what} {value!r} is not an integer")
+    return value
+
+
 def from_json_dict(data: dict) -> CCA:
     """Build an automaton from the JSON schema of ``to_json_dict``; names
-    must be strings and collections lists, nothing is coerced."""
+    must be strings, counters integers and collections lists, nothing is
+    coerced."""
     if not isinstance(data, dict):
         raise _malformed("expected an object")
     try:
@@ -430,7 +413,7 @@ def from_json_dict(data: dict) -> CCA:
             ):
                 raise _malformed(f"transition {d!r} needs string 'from', 'label', 'to' and 'op'")
             label = None if d["label"] == "eps" else d["label"]
-            transitions.append(Transition(d["from"], label, d["to"], int(d["counter"]), d["op"]))
+            transitions.append(Transition(d["from"], label, d["to"], _integer(d["counter"], "counter"), d["op"]))
         final = data.get("final")
         if not isinstance(data["initial"], str) or not isinstance(final, (str, type(None))):
             raise _malformed("'initial' must be a string and 'final' a string or null")
@@ -438,7 +421,7 @@ def from_json_dict(data: dict) -> CCA:
             states=frozenset(states),
             alphabet=frozenset(alphabet),
             initial=data["initial"],
-            counters=int(data["counters"]),
+            counters=_integer(data["counters"], "'counters'"),
             transitions=frozenset(transitions),
             final=final,
         )

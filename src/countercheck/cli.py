@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .cca import CCA, export, has_run_prefix, import_json, is_simple, simplify
+from .cca import CCA, export, has_run_prefix, import_json, simplify
 from .emptiness import InternalCheckError, decide, verify_witness, witness_from_json
 from .exponents import classify, parse_generator
 from .expr import ParseError, parse_omega_t, pretty
@@ -137,8 +137,7 @@ def cmd_verify(args) -> int:
         automaton = import_json(handle.read())
     with open(args.witness, "r", encoding="utf-8") as handle:
         witness = witness_from_json(handle.read())
-    simple = automaton if is_simple(automaton) else simplify(automaton)
-    if verify_witness(simple, witness):
+    if verify_witness(simplify(automaton), witness):
         print("WITNESS OK")
         return 0
     print("WITNESS INVALID")

@@ -23,8 +23,9 @@ counter values, so the question is one about the automaton's graph:
 
 Each public entry point takes the automaton's adjacency and state
 partition from a one-entry memo and hands them to private helpers; the
-partition is built in one pass over the adjacency.  The memo holds the
-last automaton seen, compared by identity, so the entry points a fuzz case
+partition (lettered, inc-k and check-k states) comes from
+``cca.partition``, one pass over the adjacency.  The memo holds the last
+automaton seen, compared by identity, so the entry points a fuzz case
 calls in turn on one automaton derive its graph once.  It refers to that
 automaton weakly and keeps its adjacency and partition alive until
 another automaton is passed or this one is freed; nothing is stored on
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
-from .cca import CCA, CCAError, CHECK, INC, _is_choice, is_simple, simplify
+from .cca import CCA, CCAError, Partition, is_simple, partition, simplify
 from .nfa import NFA, accepts, breadth_first_run
 
 
@@ -100,38 +101,7 @@ def witness_from_json(text: str) -> AcceptingWitness:
 
 
 # --------------------------------------------------------------------------
-# state bookkeeping for simple automata
-
-@dataclass(frozen=True)
-class _Partition:
-    lettered: frozenset[str]  # states firing a lettered transition
-    inc: tuple[frozenset[str], ...]  # per counter, 1-based at index k-1
-    check: tuple[frozenset[str], ...]
-
-
-def _partition(a: CCA, adjacency: Optional[dict] = None) -> _Partition:
-    """The partition of a simple automaton, from one pass over its
-    adjacency: a state firing one transition is inc-k or check-k by that
-    transition's op and lettered by its label; stuck and choice states are
-    in no set."""
-    if adjacency is None:
-        adjacency = a.adjacency()
-    lettered: set[str] = set()
-    inc: list[set[str]] = [set() for _ in range(a.counters)]
-    check: list[set[str]] = [set() for _ in range(a.counters)]
-    for s, out in adjacency.items():
-        if len(out) == 1:
-            t = out[0]
-            if t.op == INC:
-                inc[t.counter - 1].add(s)
-            elif t.op == CHECK:
-                check[t.counter - 1].add(s)
-            if t.label is not None:
-                lettered.add(s)
-        elif out and not _is_choice(out):
-            raise CCAError("state classification requires a simple automaton")
-    return _Partition(frozenset(lettered), tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
-
+# the graph memo
 
 # a weak reference to the last automaton ``_derive`` saw, its adjacency,
 # and its partition (None when it is not simple); rebound whole, so a reader
@@ -139,7 +109,7 @@ def _partition(a: CCA, adjacency: Optional[dict] = None) -> _Partition:
 _last: tuple = (None, None, None)
 
 
-def _derive(a: CCA) -> tuple[dict, Optional[_Partition]]:
+def _derive(a: CCA) -> tuple[dict, Optional[Partition]]:
     """The adjacency of ``a`` and, when ``a`` is simple, its partition.
 
     The automaton is immutable, so the values derived for the last one
@@ -152,7 +122,7 @@ def _derive(a: CCA) -> tuple[dict, Optional[_Partition]]:
     if last[0] is not None and last[0]() is a:
         return last[1], last[2]
     adjacency = a.adjacency()
-    part = _partition(a, adjacency) if is_simple(a, adjacency) else None
+    part = partition(a, adjacency) if is_simple(a, adjacency) else None
     _last = (weakref.ref(a, _forget), adjacency, part)
     return adjacency, part
 
@@ -165,7 +135,7 @@ def _forget(ref: weakref.ref) -> None:
         _last = (None, None, None)
 
 
-def _graph(a: CCA, purpose: str) -> tuple[dict, _Partition]:
+def _graph(a: CCA, purpose: str) -> tuple[dict, Partition]:
     """The adjacency and partition of a simple automaton; a ``CCAError``
     naming ``purpose`` for any other automaton."""
     adjacency, part = _derive(a)
@@ -174,7 +144,7 @@ def _graph(a: CCA, purpose: str) -> tuple[dict, _Partition]:
     return adjacency, part
 
 
-def _simple_graph(a: CCA) -> tuple[CCA, dict, _Partition]:
+def _simple_graph(a: CCA) -> tuple[CCA, dict, Partition]:
     """The simple automaton a decision works on, with its adjacency and
     partition."""
     adjacency, part = _derive(a)
@@ -196,7 +166,7 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
     return _verify(a, w, part)
 
 
-def _verify(a: CCA, w: AcceptingWitness, part: _Partition) -> bool:
+def _verify(a: CCA, w: AcceptingWitness, part: Partition) -> bool:
     n = len(w.path) - 1
     if n < 0 or len(w.pairs) != a.counters or len(w.checks) != a.counters:
         return False
@@ -258,7 +228,7 @@ _SCAN = ("scan",)
 _ACCEPT = ("accept",)
 
 
-def _next_phases(phase: tuple, s: str, part: _Partition, n: int) -> tuple[tuple, ...]:
+def _next_phases(phase: tuple, s: str, part: Partition, n: int) -> tuple[tuple, ...]:
     """The phases reached from ``phase`` by reading state ``s``, a move-on
     listed before a stay."""
     role = phase[0]
@@ -308,7 +278,7 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
     return _structure_nfa(a, part)
 
 
-def _structure_phases(a: CCA, part: _Partition) -> set:
+def _structure_phases(a: CCA, part: Partition) -> set:
     """The phases ``("scan",)`` reaches, plus ``("accept",)``: the states of
     the witness-structure NFA.
 
@@ -329,7 +299,7 @@ def _structure_phases(a: CCA, part: _Partition) -> set:
     return phases
 
 
-def _structure_nfa(a: CCA, part: _Partition) -> NFA:
+def _structure_nfa(a: CCA, part: Partition) -> NFA:
     n = a.counters
     phases = _structure_phases(a, part)
     return NFA(
@@ -620,7 +590,7 @@ class EmptinessReport:
     simple: CCA
 
 
-def _shortest_witness(a: CCA, adjacency: dict, part: _Partition) -> Optional[AcceptingWitness]:
+def _shortest_witness(a: CCA, adjacency: dict, part: Partition) -> Optional[AcceptingWitness]:
     """The layered search on a simple automaton.
 
     Tie-breaks: of the anchors with the least total the smallest name wins.
@@ -832,7 +802,7 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
     return _scan(path, part, a.counters)
 
 
-def _scan(path, part: _Partition, n: int) -> Optional[AcceptingWitness]:
+def _scan(path, part: Partition, n: int) -> Optional[AcceptingWitness]:
     # an explicit stack, one frame per path state, since a path may be
     # longer than the interpreter's recursion limit; a frame holds the
     # successors of its (phase, i) not yet tried, and a frame whose

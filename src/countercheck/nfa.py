@@ -216,8 +216,3 @@ def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
         edges.sort(key=_edge_key)
     return breadth_first_run(n.initial, n.finals.__contains__, lambda s: successors.get(s, ()))
 
-
-def nonempty_witness(n: NFA) -> Optional[tuple]:
-    """A shortest accepted word, or None when the language is empty."""
-    run = shortest_accepting_run(n)
-    return None if run is None else run[0]

@@ -50,8 +50,8 @@ class FreshNames:
 
 def rename_apart(a: CCA, names: FreshNames, offset: int = 0) -> CCA:
     """A copy of ``a`` with fresh state names, drawn in sorted state order,
-    and its counters renumbered upward by ``offset`` as ``cca.shift`` does
-    (``cca.lifted_counter``)."""
+    and its counters renumbered upward by ``offset`` by
+    ``cca.lifted_counter``."""
     mapping = {s: names() for s in sorted(a.states)}
     return CCA(
         states=frozenset(mapping.values()),

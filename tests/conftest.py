@@ -4,7 +4,7 @@ import pytest
 
 from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition
 from countercheck.logic import free_vars
-from countercheck.nfa import NFA, _closure
+from countercheck.nfa import NFA, _closure, shortest_accepting_run
 
 
 def atom_empty(alphabet="ab") -> CCA:
@@ -73,6 +73,12 @@ def accepts_extension(n: NFA, word) -> bool:
         if not frontier:
             return False
     return bool(frontier & productive)
+
+
+def nonempty_witness(n: NFA):
+    """A shortest accepted word, or None when the language is empty."""
+    run = shortest_accepting_run(n)
+    return None if run is None else run[0]
 
 
 def flat_word(letters: int) -> str:

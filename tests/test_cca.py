@@ -161,28 +161,35 @@ def test_silent_choice_fan_is_simple():
 
 def test_classify_check_state():
     a = two_counter_host(Transition("s", "a", "t", 2, CHECK))
-    assert cca.classify_state(a, "s") == cca.StateKind("check", 2)
+    part = cca.partition(a)
+    assert part.check[1] == {"s"}
+    assert "s" not in part.check[0] and "s" not in part.inc[0] | part.inc[1]
 
 
 def test_classify_sym_state():
     a = two_counter_host(Transition("s", "a", "t", 1, NO_OP))
-    assert cca.classify_state(a, "s") == cca.StateKind("sym")
+    part = cca.partition(a)
+    assert part.lettered == {"s"}
+    assert not any(part.inc) and not any(part.check)
 
 
 def test_classify_choice_and_stuck():
     a = two_counter_host(
         Transition("s", None, "t", 1, NO_OP), Transition("s", None, "u", 1, NO_OP)
     )
-    assert cca.classify_state(a, "s") == cca.StateKind("choice")
-    assert cca.classify_state(a, "t") == cca.StateKind("stuck")
+    adjacency = a.adjacency()
+    part = cca.partition(a)
+    assert not part.lettered and not any(part.inc) and not any(part.check)
+    # a choice state has out-edges, a stuck state none
+    assert adjacency["s"] and not adjacency["t"]
 
 
 def test_classify_requires_simple():
     a = two_counter_host(
         Transition("s", "a", "t", 1, NO_OP), Transition("s", "b", "u", 1, NO_OP)
     )
-    with pytest.raises(cca.CCAError):
-        cca.classify_state(a, "s")
+    with pytest.raises(cca.CCAError, match="simple automaton"):
+        cca.partition(a)
 
 
 def test_simple_transition_determined_by_endpoints(rng):
@@ -191,7 +198,7 @@ def test_simple_transition_determined_by_endpoints(rng):
     for _ in range(40):
         a = random_simple_cca(rng)
         for s in a.states:
-            targets = [t.target for t in a.outgoing(s)]
+            targets = [t.target for t in a.adjacency()[s]]
             assert len(targets) == len(set(targets))
 
 
@@ -212,7 +219,9 @@ def test_simplify_splits_offending_state():
     simple = cca.simplify(a)
     assert cca.is_simple(simple)
     assert len(simple.states) == len(a.states) + 2
-    assert cca.classify_state(simple, "s") == cca.StateKind("choice")
+    part = cca.partition(simple)
+    assert simple.adjacency()["s"]
+    assert "s" not in part.lettered | set().union(*part.inc, *part.check)
     carried = {(t.label, t.target, t.counter, t.op) for t in simple.transitions if t.source != "s"}
     assert ("a", "t", 1, INC) in carried and ("b", "u", 1, CHECK) in carried
 
@@ -247,7 +256,7 @@ def test_simplify_preserves_run_prefixes_100_random(rng):
 
 
 # --------------------------------------------------------------------------
-# hat / shift
+# hat
 
 def test_hat_adds_loop_back():
     a = atom_a()
@@ -271,32 +280,6 @@ def test_hat_requires_final():
     a = two_counter_host(Transition("s", "a", "t", 1, NO_OP))
     with pytest.raises(cca.CCAError):
         cca.hat(a)
-
-
-def test_shift_moves_counting_ops_only():
-    a = CCA(
-        states=frozenset({"s"}),
-        alphabet=frozenset("a"),
-        initial="s",
-        counters=1,
-        transitions=frozenset(
-            {Transition("s", None, "s", 1, INC), Transition("s", "a", "s", 1, NO_OP)}
-        ),
-    )
-    lifted = cca.shift(a, 2)
-    assert lifted.counters == 3
-    assert Transition("s", None, "s", 3, INC) in lifted.transitions
-    assert Transition("s", "a", "s", 1, NO_OP) in lifted.transitions
-
-
-def test_shift_zero_is_identity():
-    a = atom_a()
-    assert cca.shift(a, 0) == a
-
-
-def test_shift_composes():
-    a = atom_a()
-    assert cca.shift(cca.shift(a, 1), 1) == cca.shift(a, 2)
 
 
 # --------------------------------------------------------------------------
@@ -456,6 +439,12 @@ def test_export_is_deterministic(rng):
     assert cca.export(a, "dot") == cca.export(a, "dot")
 
 
+def transitions_with_counter(counter) -> list[dict]:
+    """The transitions of ``atom_a``'s JSON form, the first touching ``counter``."""
+    first, *rest = cca.to_json_dict(atom_a())["transitions"]
+    return [dict(first, counter=counter), *rest]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -465,6 +454,11 @@ def test_export_is_deterministic(rng):
         ("states", ["s0", 1]),
         ("initial", 0),
         ("final", ["s1"]),
+        ("counters", "2"),
+        ("counters", True),
+        ("transitions", transitions_with_counter(1.9)),
+        ("transitions", transitions_with_counter(True)),
+        ("transitions", transitions_with_counter(json.loads("1e400"))),
     ],
 )
 def test_json_import_rejects_wrong_types(field, value):
@@ -483,14 +477,18 @@ def test_json_import_rejects_non_string_transition_names():
         cca.import_json("[]")
 
 
-def test_state_kinds_agree_with_classify_state(rng):
+def test_partition_slots_are_disjoint(rng):
     from countercheck.harness import random_simple_cca
 
     for _ in range(20):
         a = random_simple_cca(rng)
-        kinds = cca.state_kinds(a)
-        assert kinds.keys() == a.states
-        for s in sorted(a.states):
-            assert cca.classify_state(a, s) == kinds[s]
-    with pytest.raises(cca.CCAError):
-        cca.classify_state(atom_a(), "nowhere")
+        adjacency = a.adjacency()
+        part = cca.partition(a)
+        assert cca.partition(a, adjacency) == part
+        assert len(part.inc) == len(part.check) == a.counters
+        slots = [*part.inc, *part.check]
+        assert sum(map(len, slots)) == len(set().union(*slots))
+        assert part.lettered | set().union(*slots) <= a.states
+        # every state in no set fires silent no-op choices only, or nothing
+        for s in sorted(a.states - part.lettered - set().union(*slots)):
+            assert all(t.label is None and t.op == NO_OP for t in adjacency[s])

@@ -295,6 +295,18 @@ def test_automaton_json_with_string_states_exits_cleanly(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_automaton_json_with_an_overflowing_counter_exits_cleanly(capsys, tmp_path):
+    text = export(hat(atom_a()), "json").replace('"counter": 1,', '"counter": 1e400,', 1)
+    assert "1e400" in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "empty", "--automaton", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "malformed automaton JSON" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("expression", ["((a^T b)^T a)^w", "(a^T b)^w + (b^T a)^w", "(a + b)^w"])
 def test_empty_output_independent_of_hash_seed(expression):
     import countercheck

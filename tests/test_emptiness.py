@@ -12,12 +12,11 @@ from countercheck.cca import (
     CHECK,
     INC,
     NO_OP,
-    StateKind,
     Transition,
     hat,
     is_simple,
+    partition,
     simplify,
-    state_kinds,
 )
 from countercheck.cli import main
 from countercheck.emptiness import (
@@ -36,10 +35,10 @@ from countercheck.emptiness import (
 )
 from countercheck.expr import parse_omega_t
 from countercheck.harness import random_simple_cca, run_fuzz
-from countercheck.nfa import accepts, intersect, nonempty_witness, shortest_accepting_run
+from countercheck.nfa import accepts, intersect, shortest_accepting_run
 from countercheck.translate import compile_expression
 
-from conftest import atom_a, atom_empty, flat_word
+from conftest import atom_a, atom_empty, flat_word, nonempty_witness
 
 
 def closed_atom() -> CCA:
@@ -47,13 +46,12 @@ def closed_atom() -> CCA:
     return simplify(hat(atom_a()))
 
 
-def kind_state(a: CCA, kind: str, counter=None) -> str:
-    kinds = state_kinds(a)
-    for s in sorted(a.states):
-        k = kinds[s]
-        if k.kind == kind and (counter is None or k.counter == counter):
-            return s
-    raise AssertionError(f"no {kind} state")
+def kind_state(a: CCA, kind: str, counter: int) -> str:
+    """The first inc-``counter`` or check-``counter`` state, by name."""
+    states = getattr(partition(a), kind)[counter - 1]
+    if not states:
+        raise AssertionError(f"no {kind} state")
+    return min(states)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +189,7 @@ def test_structure_nfa_size_bound(rng):
 def test_structure_nfa_state_count_matches_the_built_nfa():
     # the size-bound check counts the phases instead of building the NFA;
     # the ladder's rungs up to 43 states bring 3 to 9 counters
-    from countercheck.emptiness import _next_phases, _partition, _structure_phases  # test-only access
+    from countercheck.emptiness import _next_phases, _structure_phases  # test-only access
 
     rng = random.Random(20261020)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(300)]
@@ -201,7 +199,7 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
         assert witness_nfa_state_count(a) == len(build_potential_witness_nfa(a).states)
         # the walk reads lettered, inc and check states alone; it must
         # reach what a closure over every state reaches
-        part = _partition(a)
+        part = partition(a)
         phases, todo = {("scan",), ("accept",)}, [("scan",)]
         while todo:
             phase = todo.pop()
@@ -214,15 +212,23 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
 
 
 def test_partition_matches_the_state_kinds(rng):
-    from countercheck.emptiness import _partition  # test-only access
+    def state_kinds(a: CCA) -> dict:
+        """Each state's (op, counter) when it fires exactly one transition,
+        else None; derived apart from the partition's own pass."""
+        kinds = {s: None for s in a.states}
+        for s in a.states:
+            out = [t for t in a.transitions if t.source == s]
+            if len(out) == 1:
+                kinds[s] = (out[0].op, out[0].counter)
+        return kinds
 
     for _ in range(500):
         a = random_simple_cca(rng, max_counters=3)
         kinds = state_kinds(a)
-        part = _partition(a)
+        part = partition(a)
         for k in range(1, a.counters + 1):
-            assert part.inc[k - 1] == {s for s, kind in kinds.items() if kind == StateKind("inc", k)}
-            assert part.check[k - 1] == {s for s, kind in kinds.items() if kind == StateKind("check", k)}
+            assert part.inc[k - 1] == {s for s, kind in kinds.items() if kind == (INC, k)}
+            assert part.check[k - 1] == {s for s, kind in kinds.items() if kind == (CHECK, k)}
         adjacency = a.adjacency()
         assert part.lettered == {s for s in a.states if any(t.label is not None for t in adjacency[s])}
     branching = CCA(
@@ -233,7 +239,7 @@ def test_partition_matches_the_state_kinds(rng):
         frozenset({Transition("s", "a", "t", 1, NO_OP), Transition("s", None, "s", 1, NO_OP)}),
     )
     with pytest.raises(CCAError, match="simple automaton"):
-        _partition(branching)
+        partition(branching)
 
 
 def test_structure_nfa_trivial_when_no_lettered_states():
@@ -387,9 +393,7 @@ def _unordered_witness_exists(a: CCA, depth: int) -> bool:
     """Witness search where the per-counter check positions after the last
     loop may appear in any order (one position per counter, all strictly
     between the last loop exit and the anchor's return)."""
-    from countercheck.emptiness import _partition  # test-only access
-
-    part = _partition(a)
+    part = partition(a)
     n = a.counters
     everything = frozenset(range(1, n + 1))
 

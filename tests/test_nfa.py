@@ -10,13 +10,12 @@ from countercheck.nfa import (
     accepts,
     breadth_first_run,
     intersect,
-    nonempty_witness,
     shortest_accepting_run,
     thompson,
 )
 from countercheck.translate import FreshNames
 
-from conftest import accepts_extension
+from conftest import accepts_extension, nonempty_witness
 
 
 def matches(e, word: str) -> bool:

@@ -10,8 +10,8 @@ from countercheck.cca import (
     Transition,
     hat,
     replay,
+    lifted_counter,
     satisfies_final_contract,
-    shift,
     simplify,
     split_with_residue,
 )
@@ -32,7 +32,7 @@ from countercheck.translate import (
     rename_apart,
 )
 
-from conftest import accepts_extension, random_general_cca
+from conftest import accepts_extension, atom_a, random_general_cca
 
 SIGMA = frozenset("ab")
 
@@ -225,6 +225,42 @@ def test_final_contract_everywhere(rng):
         for _, auto_set in trace:
             for m in auto_set.automata:
                 assert satisfies_final_contract(m)
+
+
+def shift(a: CCA, offset: int) -> CCA:
+    """Renumber counters upward by ``offset`` (see ``lifted_counter``)."""
+    if offset < 0:
+        raise CCAError("shift offset must be nonnegative")
+    moved = frozenset(
+        Transition(t.source, t.label, t.target, lifted_counter(t, offset), t.op) for t in a.transitions
+    )
+    return CCA(a.states, a.alphabet, a.initial, a.counters + offset, moved, a.final)
+
+
+def test_shift_moves_counting_ops_only():
+    a = CCA(
+        states=frozenset({"s"}),
+        alphabet=frozenset("a"),
+        initial="s",
+        counters=1,
+        transitions=frozenset(
+            {Transition("s", None, "s", 1, INC), Transition("s", "a", "s", 1, NO_OP)}
+        ),
+    )
+    lifted = shift(a, 2)
+    assert lifted.counters == 3
+    assert Transition("s", None, "s", 3, INC) in lifted.transitions
+    assert Transition("s", "a", "s", 1, NO_OP) in lifted.transitions
+
+
+def test_shift_zero_is_identity():
+    a = atom_a()
+    assert shift(a, 0) == a
+
+
+def test_shift_composes():
+    a = atom_a()
+    assert shift(shift(a, 1), 1) == shift(a, 2)
 
 
 def test_rename_apart_lifts_counters_as_shift_does(rng):
