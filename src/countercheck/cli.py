@@ -17,7 +17,7 @@ from . import __version__
 from .cca import CCA, export, has_run_prefix, import_json, simplify
 from .emptiness import InternalCheckError, decide, verify_witness, witness_from_json
 from .exponents import classify, parse_generator
-from .expr import ParseError, parse_omega_t, pretty
+from .expr import OmegaTExpr, ParseError, parse_omega_t, pretty
 from .harness import run_fuzz
 from .logic import emit_phi, pretty_formula
 from .translate import Trace, compile_expression
@@ -44,35 +44,29 @@ def _infer_alphabet(text: str) -> str:
     return "".join(sorted(letters)) or "a"
 
 
-def _load_expression(args) -> tuple[Optional[CCA], Optional[object]]:
-    """(automaton, expression); exactly one is set."""
-    if getattr(args, "automaton", None):
-        with open(args.automaton, "r", encoding="utf-8") as handle:
-            return import_json(handle.read()), None
-    if not args.expression:
-        raise ParseError("an expression or --automaton FILE is required", 0)
+def _parse(args) -> tuple[OmegaTExpr, str]:
+    """(tree, alphabet) of the expression argument; the alphabet is the
+    one given or else the expression's own letters."""
     alphabet = args.alphabet or _infer_alphabet(args.expression)
-    return None, parse_omega_t(args.expression, alphabet)
+    return parse_omega_t(args.expression, alphabet), alphabet
 
 
 def _automaton_for(args) -> CCA:
-    automaton, expression = _load_expression(args)
-    if automaton is not None:
-        return automaton
-    alphabet = args.alphabet or _infer_alphabet(args.expression)
-    return compile_expression(expression, alphabet)
+    if args.automaton:
+        with open(args.automaton, "r", encoding="utf-8") as handle:
+            return import_json(handle.read())
+    if not args.expression:
+        raise ParseError("an expression or --automaton FILE is required", 0)
+    return compile_expression(*_parse(args))
 
 
 def cmd_parse(args) -> int:
-    alphabet = args.alphabet or _infer_alphabet(args.expression)
-    tree = parse_omega_t(args.expression, alphabet)
-    print(pretty(tree))
+    print(pretty(_parse(args)[0]))
     return 0
 
 
 def cmd_compile(args) -> int:
-    alphabet = args.alphabet or _infer_alphabet(args.expression)
-    tree = parse_omega_t(args.expression, alphabet)
+    tree, alphabet = _parse(args)
     trace: Optional[Trace] = [] if args.intermediate else None
     automaton = compile_expression(tree, alphabet, trace)
     if trace is not None:
@@ -113,9 +107,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    alphabet = args.alphabet or _infer_alphabet(args.expression)
-    tree = parse_omega_t(args.expression, alphabet)
-    formula = emit_phi(tree)
+    formula = emit_phi(_parse(args)[0])
     style = "ascii" if args.ascii else "unicode"
     print(SCHEMA_HEADER)
     print(pretty_formula(formula, style=style, expand_macros=args.expand_macros))
@@ -224,10 +216,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # ParseError and CCAError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
     except InternalCheckError as err:

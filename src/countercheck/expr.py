@@ -323,68 +323,36 @@ def parse_omega_t(text: str, alphabet: frozenset[str] | set[str] | str) -> Omega
 # --------------------------------------------------------------------------
 # pretty-printing (parse . pretty == identity, structurally)
 
-# precedence: 1 = +, 2 = concatenation, 3 = postfix/atoms
+# precedence: 1 = +, 2 = concatenation, 3 = postfix/atoms; the three layers
+# share it, so one printer serves them all
 def _wrap(text: str, level: int, required: int) -> str:
     return f"({text})" if level < required else text
 
 
-def _pp_reg(e: RegExpr) -> tuple[str, int]:
-    if isinstance(e, REmpty):
+_SUFFIX = {RStar: "*", Star: "*", T: "^T", Omega: "^w"}
+
+
+def _pp(e: "RegExpr | TExpr | OmegaTExpr") -> tuple[str, int]:
+    if isinstance(e, (REmpty, Empty)):
         return "0", 3
-    if isinstance(e, RSym):
+    if isinstance(e, (RSym, Sym)):
         return e.letter, 3
-    if isinstance(e, RCat):
-        lt, ll = _pp_reg(e.left)
-        rt, rl = _pp_reg(e.right)
+    if isinstance(e, (RCat, Cat, Prefix)):
+        left, right = (e.prefix, e.tail) if isinstance(e, Prefix) else (e.left, e.right)
+        lt, ll = _pp(left)
+        rt, rl = _pp(right)
         return f"{_wrap(lt, ll, 2)} {_wrap(rt, rl, 3)}", 2
-    if isinstance(e, RAlt):
-        lt, ll = _pp_reg(e.left)
-        rt, rl = _pp_reg(e.right)
+    if isinstance(e, (RAlt, Sum, Union)):
+        lt, ll = _pp(e.left)
+        rt, rl = _pp(e.right)
         return f"{_wrap(lt, ll, 1)} + {_wrap(rt, rl, 2)}", 1
-    lt, ll = _pp_reg(e.body)
-    return f"{_wrap(lt, ll, 3)}*", 3
-
-
-def _pp_t(e: TExpr) -> tuple[str, int]:
-    if isinstance(e, Empty):
-        return "0", 3
-    if isinstance(e, Sym):
-        return e.letter, 3
-    if isinstance(e, Cat):
-        lt, ll = _pp_t(e.left)
-        rt, rl = _pp_t(e.right)
-        return f"{_wrap(lt, ll, 2)} {_wrap(rt, rl, 3)}", 2
-    if isinstance(e, Sum):
-        lt, ll = _pp_t(e.left)
-        rt, rl = _pp_t(e.right)
-        return f"{_wrap(lt, ll, 1)} + {_wrap(rt, rl, 2)}", 1
-    if isinstance(e, Star):
-        lt, ll = _pp_t(e.body)
-        return f"{_wrap(lt, ll, 3)}*", 3
-    lt, ll = _pp_t(e.body)
-    return f"{_wrap(lt, ll, 3)}^T", 3
-
-
-def _pp_omega(e: OmegaTExpr) -> tuple[str, int]:
-    if isinstance(e, Union):
-        lt, ll = _pp_omega(e.left)
-        rt, rl = _pp_omega(e.right)
-        return f"{_wrap(lt, ll, 1)} + {_wrap(rt, rl, 2)}", 1
-    if isinstance(e, Prefix):
-        lt, ll = _pp_reg(e.prefix)
-        rt, rl = _pp_omega(e.tail)
-        return f"{_wrap(lt, ll, 2)} {_wrap(rt, rl, 3)}", 2
-    bt, bl = _pp_t(e.body)
-    return f"{_wrap(bt, bl, 3)}^w", 3
+    bt, bl = _pp(e.body)
+    return f"{_wrap(bt, bl, 3)}{_SUFFIX[type(e)]}", 3
 
 
 def pretty(e: "RegExpr | TExpr | OmegaTExpr") -> str:
     """Render an expression back to concrete syntax with minimal parentheses."""
-    if isinstance(e, (Union, Prefix, Omega)):
-        return _pp_omega(e)[0]
-    if isinstance(e, (Empty, Sym, Cat, Sum, Star, T)):
-        return _pp_t(e)[0]
-    return _pp_reg(e)[0]
+    return _pp(e)[0]
 
 
 # --------------------------------------------------------------------------

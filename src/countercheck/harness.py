@@ -39,7 +39,6 @@ from .logic import (
     Unbounding,
     Var,
 )
-from .translate import member_count, omega_member_count  # noqa: F401  (re-exported)
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +319,6 @@ def run_fuzz(
     cases: int,
     depth: int = 40,
     log: Optional[Callable[[str], None]] = None,
-    **generator_options,
 ) -> FuzzReport:
     if cases < 0:
         raise CCAError("the number of cases must be nonnegative")
@@ -330,7 +328,7 @@ def run_fuzz(
     failures = []
     for index in range(cases):
         rng = random.Random(seed * 1_000_003 + index)
-        a = random_simple_cca(rng, **generator_options)
+        a = random_simple_cca(rng)
         outcome = examine(a, depth)
         if not outcome.empty:
             nonempty += 1

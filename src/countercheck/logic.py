@@ -322,7 +322,7 @@ class NameSupply:
 # --------------------------------------------------------------------------
 # macro unfolding
 
-def unfold_macros(f: Formula, supply: Optional[NameSupply] = None) -> Formula:
+def unfold_macros(f: Formula) -> Formula:
     """Rewrite quantifier and predicate macros into the connective layer.
 
     ``Unbounding`` stays primitive; connectives (``And``, ``Implies``,
@@ -330,8 +330,7 @@ def unfold_macros(f: Formula, supply: Optional[NameSupply] = None) -> Formula:
     drawn from a supply seeded with every name in ``f``, so no capture can
     occur.
     """
-    if supply is None:
-        supply = NameSupply(all_var_names(f))
+    supply = NameSupply(all_var_names(f))
 
     def go(g: Formula) -> Formula:
         if isinstance(g, (InP, InX)):

@@ -11,7 +11,10 @@ Shortest accepted runs come from one breadth-first search,
 yields each state's edges already in tie-break order: ``shortest_accepting_run``
 sorts an automaton's edges by ``_edge_key`` once as it indexes them, and the
 emptiness module's product reference, which explores a product on the fly,
-yields its edges in that same order.
+yields its edges in that same order.  The same search finds a
+counter-check automaton's run prefixes (``cca.has_run_prefix``): there the
+nodes are (state, position, silent steps) triples and each edge's label is
+the transition it fires.
 """
 from __future__ import annotations
 

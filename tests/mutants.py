@@ -1,0 +1,143 @@
+"""A catalogue of deliberate faults, each with the tests that must catch it.
+
+Each entry names a file under ``src/``, an exact snippet of it, the
+snippet's replacement, and the pytest node ids that must fail once the
+replacement is in place.  Run it as::
+
+    python tests/mutants.py
+
+It copies ``src/`` and ``tests/`` to a temporary directory, checks that the
+killers pass there unmutated, then applies one mutant at a time to a fresh
+copy and runs that mutant's killers with ``PYTHONPATH`` pointing at the
+copy.  It exits 1 when a snippet does not occur exactly once in its file,
+when a killer fails on the unmutated copy, or when a mutant survives.  The
+checkout itself is never written.
+
+The file name has no ``test_`` prefix, so pytest does not collect it.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+CATALOGUE = (
+    Mutant(
+        "breadth_first_run skips the goal test on the initial state",
+        "src/countercheck/nfa.py",
+        "goal = initial if is_final(initial) else None",
+        "goal = None",
+        ("tests/test_cca.py::test_run_prefix_empty_word_is_initial_configuration",),
+    ),
+    Mutant(
+        "breadth_first_run follows successors in reverse order",
+        "src/countercheck/nfa.py",
+        "for label, target in successors(here):",
+        "for label, target in reversed(tuple(successors(here))):",
+        ("tests/test_nfa.py::test_breadth_first_run_follows_the_order_of_its_successors",),
+    ),
+    Mutant(
+        "has_run_prefix allows one silent step more than its budget",
+        "src/countercheck/cca.py",
+        "if eps_used < eps_budget and pos < end:",
+        "if eps_used <= eps_budget and pos < end:",
+        ("tests/test_cca.py::test_run_prefix_respects_budget",),
+    ),
+    Mutant(
+        "the printer leaves a concatenation's right operand at level 2 unwrapped",
+        "src/countercheck/expr.py",
+        'return f"{_wrap(lt, ll, 2)} {_wrap(rt, rl, 3)}", 2',
+        'return f"{_wrap(lt, ll, 2)} {_wrap(rt, rl, 2)}", 2',
+        ("tests/test_expr.py::test_parse_pretty_round_trip_500",),
+    ),
+    Mutant(
+        "the oracle searches one transition more than its depth",
+        "src/countercheck/emptiness.py",
+        "if used >= depth:",
+        "if used > depth:",
+        ("tests/test_emptiness.py::test_brute_force_depth_bounds_the_transitions",),
+    ),
+)
+
+
+def _copy(into: Path) -> Path:
+    """A copy of the sources and tests under ``into``; returns its root."""
+    root = into / "tree"
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, root / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", root / "pyproject.toml")
+    return root
+
+
+def _run(root: Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], cwd=root, env=env, capture_output=True, text=True
+    )
+
+
+def _pytest(root: Path, killers: tuple[str, ...]) -> subprocess.CompletedProcess:
+    return _run(root, ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *killers])
+
+
+def check_snippets() -> list[str]:
+    """One line per catalogue entry whose snippet does not occur exactly once."""
+    problems = []
+    for m in CATALOGUE:
+        found = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+        if found != 1:
+            problems.append(f"{m.name}: snippet occurs {found} times in {m.path}")
+    return problems
+
+
+def main() -> int:
+    problems = check_snippets()
+    if problems:
+        print("\n".join(problems))
+        return 1
+    with tempfile.TemporaryDirectory(prefix="countercheck-mutants-") as scratch:
+        base = _copy(Path(scratch) / "base")
+        where = _run(base, ["-c", "import countercheck; print(countercheck.__file__)"])
+        if not where.stdout.startswith(str(base)):
+            print(f"the copy does not import its own sources: {where.stdout}{where.stderr}")
+            return 1
+        killers = tuple(sorted({k for m in CATALOGUE for k in m.killers}))
+        clean = _pytest(base, killers)
+        if clean.returncode != 0:
+            print(f"the killers fail without a mutant:\n{clean.stdout}{clean.stderr}")
+            return 1
+        survivors = 0
+        for index, m in enumerate(CATALOGUE):
+            root = _copy(Path(scratch) / str(index))
+            target = root / m.path
+            target.write_text(target.read_text(encoding="utf-8").replace(m.old, m.new), encoding="utf-8")
+            done = _pytest(root, m.killers)
+            # pytest exits 1 when tests fail; other codes mean it could not run them
+            if done.returncode == 1:
+                print(f"killed    {m.name}")
+                continue
+            survivors += 1
+            verdict = "SURVIVED" if done.returncode == 0 else f"ERROR {done.returncode}"
+            print(f"{verdict:9} {m.name}\n{done.stdout}{done.stderr}")
+    print(f"{len(CATALOGUE) - survivors}/{len(CATALOGUE)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

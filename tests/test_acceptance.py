@@ -13,7 +13,7 @@ from countercheck import exponents as xp
 from countercheck import expr as ex
 from countercheck.cca import has_run_prefix
 from countercheck.emptiness import verify_witness, build_prefix_nfa
-from countercheck.harness import examine, member_count, random_formula, random_simple_cca, random_texpr
+from countercheck.harness import examine, random_formula, random_simple_cca, random_texpr
 from countercheck.logic import (
     Bounding,
     Not,
@@ -25,7 +25,7 @@ from countercheck.logic import (
     t_condition,
 )
 from countercheck.nfa import accepts
-from countercheck.translate import compile_expression, compile_t, expected_counters
+from countercheck.translate import compile_expression, compile_t, expected_counters, member_count
 from countercheck.emptiness import decide
 
 from conftest import is_closed

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -6,7 +8,8 @@ from countercheck import cca
 from countercheck.cca import CCA, CHECK, INC, NO_OP, Configuration, Transition
 from countercheck.emptiness import is_empty
 from countercheck.translate import compile_expression
-from countercheck.expr import parse_omega_t
+from countercheck.expr import parse_omega_t, pretty
+from countercheck.harness import random_omega_expr, random_regex, random_simple_cca, random_texpr
 
 from conftest import atom_a, atom_empty, random_general_cca
 
@@ -492,3 +495,26 @@ def test_partition_slots_are_disjoint(rng):
         # every state in no set fires silent no-op choices only, or nothing
         for s in sorted(a.states - part.lettered - set().union(*slots)):
             assert all(t.label is None and t.op == NO_OP for t in adjacency[s])
+
+
+def test_run_prefixes_and_printing_are_pinned():
+    # which run prefix the search returns, and how each expression layer
+    # prints, byte for byte
+    rng = random.Random(1212)
+    runs = hashlib.sha256()
+    found = absent = 0
+    for index in range(240):
+        a = random_simple_cca(rng) if index % 2 else random_general_cca(rng)
+        for word in ("", "a", "b", "ab", "ba", "aab", "abab"):
+            for budget in (None, 0, 1):
+                run = cca.has_run_prefix(a, word, budget)
+                found += run is not None
+                absent += run is None
+                runs.update(repr(run).encode())
+    assert found > 500 and absent > 500
+    printed = hashlib.sha256()
+    for generate in (random_regex, random_texpr, random_omega_expr):
+        for _ in range(200):
+            printed.update(pretty(generate(rng, 5)).encode() + b"\n")
+    assert runs.hexdigest() == "5314d564a24d045af9157fda805c3b2971ee6cde93f9af6baa88d6a69e885ab8"
+    assert printed.hexdigest() == "79a156c692bcfe20da8f43c8a5ae9ebbe8d6fe236882880a7b475d19e8a4ee6a"

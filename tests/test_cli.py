@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from countercheck.cca import export, hat
+from countercheck.cca import MAX_COUNTERS, export, hat
 from countercheck import cli
 from countercheck.cli import build_parser, main
 
@@ -305,6 +305,28 @@ def test_automaton_json_with_an_overflowing_counter_exits_cleanly(capsys, tmp_pa
     assert out == ""
     assert "malformed automaton JSON" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _with_counters(tmp_path, counters: int) -> str:
+    text = export(hat(atom_a()), "json").replace('"counters": 1,', f'"counters": {counters},', 1)
+    assert f'"counters": {counters},' in text
+    path = tmp_path / f"counters_{counters}.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_automaton_json_with_too_many_counters_exits_cleanly(capsys, tmp_path):
+    code, out, err = run(capsys, "empty", "--automaton", _with_counters(tmp_path, 200_000))
+    assert code == 2
+    assert out == ""
+    assert "200000" in err and str(MAX_COUNTERS) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_automaton_json_at_the_counter_limit_is_decided(capsys, tmp_path):
+    # only counter 1 is ever checked, so no witness exists
+    code, out, _ = run(capsys, "empty", "--automaton", _with_counters(tmp_path, MAX_COUNTERS))
+    assert (code, out) == (0, "EMPTY\n")
 
 
 @pytest.mark.parametrize("expression", ["((a^T b)^T a)^w", "(a^T b)^w + (b^T a)^w", "(a + b)^w"])

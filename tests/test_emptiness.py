@@ -167,6 +167,13 @@ def test_brute_force_depth_zero():
     assert brute_force_witness(closed_atom(), 0) is None
 
 
+def test_brute_force_depth_bounds_the_transitions():
+    # the shortest witness has 8 states, so 7 transitions
+    w = brute_force_witness(closed_atom(), 7)
+    assert w is not None and len(w.path) == 8
+    assert brute_force_witness(closed_atom(), 6) is None
+
+
 # --------------------------------------------------------------------------
 # the witness-structure NFA
 
