@@ -13,14 +13,19 @@ evaluated by simulation here; the emptiness module decides it through
 finite witnesses.
 
 A compilation builds many thousands of transitions, so a transition is a
-named tuple, hashed and compared at C level.
+named tuple, hashed and compared at C level.  Code that builds transitions
+in bulk (renaming, simplification, JSON import) passes plain
+``(source, label, target, counter, op)`` rows to ``transitions_from``,
+which makes them with ``tuple.__new__`` and skips the named tuple's
+Python-level constructor; the automaton's constructor validates every
+transition however it was made.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .nfa import breadth_first_run
 
@@ -46,11 +51,11 @@ class Transition(NamedTuple):
         return (source, label is not None, label or "", target, counter, op)
 
 
-def lifted_counter(t: Transition, offset: int) -> int:
-    """The counter of ``t`` once counters are renumbered upward by
-    ``offset``; silent bookkeeping no-ops stay on counter 1 (their counter
-    is immaterial and must remain 1)."""
-    return t.counter if t.op == NO_OP else t.counter + offset
+def transitions_from(rows: Iterable[tuple]) -> frozenset[Transition]:
+    """The transitions of ``(source, label, target, counter, op)`` rows,
+    made by ``tuple.__new__`` at C level; ``CCA`` validates them."""
+    new = tuple.__new__
+    return frozenset(new(Transition, row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -63,31 +68,47 @@ class CCA:
     final: Optional[str] = None
 
     def __post_init__(self):
-        if not self.alphabet:
+        states, alphabet, n = self.states, self.alphabet, self.counters
+        if not alphabet:
             raise CCAError("alphabet must be nonempty")
-        if self.counters < 1:
+        if n < 1:
             raise CCAError("need at least one counter")
-        if self.initial not in self.states:
+        if self.initial not in states:
             raise CCAError(f"initial state {self.initial!r} not among states")
-        if self.final is not None and self.final not in self.states:
+        if self.final is not None and self.final not in states:
             raise CCAError(f"final state {self.final!r} not among states")
         for t in self.transitions:
-            if t.source not in self.states or t.target not in self.states:
+            source, label, target, counter, op = t
+            if source not in states or target not in states:
                 raise CCAError(f"transition {t} references unknown states")
-            if t.label is not None and t.label not in self.alphabet:
+            if label is not None and label not in alphabet:
                 raise CCAError(f"transition {t} reads a letter outside the alphabet")
-            if not 1 <= t.counter <= self.counters:
-                raise CCAError(f"transition {t} touches counter {t.counter} of {self.counters}")
-            if t.op not in _OPS:
-                raise CCAError(f"transition {t} has unknown operation {t.op!r}")
-            if t.op == NO_OP and t.counter != 1:
+            if not 1 <= counter <= n:
+                raise CCAError(f"transition {t} touches counter {counter} of {n}")
+            if op not in _OPS:
+                raise CCAError(f"transition {t} has unknown operation {op!r}")
+            if op == NO_OP and counter != 1:
                 raise CCAError(f"no_op transitions must use counter 1: {t}")
 
     def adjacency(self) -> dict[str, tuple[Transition, ...]]:
+        """Each state's out-transitions in ``Transition.sort_key`` order.
+
+        Plain tuple order is that order whenever the labels of one list are
+        all letters or all silent.  A list that mixes them compares ``None``
+        with a letter, which raises ``TypeError``, and is sorted by
+        ``sort_key`` instead; its keys are distinct, so the order does not
+        depend on how far the first sort got.
+        """
         out: dict[str, list[Transition]] = {s: [] for s in self.states}
         for t in self.transitions:
-            out[t.source].append(t)
-        return {s: tuple(sorted(ts, key=Transition.sort_key)) for s, ts in out.items()}
+            out[t[0]].append(t)
+        for ts in out.values():
+            if len(ts) > 1:
+                try:
+                    ts.sort()
+                except TypeError:
+                    ts.sort(key=Transition.sort_key)
+        return {s: tuple(ts) for s, ts in out.items()}
 
 
 @dataclass(frozen=True)
@@ -162,43 +183,55 @@ def partition(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = N
     return Partition(frozenset(lettered), tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
 
 
-def _fresh_name(base: str, taken: set[str]) -> str:
-    i = 0
-    while f"{base}.{i}" in taken:
-        i += 1
-    name = f"{base}.{i}"
-    taken.add(name)
-    return name
-
-
 def simplify(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None) -> CCA:
     """Split every offending state into a silent choice over one fresh
-    carrier state per original transition.  Adds at most one state per
-    transition and preserves which words admit a run prefix; ``adjacency``
-    reuses one the caller already has."""
+    carrier state per original transition; returns ``a`` itself when no
+    state offends.  Adds at most one state per transition and preserves
+    which words admit a run prefix; ``adjacency`` reuses one the caller
+    already has.
+
+    The carriers of ``s`` are named ``s.0``, ``s.1``, ... in the order of
+    its out-transitions, skipping names ``a`` already has.  A carrier name
+    ends in its index, so carriers of different states never collide.
+    """
     if adjacency is None:
         adjacency = a.adjacency()
-    if is_simple(a, adjacency):
-        return a
-    taken = set(a.states)
-    states = set(a.states)
-    transitions = set()
-    for s in sorted(a.states):
-        out = adjacency[s]
+    kept: list[Transition] = []
+    offending: list[tuple[str, tuple[Transition, ...]]] = []
+    for s, out in adjacency.items():
         if len(out) == 1 or _is_choice(out):
-            transitions.update(out)
-            continue
-        for t in out:
-            carrier = _fresh_name(s, taken)
-            states.add(carrier)
-            transitions.add(Transition(s, None, carrier, 1, NO_OP))
-            transitions.add(Transition(carrier, t.label, t.target, t.counter, t.op))
+            kept += out
+        else:
+            offending.append((s, out))
+    if not offending:
+        return a
+    taken = a.states
+    carriers: list[str] = []
+
+    def rows():
+        for s, out in offending:
+            index = 0
+            for _, label, target, counter, op in out:
+                carrier = f"{s}.{index}"
+                while carrier in taken:
+                    index += 1
+                    carrier = f"{s}.{index}"
+                index += 1
+                carriers.append(carrier)
+                yield s, None, carrier, 1, NO_OP
+                yield carrier, label, target, counter, op
+
+    # rows() runs to its end here, which completes carriers; each row becomes
+    # a transition as it comes, so the rows are never all held at once
+    transitions = transitions_from(rows()).union(kept)
     return CCA(
-        states=frozenset(states),
+        # copied from a set, a frozenset's table fits its size; a union that
+        # adds more carriers than there are states can keep one twice as large
+        states=frozenset({*taken, *carriers}),
         alphabet=a.alphabet,
         initial=a.initial,
         counters=a.counters,
-        transitions=frozenset(transitions),
+        transitions=transitions,
         final=a.final,
     )
 
@@ -217,13 +250,11 @@ def hat(a: CCA) -> CCA:
 def satisfies_final_contract(a: CCA) -> bool:
     """Every transition leaving the final state is its silent counter-1
     increment self-loop."""
-    if a.final is None:
+    final = a.final
+    if final is None:
         return False
-    return all(
-        t == Transition(a.final, None, a.final, 1, INC)
-        for t in a.transitions
-        if t.source == a.final
-    )
+    loop = Transition(final, None, final, 1, INC)
+    return all(t == loop for t in a.transitions if t[0] == final)
 
 
 # --------------------------------------------------------------------------
@@ -372,6 +403,21 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _transition_rows(items: list) -> Iterator[tuple]:
+    """The rows of JSON transitions, checked one by one as they are read."""
+    for d in items:
+        if not (
+            isinstance(d, dict)
+            and isinstance(d["from"], str)
+            and isinstance(d["label"], str)
+            and isinstance(d["to"], str)
+            and isinstance(d["op"], str)
+        ):
+            raise _malformed(f"transition {d!r} needs string 'from', 'label', 'to' and 'op'")
+        label = None if d["label"] == "eps" else d["label"]
+        yield d["from"], label, d["to"], _integer(d["counter"], "counter"), d["op"]
+
+
 # The decision allocates and searches per counter, so a JSON automaton with
 # more counters is refused.  On two states and a 2-vCPU machine, 20,000
 # counters decide in 0.11 s at a 44 MB peak and 200,000 in 2.0 s at 207 MB.
@@ -391,18 +437,7 @@ def from_json_dict(data: dict) -> CCA:
         alphabet = _string_list(data, "alphabet")
         if not isinstance(data["transitions"], list):
             raise _malformed("'transitions' must be a list")
-        transitions = []
-        for d in data["transitions"]:
-            if not (
-                isinstance(d, dict)
-                and isinstance(d["from"], str)
-                and isinstance(d["label"], str)
-                and isinstance(d["to"], str)
-                and isinstance(d["op"], str)
-            ):
-                raise _malformed(f"transition {d!r} needs string 'from', 'label', 'to' and 'op'")
-            label = None if d["label"] == "eps" else d["label"]
-            transitions.append(Transition(d["from"], label, d["to"], _integer(d["counter"], "counter"), d["op"]))
+        transitions = transitions_from(_transition_rows(data["transitions"]))
         final = data.get("final")
         if not isinstance(data["initial"], str) or not isinstance(final, (str, type(None))):
             raise _malformed("'initial' must be a string and 'final' a string or null")
@@ -414,7 +449,7 @@ def from_json_dict(data: dict) -> CCA:
             alphabet=frozenset(alphabet),
             initial=data["initial"],
             counters=counters,
-            transitions=frozenset(transitions),
+            transitions=transitions,
             final=final,
         )
     except (KeyError, TypeError) as err:
@@ -449,10 +484,10 @@ def _to_json_text(a: CCA) -> str:
     states = sorted(a.states)
     adjacency = a.adjacency()
     items = ",\n".join(
-        f'    {{\n      "from": {quoted[t.source]},\n      "label": {labels[t.label]},\n'
-        f'      "to": {quoted[t.target]},\n      "counter": {t.counter},\n      "op": {ops[t.op]}\n    }}'
+        f'    {{\n      "from": {quoted[source]},\n      "label": {labels[label]},\n'
+        f'      "to": {quoted[target]},\n      "counter": {counter},\n      "op": {ops[op]}\n    }}'
         for s in states
-        for t in adjacency[s]
+        for source, label, target, counter, op in adjacency[s]
     )
     return "\n".join(
         [

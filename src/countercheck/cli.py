@@ -109,8 +109,9 @@ def cmd_simulate(args) -> int:
 def cmd_formula(args) -> int:
     formula = emit_phi(_parse(args)[0])
     style = "ascii" if args.ascii else "unicode"
+    text = pretty_formula(formula, style=style, expand_macros=args.expand_macros)
     print(SCHEMA_HEADER)
-    print(pretty_formula(formula, style=style, expand_macros=args.expand_macros))
+    print(text)
     return 0
 
 
@@ -223,7 +224,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal error: {err}", file=sys.stderr)
         return 3
     except RecursionError:
-        print("error: expression nests too deeply to process", file=sys.stderr)
+        print("error: input too deep to process: a long operator chain or deep nesting", file=sys.stderr)
         return 2
 
 

@@ -304,8 +304,9 @@ def parse_omega_t(text: str, alphabet: frozenset[str] | set[str] | str) -> Omega
 
     ``alphabet`` may be given as a string of letters.  Raises ParseError on
     syntax errors, letters outside the alphabet, misplaced ``^T`` (legal only
-    underneath ``^w``), misplaced or missing ``^w``, and nesting deeper than
-    the parser's stack allows.
+    underneath ``^w``), misplaced or missing ``^w``, parentheses nested more
+    than ``MAX_NESTING`` deep, and operator chains longer than the parser's
+    stack allows.
     """
     sigma = frozenset(alphabet)
     lexer = _Lexer(text)
@@ -316,8 +317,9 @@ def parse_omega_t(text: str, alphabet: frozenset[str] | set[str] | str) -> Omega
     try:
         return _to_omega(raw, sigma)
     except RecursionError:
-        # long operator chains nest without parentheses
-        raise ParseError("expression nests too deeply", 0) from None
+        # parentheses are bounded above, so only a long chain of operators
+        # can build a tree this deep
+        raise ParseError("operator chain too long to process", 0) from None
 
 
 # --------------------------------------------------------------------------

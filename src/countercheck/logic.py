@@ -441,6 +441,10 @@ _STYLES = {
 }
 
 
+# the shapes of printed nodes; ``pretty_formula`` maps each node class to one
+_ATOM, _BINARY, _BINDER, _NEGATION = range(4)
+
+
 def _term_text(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -454,61 +458,50 @@ def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = Fal
     if expand_macros:
         f = unfold_macros(f)
     glyph = _STYLES[style]
-
-    def atom(g) -> str:
-        if isinstance(g, InP):
-            return f"{_term_text(g.term)} {glyph['in']} P_{g.letter}"
-        if isinstance(g, InX):
-            return f"{_term_text(g.term)} {glyph['in']} {g.setvar}"
-        if isinstance(g, Eq):
-            return f"{_term_text(g.left)} = {_term_text(g.right)}"
-        if isinstance(g, Less):
-            return f"{_term_text(g.left)} < {_term_text(g.right)}"
-        if isinstance(g, LessEq):
-            return f"{_term_text(g.left)} {glyph['le']} {_term_text(g.right)}"
-        if isinstance(g, SubsetEq):
-            return f"{g.left} {glyph['subset']} {g.right}"
-        if isinstance(g, ProperSubset):
-            return f"{g.left} {glyph['psubset']} {g.right}"
-        if isinstance(g, InInterval):
-            lo, hi = _term_text(g.lo), _term_text(g.hi)
-            return f"{_term_text(g.term)} {glyph['in']} {{{lo},{glyph['dots']},{hi}}}"
-        if isinstance(g, SubsetInterval):
-            lo, hi = _term_text(g.lo), _term_text(g.hi)
-            return f"{g.setvar} {glyph['subset']} {{{lo},{glyph['dots']},{hi}}}"
-        if isinstance(g, MinGreater):
-            return f"min {g.setvar} > {_term_text(g.term)}"
-        if isinstance(g, InDifference):
-            return f"{_term_text(g.term)} {glyph['in']} {g.left}{glyph['setminus']}{g.right}"
-        if isinstance(g, IsFirst):
-            return f"first({_term_text(g.term)})"
-        return None
+    in_, le, subset, psubset = glyph["in"], glyph["le"], glyph["subset"], glyph["psubset"]
+    dots, setminus, exists, forall = glyph["dots"], glyph["setminus"], glyph["exists"], glyph["forall"]
+    term = _term_text
+    # node class -> (shape, text): an atom's text is its renderer, the other
+    # shapes' text is the glyph they print
+    table = {
+        InP: (_ATOM, lambda g: f"{term(g.term)} {in_} P_{g.letter}"),
+        InX: (_ATOM, lambda g: f"{term(g.term)} {in_} {g.setvar}"),
+        Eq: (_ATOM, lambda g: f"{term(g.left)} = {term(g.right)}"),
+        Less: (_ATOM, lambda g: f"{term(g.left)} < {term(g.right)}"),
+        LessEq: (_ATOM, lambda g: f"{term(g.left)} {le} {term(g.right)}"),
+        SubsetEq: (_ATOM, lambda g: f"{g.left} {subset} {g.right}"),
+        ProperSubset: (_ATOM, lambda g: f"{g.left} {psubset} {g.right}"),
+        InInterval: (_ATOM, lambda g: f"{term(g.term)} {in_} {{{term(g.lo)},{dots},{term(g.hi)}}}"),
+        SubsetInterval: (_ATOM, lambda g: f"{g.setvar} {subset} {{{term(g.lo)},{dots},{term(g.hi)}}}"),
+        MinGreater: (_ATOM, lambda g: f"min {g.setvar} > {term(g.term)}"),
+        InDifference: (_ATOM, lambda g: f"{term(g.term)} {in_} {g.left}{setminus}{g.right}"),
+        IsFirst: (_ATOM, lambda g: f"first({term(g.term)})"),
+        Or: (_BINARY, glyph["or"]),
+        And: (_BINARY, glyph["and"]),
+        Implies: (_BINARY, glyph["implies"]),
+        ExistsFO: (_BINDER, exists),
+        ExistsSO: (_BINDER, exists),
+        ForAllFO: (_BINDER, forall),
+        ForAllSO: (_BINDER, forall),
+        Unbounding: (_BINDER, "U "),
+        Bounding: (_BINDER, "B "),
+        ExistsFin: (_BINDER, glyph["existsfin"]),
+        ExistsOmega: (_BINDER, glyph["existsomega"]),
+        Not: (_NEGATION, glyph["not"]),
+    }
 
     def show(g) -> str:
-        text = atom(g)
-        if text is not None:
-            return text
-        if isinstance(g, Not):
-            return f"{glyph['not']}{wrap(g.body)}"
-        if isinstance(g, Or):
-            return f"({show(g.left)} {glyph['or']} {show(g.right)})"
-        if isinstance(g, And):
-            return f"({show(g.left)} {glyph['and']} {show(g.right)})"
-        if isinstance(g, Implies):
-            return f"({show(g.left)} {glyph['implies']} {show(g.right)})"
-        if isinstance(g, (ExistsFO, ExistsSO)):
-            return f"{glyph['exists']}{g.var}.{wrap(g.body)}"
-        if isinstance(g, (ForAllFO, ForAllSO)):
-            return f"{glyph['forall']}{g.var}.{wrap(g.body)}"
-        if isinstance(g, Unbounding):
-            return f"U {g.var}.{wrap(g.body)}"
-        if isinstance(g, Bounding):
-            return f"B {g.var}.{wrap(g.body)}"
-        if isinstance(g, ExistsFin):
-            return f"{glyph['existsfin']}{g.var}.{wrap(g.body)}"
-        if isinstance(g, ExistsOmega):
-            return f"{glyph['existsomega']}{g.var}.{wrap(g.body)}"
-        raise TypeError(f"not a formula: {g!r}")
+        try:
+            shape, text = table[type(g)]
+        except KeyError:
+            raise TypeError(f"not a formula: {g!r}") from None
+        if shape == _ATOM:
+            return text(g)
+        if shape == _BINARY:
+            return f"({show(g.left)} {text} {show(g.right)})"
+        if shape == _BINDER:
+            return f"{text}{g.var}.{wrap(g.body)}"
+        return f"{text}{wrap(g.body)}"
 
     def wrap(g) -> str:
         text = show(g)

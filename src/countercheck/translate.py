@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import expr as ex
-from .cca import CCA, CHECK, INC, NO_OP, CCAError, Transition, hat, lifted_counter, satisfies_final_contract
+from .cca import CCA, CHECK, INC, NO_OP, CCAError, Transition, hat, satisfies_final_contract, transitions_from
 from .nfa import thompson
 
 # The most automata one expression may compile to.  On a 2-vCPU machine
@@ -47,20 +47,27 @@ class FreshNames:
         self.counter += 1
         return name
 
+    def take(self, k: int) -> list[str]:
+        """The next ``k`` names, as ``k`` calls would draw them."""
+        first = self.counter
+        self.counter += k
+        return [f"{self.prefix}{i}" for i in range(first, first + k)]
+
 
 def rename_apart(a: CCA, names: FreshNames, offset: int = 0) -> CCA:
     """A copy of ``a`` with fresh state names, drawn in sorted state order,
-    and its counters renumbered upward by ``offset`` by
-    ``cca.lifted_counter``."""
-    mapping = {s: names() for s in sorted(a.states)}
+    and its counters renumbered upward by ``offset``; silent bookkeeping
+    no-ops stay on counter 1 (their counter is immaterial and must remain
+    1)."""
+    mapping = dict(zip(sorted(a.states), names.take(len(a.states))))
     return CCA(
         states=frozenset(mapping.values()),
         alphabet=a.alphabet,
         initial=mapping[a.initial],
         counters=a.counters + offset,
-        transitions=frozenset(
-            Transition(mapping[t.source], t.label, mapping[t.target], lifted_counter(t, offset), t.op)
-            for t in a.transitions
+        transitions=transitions_from(
+            (mapping[source], label, mapping[target], counter if op == NO_OP else counter + offset, op)
+            for source, label, target, counter, op in a.transitions
         ),
         final=None if a.final is None else mapping[a.final],
     )
@@ -117,11 +124,11 @@ def _concat_pair(a: CCA, b: CCA, names: FreshNames) -> CCA:
         Transition(final, None, final, 1, INC),
     }
     return CCA(
-        states=left.states | right.states | {final},
+        states=left.states.union(right.states, (final,)),
         alphabet=a.alphabet,
         initial=left.initial,
         counters=n + n2 + 1,
-        transitions=left.transitions | right.transitions | glue,
+        transitions=left.transitions.union(right.transitions, glue),
         final=final,
     )
 
@@ -163,11 +170,11 @@ def _mix_triple(a: CCA, b: CCA, names: FreshNames) -> list[CCA]:
         }
         variants.append(
             CCA(
-                states=aa.states | bb.states | {start, final},
+                states=aa.states.union(bb.states, (start, final)),
                 alphabet=a.alphabet,
                 initial=start,
                 counters=total,
-                transitions=aa.transitions | bb.transitions | core | extra(aa.final, bb.final),
+                transitions=aa.transitions.union(bb.transitions, core, extra(aa.final, bb.final)),
                 final=final,
             )
         )
@@ -361,7 +368,7 @@ def merge(auto_set: AutomatonSet, names: Optional[FreshNames] = None) -> CCA:
     alphabet = members[0].alphabet
     for a in members:
         states |= a.states
-        transitions |= set(a.transitions)
+        transitions.update(a.transitions)
         transitions |= _own_range_loops(a.initial, a.counters + 1, top)
         transitions.add(Transition(root, None, a.initial, 1, NO_OP))
     return CCA(

@@ -72,6 +72,41 @@ CATALOGUE = (
         "if used > depth:",
         ("tests/test_emptiness.py::test_brute_force_depth_bounds_the_transitions",),
     ),
+    Mutant(
+        "the automaton constructor accepts an unknown operation",
+        "src/countercheck/cca.py",
+        "if op not in _OPS:",
+        "if False:",
+        ("tests/test_cca.py::test_constructor_names_the_offending_transition[op]",),
+    ),
+    Mutant(
+        "the automaton constructor accepts a no-op on a counter other than 1",
+        "src/countercheck/cca.py",
+        "if op == NO_OP and counter != 1:",
+        "if False:",
+        ("tests/test_cca.py::test_constructor_names_the_offending_transition[no-op-counter]",),
+    ),
+    Mutant(
+        "simplify names carriers without skipping names already taken",
+        "src/countercheck/cca.py",
+        "while carrier in taken:",
+        "while False:",
+        ("tests/test_cca.py::test_simplify_names_carriers_around_taken_names",),
+    ),
+    Mutant(
+        "adjacency leaves lists of several transitions unsorted",
+        "src/countercheck/cca.py",
+        "if len(ts) > 1:",
+        "if False:",
+        ("tests/test_translate.py::test_compile_exports_and_formulas_are_pinned",),
+    ),
+    Mutant(
+        "the formula printer swaps the existential and universal glyphs",
+        "src/countercheck/logic.py",
+        'glyph["exists"], glyph["forall"]',
+        'glyph["forall"], glyph["exists"]',
+        ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
+    ),
 )
 
 

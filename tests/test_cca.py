@@ -229,6 +229,38 @@ def test_simplify_splits_offending_state():
     assert ("a", "t", 1, INC) in carried and ("b", "u", 1, CHECK) in carried
 
 
+def test_simplify_names_carriers_around_taken_names():
+    # s.0 and s.2 exist, so the carriers of s are s.1, s.3 and s.4, given in
+    # sort_key order: the silent transition first, then a, then b
+    out_of_s = (
+        Transition("s", "b", "t", 1, NO_OP),
+        Transition("s", None, "t", 1, INC),
+        Transition("s", "a", "s.0", 1, CHECK),
+    )
+    out_of_t = (Transition("t", "a", "s.2", 1, NO_OP), Transition("t", "a", "t", 1, INC))
+    a = CCA(
+        states=frozenset({"s", "s.0", "s.2", "t"}),
+        alphabet=frozenset("ab"),
+        initial="s",
+        counters=1,
+        transitions=frozenset(out_of_s + out_of_t),
+    )
+    simple = cca.simplify(a)
+    assert simple.states == a.states | {"s.1", "s.3", "s.4", "t.0", "t.1"}
+    assert simple.transitions == {
+        Transition("s", None, "s.1", 1, NO_OP),
+        Transition("s.1", None, "t", 1, INC),
+        Transition("s", None, "s.3", 1, NO_OP),
+        Transition("s.3", "a", "s.0", 1, CHECK),
+        Transition("s", None, "s.4", 1, NO_OP),
+        Transition("s.4", "b", "t", 1, NO_OP),
+        Transition("t", None, "t.0", 1, NO_OP),
+        Transition("t.0", "a", "s.2", 1, NO_OP),
+        Transition("t", None, "t.1", 1, NO_OP),
+        Transition("t.1", "a", "t", 1, INC),
+    }
+
+
 def test_simplify_state_growth_bound(rng):
     for _ in range(40):
         a = random_general_cca(rng)

@@ -244,6 +244,23 @@ def test_deep_nesting_exits_with_one_line_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["parse", "compile", "empty", "formula"])
+def test_long_flat_word_is_refused_as_an_operator_chain(capsys, command):
+    # 1000 letters and no parentheses: the parser names the chain
+    code, out, err = run(capsys, command, "(" + "a" * 1000 + ")^w")
+    assert code == 2
+    assert out == ""
+    assert err == "error: operator chain too long to process (at position 0)\n"
+
+
+def test_formula_of_a_long_flat_word_names_the_operator_chain(capsys):
+    # 300 letters parse and compile, but the formula is too deep to print
+    code, out, err = run(capsys, "formula", "(" + "a" * 300 + ")^w")
+    assert code == 2
+    assert out == ""
+    assert err == "error: input too deep to process: a long operator chain or deep nesting\n"
+
+
 @pytest.mark.parametrize("command", ["compile", "empty"])
 def test_compile_blow_up_exits_before_building(capsys, command):
     # 3^49 automata: refused from the expression's shape alone

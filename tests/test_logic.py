@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -242,3 +243,15 @@ def test_ascii_glyphs_cover_macros():
 def test_unknown_style_rejected():
     with pytest.raises(ValueError):
         pretty_formula(InP(Var("x"), "a"), style="tex")
+
+
+def test_printing_of_random_formulas_is_pinned():
+    # both styles, with and without the macros unfolded, byte for byte
+    rng = random.Random(1414)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        f = random_formula(rng, depth=4)
+        for style in ("unicode", "ascii"):
+            for expand in (False, True):
+                digest.update(pretty_formula(f, style=style, expand_macros=expand).encode() + b"\n")
+    assert digest.hexdigest() == "2696b618081ca2012f45fc535d75996959538ea26afac465092e1f6da1b53ab3"

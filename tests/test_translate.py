@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from countercheck import expr as ex
@@ -8,15 +11,16 @@ from countercheck.cca import (
     INC,
     NO_OP,
     Transition,
+    export,
     hat,
     replay,
-    lifted_counter,
     satisfies_final_contract,
     simplify,
     split_with_residue,
 )
 from countercheck.emptiness import brute_force_witness, is_empty
 from countercheck.harness import random_texpr, random_omega_expr
+from countercheck.logic import emit_phi, pretty_formula
 from countercheck.nfa import accepts, thompson
 from countercheck.translate import (
     MAX_MEMBERS,
@@ -228,11 +232,13 @@ def test_final_contract_everywhere(rng):
 
 
 def shift(a: CCA, offset: int) -> CCA:
-    """Renumber counters upward by ``offset`` (see ``lifted_counter``)."""
+    """Renumber counters upward by ``offset``, as ``rename_apart`` does:
+    silent bookkeeping no-ops stay on counter 1."""
     if offset < 0:
         raise CCAError("shift offset must be nonnegative")
     moved = frozenset(
-        Transition(t.source, t.label, t.target, lifted_counter(t, offset), t.op) for t in a.transitions
+        Transition(t.source, t.label, t.target, t.counter if t.op == NO_OP else t.counter + offset, t.op)
+        for t in a.transitions
     )
     return CCA(a.states, a.alphabet, a.initial, a.counters + offset, moved, a.final)
 
@@ -456,3 +462,30 @@ def test_compile_refuses_more_members_than_the_limit():
     assert omega_member_count(over) == 2188 > MAX_MEMBERS
     with pytest.raises(CCAError, match="2188 automata"):
         compile_expression(over, "ab")
+
+
+# (((a+b) repeated k times))^w for k = 2..5, and a mix under ^T
+SUM_SHAPES = tuple(f"(({'(a+b)' * k}))^w" for k in range(2, 6)) + ("(((a+b)+(a+b))^T b)^w",)
+
+
+def test_compile_exports_and_formulas_are_pinned():
+    # the compiled and the simplified automaton's JSON and both styles of
+    # the formula, byte for byte, over the sum shapes and 200 random trees
+    rng = random.Random(1313)
+    trees = [ex.parse_omega_t(text, "ab") for text in SUM_SHAPES]
+    trees += [random_omega_expr(rng, 4) for _ in range(200)]
+    digest = hashlib.sha256()
+    transitions = 0
+    for e in trees:
+        a = compile_expression(e, "ab")
+        transitions += len(a.transitions)
+        phi = emit_phi(e)
+        for text in (
+            export(a, "json"),
+            export(simplify(a), "json"),
+            pretty_formula(phi),
+            pretty_formula(phi, style="ascii"),
+        ):
+            digest.update(text.encode() + b"\n")
+    assert transitions > 30000
+    assert digest.hexdigest() == "8c8423bc98d919141073f8f6561fb566a35eb45ca3d68e71d4718d73c6699dad"
