@@ -426,16 +426,3 @@ def t_subexpressions(e: OmegaTExpr) -> list[TExpr]:
     walk(e)
     return acc
 
-
-def contains_empty_leaf(e: "RegExpr | TExpr | OmegaTExpr") -> bool:
-    if isinstance(e, (REmpty, Empty)):
-        return True
-    if isinstance(e, (RSym, Sym)):
-        return False
-    if isinstance(e, (RCat, RAlt, Cat, Sum, Union)):
-        return contains_empty_leaf(e.left) or contains_empty_leaf(e.right)
-    if isinstance(e, (RStar, Star, T)):
-        return contains_empty_leaf(e.body)
-    if isinstance(e, Prefix):
-        return contains_empty_leaf(e.prefix) or contains_empty_leaf(e.tail)
-    return contains_empty_leaf(e.body)

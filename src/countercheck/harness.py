@@ -24,6 +24,10 @@ from .emptiness import (
     witness_nfa_state_count,
 )
 from .logic import (
+    BINARY,
+    FO_BINDER,
+    NEGATION,
+    SHAPES,
     And,
     Bounding,
     ExistsFO,
@@ -183,6 +187,13 @@ def random_omega_expr(
     )
 
 
+# the node classes random_formula draws from, in a fixed order: the draw is seeded
+_FORMULA_KINDS = (
+    Not, Or, And, Implies, ExistsFO, ForAllFO, ExistsSO,
+    Unbounding, Bounding, ExistsFin, ExistsOmega,
+)
+
+
 def random_formula(rng: random.Random, depth: int) -> object:
     fo = ("x", "y", "z")
     so = ("X", "Y", "Z")
@@ -190,25 +201,13 @@ def random_formula(rng: random.Random, depth: int) -> object:
         if rng.random() < 0.5:
             return InP(Var(rng.choice(fo)), rng.choice(("a", "b")))
         return InX(Var(rng.choice(fo)), rng.choice(so))
-    kind = rng.choice(
-        ("not", "or", "and", "implies", "existsfo", "forallfo", "existsso",
-         "unbounding", "bounding", "existsfin", "existsomega")
-    )
-    if kind == "not":
+    cls = rng.choice(_FORMULA_KINDS)
+    shape = SHAPES[cls]
+    if shape == NEGATION:
         return Not(random_formula(rng, depth - 1))
-    if kind in ("or", "and", "implies"):
-        cls = {"or": Or, "and": And, "implies": Implies}[kind]
+    if shape == BINARY:
         return cls(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
-    if kind in ("existsfo", "forallfo", "existsomega"):
-        cls = {"existsfo": ExistsFO, "forallfo": ForAllFO, "existsomega": ExistsOmega}[kind]
-        return cls(rng.choice(fo), random_formula(rng, depth - 1))
-    cls = {
-        "existsso": ExistsSO,
-        "unbounding": Unbounding,
-        "bounding": Bounding,
-        "existsfin": ExistsFin,
-    }[kind]
-    return cls(rng.choice(so), random_formula(rng, depth - 1))
+    return cls(rng.choice(fo if shape == FO_BINDER else so), random_formula(rng, depth - 1))
 
 
 # --------------------------------------------------------------------------

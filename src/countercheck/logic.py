@@ -17,6 +17,12 @@ documented finite unfolding:
   ``InDifference``, ``IsFirst``) with their standard second-order
   definitions.
 
+``SHAPES`` is the one place where a node class's shape is declared: atom,
+negation, binary connective, first-order binder or set binder.  Variable
+accounting, macro unfolding, the printer and the random formula generator
+all dispatch on it.  An atom's ``Var``/``Succ`` fields hold its first-order
+variables, and its other fields, except ``letter``, name sets.
+
 ``unfold_macros`` rewrites the predicate and quantifier macros into the
 connective layer (it never normalizes connectives away, and never touches
 ``Unbounding``).  Printing is deterministic; a golden test pins it down.
@@ -24,6 +30,7 @@ connective layer (it never normalizes connectives away, and never touches
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union as TUnion
 
 from .expr import (
@@ -59,10 +66,10 @@ class Succ:
 Term = TUnion[Var, Succ]
 
 
-def _term_vars(t: Term) -> frozenset[str]:
+def _term_var(t: Term) -> str:
     while isinstance(t, Succ):
         t = t.arg
-    return frozenset({t.name})
+    return t.name
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +224,61 @@ Formula = object  # any of the node classes above
 
 
 # --------------------------------------------------------------------------
+# node shapes
+
+ATOM, NEGATION, BINARY, FO_BINDER, SO_BINDER = range(5)
+
+SHAPES: dict[type, int] = {
+    InP: ATOM, InX: ATOM, Eq: ATOM, Less: ATOM, LessEq: ATOM, SubsetEq: ATOM,
+    ProperSubset: ATOM, InInterval: ATOM, SubsetInterval: ATOM, MinGreater: ATOM,
+    InDifference: ATOM, IsFirst: ATOM,
+    Not: NEGATION,
+    Or: BINARY, And: BINARY, Implies: BINARY,
+    ExistsFO: FO_BINDER, ForAllFO: FO_BINDER, ExistsOmega: FO_BINDER,
+    ExistsSO: SO_BINDER, ForAllSO: SO_BINDER, Unbounding: SO_BINDER,
+    Bounding: SO_BINDER, ExistsFin: SO_BINDER,
+}
+
+
+def _shape(f: Formula) -> int:
+    try:
+        return SHAPES[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+
+
+# --------------------------------------------------------------------------
 # variable accounting
+
+def _atom_vars(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
+    """An atom's (first-order, set) variables: its terms hold the first
+    kind, and every other field but a letter names a set."""
+    fo, so = [], []
+    for field, value in vars(f).items():
+        if isinstance(value, (Var, Succ)):
+            fo.append(_term_var(value))
+        elif field != "letter":
+            so.append(value)
+    return frozenset(fo), frozenset(so)
+
+
+def _variables(f: Formula) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """(free first-order, free set, every name bound or free) of ``f``."""
+    shape = _shape(f)
+    if shape == ATOM:
+        fo, so = _atom_vars(f)
+        return fo, so, fo | so
+    if shape == NEGATION:
+        return _variables(f.body)
+    if shape == BINARY:
+        lf, ls, ln = _variables(f.left)
+        rf, rs, rn = _variables(f.right)
+        return lf | rf, ls | rs, ln | rn
+    bf, bs, names = _variables(f.body)
+    if shape == FO_BINDER:
+        return bf - {f.var}, bs, names | {f.var}
+    return bf, bs - {f.var}, names | {f.var}
+
 
 def free_vars(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     """(free first-order, free second-order) variable names.
@@ -225,67 +286,8 @@ def free_vars(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     Letter predicates are not variables; a formula is closed modulo them
     when both components are empty.
     """
-    if isinstance(f, InP):
-        return _term_vars(f.term), frozenset()
-    if isinstance(f, InX):
-        return _term_vars(f.term), frozenset({f.setvar})
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (Or, And, Implies)):
-        lf, ls = free_vars(f.left)
-        rf, rs = free_vars(f.right)
-        return lf | rf, ls | rs
-    if isinstance(f, (ExistsFO, ForAllFO, ExistsOmega)):
-        bf, bs = free_vars(f.body)
-        return bf - {f.var}, bs
-    if isinstance(f, (ExistsSO, ForAllSO, Unbounding, Bounding, ExistsFin)):
-        bf, bs = free_vars(f.body)
-        return bf, bs - {f.var}
-    if isinstance(f, (Eq, Less, LessEq)):
-        return _term_vars(f.left) | _term_vars(f.right), frozenset()
-    if isinstance(f, (SubsetEq, ProperSubset)):
-        return frozenset(), frozenset({f.left, f.right})
-    if isinstance(f, InInterval):
-        return _term_vars(f.term) | _term_vars(f.lo) | _term_vars(f.hi), frozenset()
-    if isinstance(f, SubsetInterval):
-        return _term_vars(f.lo) | _term_vars(f.hi), frozenset({f.setvar})
-    if isinstance(f, MinGreater):
-        return _term_vars(f.term), frozenset({f.setvar})
-    if isinstance(f, InDifference):
-        return _term_vars(f.term), frozenset({f.left, f.right})
-    if isinstance(f, IsFirst):
-        return _term_vars(f.term), frozenset()
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def all_var_names(f: Formula) -> frozenset[str]:
-    """Every variable name occurring in ``f``, bound or free."""
-    if isinstance(f, (InP, IsFirst)):
-        return _term_vars(f.term)
-    if isinstance(f, InX):
-        return _term_vars(f.term) | {f.setvar}
-    if isinstance(f, Not):
-        return all_var_names(f.body)
-    if isinstance(f, (Or, And, Implies)):
-        return all_var_names(f.left) | all_var_names(f.right)
-    if isinstance(
-        f,
-        (ExistsFO, ForAllFO, ExistsSO, ForAllSO, Unbounding, Bounding, ExistsFin, ExistsOmega),
-    ):
-        return all_var_names(f.body) | {f.var}
-    if isinstance(f, (Eq, Less, LessEq)):
-        return _term_vars(f.left) | _term_vars(f.right)
-    if isinstance(f, (SubsetEq, ProperSubset)):
-        return frozenset({f.left, f.right})
-    if isinstance(f, InInterval):
-        return _term_vars(f.term) | _term_vars(f.lo) | _term_vars(f.hi)
-    if isinstance(f, SubsetInterval):
-        return _term_vars(f.lo) | _term_vars(f.hi) | {f.setvar}
-    if isinstance(f, MinGreater):
-        return _term_vars(f.term) | {f.setvar}
-    if isinstance(f, InDifference):
-        return _term_vars(f.term) | {f.left, f.right}
-    raise TypeError(f"not a formula: {f!r}")
+    fo, so, _ = _variables(f)
+    return fo, so
 
 
 class NameSupply:
@@ -298,7 +300,7 @@ class NameSupply:
         self.forbidden = set(forbidden)
         self.counts: dict[str, int] = {}
 
-    def _next(self, stem: str) -> str:
+    def fresh(self, stem: str) -> str:
         if stem not in self.counts and stem not in self.forbidden:
             self.counts[stem] = 0
             self.forbidden.add(stem)
@@ -312,12 +314,6 @@ class NameSupply:
                 self.forbidden.add(name)
                 return name
 
-    def fo(self, stem: str = "z") -> str:
-        return self._next(stem)
-
-    def so(self, stem: str = "X") -> str:
-        return self._next(stem)
-
 
 # --------------------------------------------------------------------------
 # macro unfolding
@@ -330,74 +326,63 @@ def unfold_macros(f: Formula) -> Formula:
     drawn from a supply seeded with every name in ``f``, so no capture can
     occur.
     """
-    supply = NameSupply(all_var_names(f))
+    supply = NameSupply(_variables(f)[2])
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, (InP, InX)):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Implies):
-            return Implies(go(g.left), go(g.right))
-        if isinstance(g, ExistsFO):
-            return ExistsFO(g.var, go(g.body))
-        if isinstance(g, ForAllFO):
-            return ForAllFO(g.var, go(g.body))
-        if isinstance(g, ExistsSO):
-            return ExistsSO(g.var, go(g.body))
-        if isinstance(g, ForAllSO):
-            return ForAllSO(g.var, go(g.body))
-        if isinstance(g, Unbounding):
-            return Unbounding(g.var, go(g.body))
         if isinstance(g, Bounding):
             return Not(Unbounding(g.var, go(g.body)))
         if isinstance(g, ExistsFin):
-            y = supply.fo("y")
-            z = supply.fo("z")
+            y = supply.fresh("y")
+            z = supply.fresh("z")
             cap = ExistsFO(y, ForAllFO(z, Implies(InX(Var(z), g.var), go(LessEq(Var(z), Var(y))))))
             return ExistsSO(g.var, And(go(g.body), cap))
         if isinstance(g, ExistsOmega):
-            y = supply.fo("y")
+            y = supply.fresh("y")
             return ForAllFO(y, ExistsFO(g.var, And(go(Less(Var(y), Var(g.var))), go(g.body))))
         if isinstance(g, Eq):
             return And(go(LessEq(g.left, g.right)), go(LessEq(g.right, g.left)))
         if isinstance(g, Less):
             return go(LessEq(Succ(g.left), g.right))
         if isinstance(g, LessEq):
-            chain = supply.so("Z")
-            w = supply.fo("w")
+            chain = supply.fresh("Z")
+            w = supply.fresh("w")
             inductive = ForAllFO(w, Implies(InX(Var(w), chain), InX(Succ(Var(w)), chain)))
             return ForAllSO(
                 chain,
                 Implies(And(InX(g.left, chain), inductive), InX(g.right, chain)),
             )
         if isinstance(g, SubsetEq):
-            z = supply.fo("z")
+            z = supply.fresh("z")
             return ForAllFO(z, Implies(InX(Var(z), g.left), InX(Var(z), g.right)))
         if isinstance(g, ProperSubset):
-            z = supply.fo("z")
+            z = supply.fresh("z")
             witness = ExistsFO(z, And(InX(Var(z), g.right), Not(InX(Var(z), g.left))))
             return And(go(SubsetEq(g.left, g.right)), witness)
         if isinstance(g, InInterval):
             return And(go(LessEq(g.lo, g.term)), go(LessEq(g.term, g.hi)))
         if isinstance(g, SubsetInterval):
-            z = supply.fo("z")
+            z = supply.fresh("z")
             return ForAllFO(
                 z, Implies(InX(Var(z), g.setvar), go(InInterval(Var(z), g.lo, g.hi)))
             )
         if isinstance(g, MinGreater):
-            z = supply.fo("z")
+            z = supply.fresh("z")
             return ForAllFO(z, Implies(InX(Var(z), g.setvar), go(Less(g.term, Var(z)))))
         if isinstance(g, InDifference):
             return And(InX(g.term, g.left), Not(InX(g.term, g.right)))
         if isinstance(g, IsFirst):
-            z = supply.fo("y")
+            z = supply.fresh("y")
             return ForAllFO(z, go(LessEq(g.term, Var(z))))
-        raise TypeError(f"not a formula: {g!r}")
+        # the connective layer is kept; operands go left to right, so the
+        # supply hands out names in a fixed order
+        shape = _shape(g)
+        if shape == ATOM:
+            return g
+        if shape == NEGATION:
+            return Not(go(g.body))
+        if shape == BINARY:
+            return type(g)(go(g.left), go(g.right))
+        return type(g)(g.var, go(g.body))
 
     return go(f)
 
@@ -441,10 +426,6 @@ _STYLES = {
 }
 
 
-# the shapes of printed nodes; ``pretty_formula`` maps each node class to one
-_ATOM, _BINARY, _BINDER, _NEGATION = range(4)
-
-
 def _term_text(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
@@ -461,47 +442,48 @@ def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = Fal
     in_, le, subset, psubset = glyph["in"], glyph["le"], glyph["subset"], glyph["psubset"]
     dots, setminus, exists, forall = glyph["dots"], glyph["setminus"], glyph["exists"], glyph["forall"]
     term = _term_text
-    # node class -> (shape, text): an atom's text is its renderer, the other
-    # shapes' text is the glyph they print
-    table = {
-        InP: (_ATOM, lambda g: f"{term(g.term)} {in_} P_{g.letter}"),
-        InX: (_ATOM, lambda g: f"{term(g.term)} {in_} {g.setvar}"),
-        Eq: (_ATOM, lambda g: f"{term(g.left)} = {term(g.right)}"),
-        Less: (_ATOM, lambda g: f"{term(g.left)} < {term(g.right)}"),
-        LessEq: (_ATOM, lambda g: f"{term(g.left)} {le} {term(g.right)}"),
-        SubsetEq: (_ATOM, lambda g: f"{g.left} {subset} {g.right}"),
-        ProperSubset: (_ATOM, lambda g: f"{g.left} {psubset} {g.right}"),
-        InInterval: (_ATOM, lambda g: f"{term(g.term)} {in_} {{{term(g.lo)},{dots},{term(g.hi)}}}"),
-        SubsetInterval: (_ATOM, lambda g: f"{g.setvar} {subset} {{{term(g.lo)},{dots},{term(g.hi)}}}"),
-        MinGreater: (_ATOM, lambda g: f"min {g.setvar} > {term(g.term)}"),
-        InDifference: (_ATOM, lambda g: f"{term(g.term)} {in_} {g.left}{setminus}{g.right}"),
-        IsFirst: (_ATOM, lambda g: f"first({term(g.term)})"),
-        Or: (_BINARY, glyph["or"]),
-        And: (_BINARY, glyph["and"]),
-        Implies: (_BINARY, glyph["implies"]),
-        ExistsFO: (_BINDER, exists),
-        ExistsSO: (_BINDER, exists),
-        ForAllFO: (_BINDER, forall),
-        ForAllSO: (_BINDER, forall),
-        Unbounding: (_BINDER, "U "),
-        Bounding: (_BINDER, "B "),
-        ExistsFin: (_BINDER, glyph["existsfin"]),
-        ExistsOmega: (_BINDER, glyph["existsomega"]),
-        Not: (_NEGATION, glyph["not"]),
+    # node class -> text: an atom's text is its renderer, the other shapes'
+    # text is the glyph they print
+    texts = {
+        InP: lambda g: f"{term(g.term)} {in_} P_{g.letter}",
+        InX: lambda g: f"{term(g.term)} {in_} {g.setvar}",
+        Eq: lambda g: f"{term(g.left)} = {term(g.right)}",
+        Less: lambda g: f"{term(g.left)} < {term(g.right)}",
+        LessEq: lambda g: f"{term(g.left)} {le} {term(g.right)}",
+        SubsetEq: lambda g: f"{g.left} {subset} {g.right}",
+        ProperSubset: lambda g: f"{g.left} {psubset} {g.right}",
+        InInterval: lambda g: f"{term(g.term)} {in_} {{{term(g.lo)},{dots},{term(g.hi)}}}",
+        SubsetInterval: lambda g: f"{g.setvar} {subset} {{{term(g.lo)},{dots},{term(g.hi)}}}",
+        MinGreater: lambda g: f"min {g.setvar} > {term(g.term)}",
+        InDifference: lambda g: f"{term(g.term)} {in_} {g.left}{setminus}{g.right}",
+        IsFirst: lambda g: f"first({term(g.term)})",
+        Not: glyph["not"],
+        Or: glyph["or"],
+        And: glyph["and"],
+        Implies: glyph["implies"],
+        ExistsFO: exists,
+        ExistsSO: exists,
+        ForAllFO: forall,
+        ForAllSO: forall,
+        Unbounding: "U ",
+        Bounding: "B ",
+        ExistsFin: glyph["existsfin"],
+        ExistsOmega: glyph["existsomega"],
     }
+    table = {cls: (shape, texts[cls]) for cls, shape in SHAPES.items()}
 
     def show(g) -> str:
         try:
             shape, text = table[type(g)]
         except KeyError:
             raise TypeError(f"not a formula: {g!r}") from None
-        if shape == _ATOM:
+        if shape == ATOM:
             return text(g)
-        if shape == _BINARY:
+        if shape == BINARY:
             return f"({show(g.left)} {text} {show(g.right)})"
-        if shape == _BINDER:
-            return f"{text}{g.var}.{wrap(g.body)}"
-        return f"{text}{wrap(g.body)}"
+        if shape == NEGATION:
+            return f"{text}{wrap(g.body)}"
+        return f"{text}{g.var}.{wrap(g.body)}"
 
     def wrap(g) -> str:
         text = show(g)
@@ -523,20 +505,6 @@ def nullable(e: RegExpr) -> bool:
     return True
 
 
-def _or_all(parts: list) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
-def _and_all(parts: list) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def _match_formula(e: RegExpr, lo: Term, hi: Term, supply: NameSupply) -> Formula:
     """The factor between positions ``lo`` and ``hi`` (inclusive, hence
     nonempty) matches ``e``."""
@@ -552,36 +520,32 @@ def _match_formula(e: RegExpr, lo: Term, hi: Term, supply: NameSupply) -> Formul
             parts.append(_match_formula(e.right, lo, hi, supply))
         if nullable(e.right):
             parts.append(_match_formula(e.left, lo, hi, supply))
-        z = supply.fo("z")
+        z = supply.fresh("z")
         zv = Var(z)
         split = ExistsFO(
             z,
-            _and_all(
-                [
-                    LessEq(lo, zv),
-                    Less(zv, hi),
-                    _match_formula(e.left, lo, zv, supply),
-                    _match_formula(e.right, Succ(zv), hi, supply),
-                ]
-            ),
+            reduce(And, [
+                LessEq(lo, zv),
+                Less(zv, hi),
+                _match_formula(e.left, lo, zv, supply),
+                _match_formula(e.right, Succ(zv), hi, supply),
+            ]),
         )
         parts.append(split)
-        return _or_all(parts)
+        return reduce(Or, parts)
     # finite repetition: a chain of nonempty factor starts
-    starts = supply.so("X")
-    z = supply.fo("z")
-    w = supply.fo("w")
+    starts = supply.fresh("X")
+    z = supply.fresh("z")
+    w = supply.fresh("w")
     zv, wv = Var(z), Var(w)
     chain = ExistsFO(
         w,
-        _and_all(
-            [
-                LessEq(zv, wv),
-                LessEq(wv, hi),
-                _match_formula(e.body, zv, wv, supply),
-                Or(Eq(wv, hi), InX(Succ(wv), starts)),
-            ]
-        ),
+        reduce(And, [
+            LessEq(zv, wv),
+            LessEq(wv, hi),
+            _match_formula(e.body, zv, wv, supply),
+            Or(Eq(wv, hi), InX(Succ(wv), starts)),
+        ]),
     )
     per_start = ForAllFO(z, Implies(InX(zv, starts), And(InInterval(zv, lo, hi), chain)))
     return ExistsSO(starts, And(InX(lo, starts), per_start))
@@ -600,7 +564,7 @@ def begins_formula(e: RegExpr, x: str, supply: Optional[NameSupply] = None) -> F
     """Some factor matching ``e`` starts at position ``x``."""
     if supply is None:
         supply = NameSupply({x})
-    y = supply.fo("y")
+    y = supply.fresh("y")
     return ExistsFO(y, And(LessEq(Var(x), Var(y)), _match_formula(e, Var(x), Var(y), supply)))
 
 
@@ -611,9 +575,9 @@ def block_formula(e: RegExpr, block: str) -> Formula:
     """``block`` is a maximal set of positions starting consecutive
     ``e``-factors."""
     supply = NameSupply({block})
-    y = supply.fo("y")
-    z = supply.fo("z")
-    x = supply.fo("x")
+    y = supply.fresh("y")
+    z = supply.fresh("z")
+    x = supply.fresh("x")
     yv, zv, xv = Var(y), Var(z), Var(x)
     maximal = ForAllFO(
         x,
@@ -623,13 +587,11 @@ def block_formula(e: RegExpr, block: str) -> Formula:
         y,
         ExistsFO(
             z,
-            _and_all(
-                [
-                    _match_formula(RStar(e), yv, zv, supply),
-                    SubsetInterval(block, yv, zv),
-                    maximal,
-                ]
-            ),
+            reduce(And, [
+                _match_formula(RStar(e), yv, zv, supply),
+                SubsetInterval(block, yv, zv),
+                maximal,
+            ]),
         ),
     )
 
@@ -638,9 +600,9 @@ def blockset_formula(e: RegExpr, family: str) -> Formula:
     """``family`` consists of ``e``-blocks only, contains infinitely many,
     and their sizes are bounded."""
     supply = NameSupply({family})
-    y = supply.fo("y")
+    y = supply.fresh("y")
     yv = Var(y)
-    block_x = supply.so("X")
+    block_x = supply.fresh("X")
 
     covered = ForAllFO(
         y,
@@ -648,9 +610,9 @@ def blockset_formula(e: RegExpr, family: str) -> Formula:
             InX(yv, family),
             ExistsFin(
                 block_x,
-                _and_all(
-                    [block_formula(e, block_x), SubsetEq(block_x, family), InX(yv, block_x)]
-                ),
+                reduce(And, [
+                    block_formula(e, block_x), SubsetEq(block_x, family), InX(yv, block_x)
+                ]),
             ),
         ),
     )
@@ -658,31 +620,29 @@ def blockset_formula(e: RegExpr, family: str) -> Formula:
         y,
         ExistsFin(
             block_x,
-            _and_all(
-                [block_formula(e, block_x), SubsetEq(block_x, family), MinGreater(block_x, yv)]
-            ),
+            reduce(And, [
+                block_formula(e, block_x), SubsetEq(block_x, family), MinGreater(block_x, yv)
+            ]),
         ),
     )
     sizes_bounded = Bounding(block_x, And(SubsetEq(block_x, family), block_formula(e, block_x)))
-    return _and_all([covered, unboundedly_many, sizes_bounded])
+    return reduce(And, [covered, unboundedly_many, sizes_bounded])
 
 
 def t_condition(e: RegExpr) -> Formula:
     """Infinitely many block sizes occur infinitely often among the
     ``e``-blocks of the word."""
     supply = NameSupply()
-    family = supply.so("Y")
-    bigger = supply.so("Z")
-    x = supply.fo("x")
+    family = supply.fresh("Y")
+    bigger = supply.fresh("Z")
+    x = supply.fresh("x")
     grow = ExistsSO(
         bigger,
-        _and_all(
-            [
-                blockset_formula(e, bigger),
-                ProperSubset(family, bigger),
-                ExistsOmega(x, InDifference(Var(x), bigger, family)),
-            ]
-        ),
+        reduce(And, [
+            blockset_formula(e, bigger),
+            ProperSubset(family, bigger),
+            ExistsOmega(x, InDifference(Var(x), bigger, family)),
+        ]),
     )
     return ForAllSO(family, Implies(blockset_formula(e, family), grow))
 
@@ -697,28 +657,26 @@ def _word_formula(e: OmegaTExpr, start: Term, supply: NameSupply) -> Formula:
         parts: list = []
         if nullable(e.prefix):
             parts.append(_word_formula(e.tail, start, supply))
-        y = supply.fo("y")
+        y = supply.fresh("y")
         yv = Var(y)
         parts.append(
             ExistsFO(
                 y,
-                _and_all(
-                    [
-                        LessEq(start, yv),
-                        _match_formula(e.prefix, start, yv, supply),
-                        _word_formula(e.tail, Succ(yv), supply),
-                    ]
-                ),
+                reduce(And, [
+                    LessEq(start, yv),
+                    _match_formula(e.prefix, start, yv, supply),
+                    _word_formula(e.tail, Succ(yv), supply),
+                ]),
             )
         )
-        return _or_all(parts)
+        return reduce(Or, parts)
     if isinstance(e, Omega):
         shape = erase_to_regex(e.body)
-        starts = supply.so("X")
-        z = supply.fo("z")
-        w = supply.fo("w")
-        u = supply.fo("u")
-        v = supply.fo("v")
+        starts = supply.fresh("X")
+        z = supply.fresh("z")
+        w = supply.fresh("w")
+        u = supply.fresh("u")
+        v = supply.fresh("v")
         zv, wv, uv, vv = Var(z), Var(w), Var(u), Var(v)
         chained = ForAllFO(
             z,
@@ -726,14 +684,14 @@ def _word_formula(e: OmegaTExpr, start: Term, supply: NameSupply) -> Formula:
                 InX(zv, starts),
                 ExistsFO(
                     w,
-                    _and_all(
-                        [LessEq(zv, wv), _match_formula(shape, zv, wv, supply), InX(Succ(wv), starts)]
-                    ),
+                    reduce(And, [
+                        LessEq(zv, wv), _match_formula(shape, zv, wv, supply), InX(Succ(wv), starts)
+                    ]),
                 ),
             ),
         )
         unbounded = ForAllFO(u, ExistsFO(v, And(InX(vv, starts), Less(uv, vv))))
-        return ExistsSO(starts, _and_all([InX(start, starts), chained, unbounded]))
+        return ExistsSO(starts, reduce(And, [InX(start, starts), chained, unbounded]))
     raise TypeError(f"not an omega expression: {e!r}")
 
 
@@ -741,7 +699,7 @@ def omega_word_formula(e: OmegaTExpr) -> Formula:
     """Closed formula for a T-free omega expression (the standard encoding
     of omega-regular languages)."""
     supply = NameSupply()
-    first = supply.fo("x")
+    first = supply.fresh("x")
     return ExistsFO(first, And(IsFirst(Var(first)), _word_formula(e, Var(first), supply)))
 
 
@@ -755,4 +713,4 @@ def emit_phi(e: OmegaTExpr) -> Formula:
     """
     core = omega_word_formula(substitute_t_with_star(e))
     conditions = [t_condition(erase_to_regex(body)) for body in t_subexpressions(e)]
-    return _and_all([core, *conditions])
+    return reduce(And, [core, *conditions])

@@ -107,6 +107,34 @@ CATALOGUE = (
         'glyph["forall"], glyph["exists"]',
         ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
     ),
+    Mutant(
+        "the shape table files the infinite quantifier as a set binder",
+        "src/countercheck/logic.py",
+        "ExistsOmega: FO_BINDER",
+        "ExistsOmega: SO_BINDER",
+        ("tests/test_logic.py::test_t_condition_closed",),
+    ),
+    Mutant(
+        "variable accounting counts an atom's letter as a set name",
+        "src/countercheck/logic.py",
+        'elif field != "letter":',
+        "else:",
+        ("tests/test_logic.py::test_match_formula_base_shape",),
+    ),
+    Mutant(
+        "the every-name walk drops a first-order binder's variable",
+        "src/countercheck/logic.py",
+        "return bf - {f.var}, bs, names | {f.var}",
+        "return bf - {f.var}, bs, names",
+        ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
+    ),
+    Mutant(
+        "the every-name walk drops a set binder's variable",
+        "src/countercheck/logic.py",
+        "return bf, bs - {f.var}, names | {f.var}",
+        "return bf, bs - {f.var}, names",
+        ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
+    ),
 )
 
 

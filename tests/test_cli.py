@@ -253,6 +253,14 @@ def test_long_flat_word_is_refused_as_an_operator_chain(capsys, command):
     assert err == "error: operator chain too long to process (at position 0)\n"
 
 
+def test_formula_of_a_200_letter_flat_word_is_printed(capsys):
+    # the formula layer's depth limit lies near 245 letters; keep it above 200
+    code, out, err = run(capsys, "formula", "(" + "a" * 200 + ")^w")
+    assert code == 0
+    assert out.startswith("# schema:") and len(out.splitlines()) == 2
+    assert err == ""
+
+
 def test_formula_of_a_long_flat_word_names_the_operator_chain(capsys):
     # 300 letters parse and compile, but the formula is too deep to print
     code, out, err = run(capsys, "formula", "(" + "a" * 300 + ")^w")

@@ -126,11 +126,6 @@ def test_t_subexpressions_document_order():
     assert ex.t_subexpressions(tree) == [ex.Sym("a"), ex.Sym("b"), ex.Sym("a")]
 
 
-def test_contains_empty_leaf():
-    assert ex.contains_empty_leaf(ex.parse_omega_t("(0 a)^w", "ab"))
-    assert not ex.contains_empty_leaf(ex.parse_omega_t("(a^T b)^w", "ab"))
-
-
 def letters(e) -> frozenset[str]:
     """All letters occurring in the expression."""
 

@@ -6,7 +6,7 @@ import pytest
 
 from countercheck import logic as lg
 from countercheck.expr import RAlt, RCat, RSym, RStar, parse_omega_t, substitute_t_with_star
-from countercheck.harness import random_formula
+from countercheck.harness import random_formula, random_omega_expr
 
 from conftest import is_closed
 from countercheck.logic import (
@@ -255,3 +255,22 @@ def test_printing_of_random_formulas_is_pinned():
             for expand in (False, True):
                 digest.update(pretty_formula(f, style=style, expand_macros=expand).encode() + b"\n")
     assert digest.hexdigest() == "2696b618081ca2012f45fc535d75996959538ea26afac465092e1f6da1b53ab3"
+
+
+def _free_vars_line(f) -> bytes:
+    fo, so = free_vars(f)
+    return f"{sorted(fo)} {sorted(so)}\n".encode()
+
+
+def test_free_variables_are_pinned():
+    # free_vars before and after unfolding on random formulas, and on the
+    # formulas of the random omega expressions the compile digest pins
+    digest = hashlib.sha256()
+    rng = random.Random(1515)
+    for _ in range(400):
+        f = random_formula(rng, depth=4)
+        digest.update(_free_vars_line(f) + _free_vars_line(unfold_macros(f)))
+    rng = random.Random(1313)
+    for _ in range(200):
+        digest.update(_free_vars_line(emit_phi(random_omega_expr(rng, 4))))
+    assert digest.hexdigest() == "e4c0273271d20becfb5a06ac20350aa7797abfc99cae0cc800ac1a8c47b5ee60"
