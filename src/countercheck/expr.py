@@ -21,6 +21,10 @@ Concrete syntax (whitespace ignored)::
     e^w      omega closure (top level only)
 
 ``^T`` is only legal underneath some ``^w``; ``^w`` cannot be nested.
+
+``REGEX`` and ``BLOCK`` are the one place where a node kind maps to a
+layer's class; the stratifier, the ``^T`` relaxation, the erasure, the
+``^T`` walk and the random generators all read them.
 """
 from __future__ import annotations
 
@@ -128,6 +132,20 @@ class Omega:
 
 
 OmegaTExpr = TUnion[Union, Prefix, Omega]
+
+
+# --------------------------------------------------------------------------
+# the layer tables: node kind -> class, in the order the generators draw
+# kinds; a layer refuses the kinds it lacks with the message beside it
+
+REGEX = {"empty": REmpty, "sym": RSym, "cat": RCat, "plus": RAlt, "star": RStar}
+_REGEX_REFUSALS = {
+    "t": "'^T' is only allowed underneath '^w'",
+    "omega": "'^w' cannot appear inside a finite prefix; it must end the branch",
+}
+
+BLOCK = {"empty": Empty, "sym": Sym, "cat": Cat, "plus": Sum, "star": Star, "t": T}
+_BLOCK_REFUSALS = {"omega": "'^w' cannot be nested"}
 
 
 # --------------------------------------------------------------------------
@@ -247,42 +265,22 @@ def _parse_atom(lexer: _Lexer) -> _Raw:
 # --------------------------------------------------------------------------
 # stratification: raw tree -> typed layers
 
-def _check_letter(raw: _Raw, alphabet: frozenset[str]) -> str:
-    if raw.letter not in alphabet:
-        raise ParseError(f"letter {raw.letter!r} is not in the alphabet", raw.pos)
-    return raw.letter
-
-
-def _to_regex(raw: _Raw, alphabet: frozenset[str]) -> RegExpr:
-    if raw.kind == "empty":
-        return REmpty()
+def _typed(raw: _Raw, layer: dict, refusals: dict, alphabet: frozenset[str]):
+    """``raw`` as a tree of ``layer``'s classes; a kind the layer lacks is
+    refused with its message from ``refusals``."""
+    cls = layer.get(raw.kind)
+    if cls is None:
+        raise ParseError(refusals[raw.kind], raw.pos)
     if raw.kind == "sym":
-        return RSym(_check_letter(raw, alphabet))
-    if raw.kind == "cat":
-        return RCat(_to_regex(raw.left, alphabet), _to_regex(raw.right, alphabet))
-    if raw.kind == "plus":
-        return RAlt(_to_regex(raw.left, alphabet), _to_regex(raw.right, alphabet))
-    if raw.kind == "star":
-        return RStar(_to_regex(raw.left, alphabet))
-    if raw.kind == "t":
-        raise ParseError("'^T' is only allowed underneath '^w'", raw.pos)
-    raise ParseError("'^w' cannot appear inside a finite prefix; it must end the branch", raw.pos)
-
-
-def _to_texpr(raw: _Raw, alphabet: frozenset[str]) -> TExpr:
-    if raw.kind == "empty":
-        return Empty()
-    if raw.kind == "sym":
-        return Sym(_check_letter(raw, alphabet))
-    if raw.kind == "cat":
-        return Cat(_to_texpr(raw.left, alphabet), _to_texpr(raw.right, alphabet))
-    if raw.kind == "plus":
-        return Sum(_to_texpr(raw.left, alphabet), _to_texpr(raw.right, alphabet))
-    if raw.kind == "star":
-        return Star(_to_texpr(raw.left, alphabet))
-    if raw.kind == "t":
-        return T(_to_texpr(raw.left, alphabet))
-    raise ParseError("'^w' cannot be nested", raw.pos)
+        if raw.letter not in alphabet:
+            raise ParseError(f"letter {raw.letter!r} is not in the alphabet", raw.pos)
+        return cls(raw.letter)
+    if raw.left is None:
+        return cls()
+    left = _typed(raw.left, layer, refusals, alphabet)
+    if raw.right is None:
+        return cls(left)
+    return cls(left, _typed(raw.right, layer, refusals, alphabet))
 
 
 def _to_omega(raw: _Raw, alphabet: frozenset[str]) -> OmegaTExpr:
@@ -291,9 +289,11 @@ def _to_omega(raw: _Raw, alphabet: frozenset[str]) -> OmegaTExpr:
     if raw.kind == "cat":
         # the omega part lives in the rightmost factor; everything to its
         # left must be a plain regular expression
-        return Prefix(_to_regex(raw.left, alphabet), _to_omega(raw.right, alphabet))
+        return Prefix(
+            _typed(raw.left, REGEX, _REGEX_REFUSALS, alphabet), _to_omega(raw.right, alphabet)
+        )
     if raw.kind == "omega":
-        return Omega(_to_texpr(raw.left, alphabet))
+        return Omega(_typed(raw.left, BLOCK, _BLOCK_REFUSALS, alphabet))
     if raw.kind == "t":
         raise ParseError("'^T' needs an enclosing '^w'", raw.pos)
     raise ParseError("missing omega closure: every branch needs '^w'", raw.pos)
@@ -360,25 +360,26 @@ def pretty(e: "RegExpr | TExpr | OmegaTExpr") -> str:
 # --------------------------------------------------------------------------
 # structural helpers
 
+def _recast(e, classes: dict):
+    """``e`` rebuilt with each node of a class keyed in ``classes`` made of
+    the class it maps to; any other field (a letter, a prefix's regular
+    expression) is kept as it is."""
+    args = []
+    for value in vars(e).values():
+        args.append(_recast(value, classes) if type(value) in classes else value)
+    return classes[type(e)](*args)
+
+
+# the omega and block layers, with ^T relaxed to *
+_RELAX = {cls: cls for cls in (Union, Prefix, Omega, *BLOCK.values())} | {T: Star}
+
+# a block read as one finite word: Sum is a union there, ^T a star
+_ERASE = {BLOCK[kind]: cls for kind, cls in REGEX.items()} | {T: RStar}
+
+
 def substitute_t_with_star(e: OmegaTExpr) -> OmegaTExpr:
     """Replace every ``^T`` node by ``*``; the result has no T nodes."""
-
-    def on_t(x: TExpr) -> TExpr:
-        if isinstance(x, (Empty, Sym)):
-            return x
-        if isinstance(x, Cat):
-            return Cat(on_t(x.left), on_t(x.right))
-        if isinstance(x, Sum):
-            return Sum(on_t(x.left), on_t(x.right))
-        if isinstance(x, Star):
-            return Star(on_t(x.body))
-        return Star(on_t(x.body))
-
-    if isinstance(e, Union):
-        return Union(substitute_t_with_star(e.left), substitute_t_with_star(e.right))
-    if isinstance(e, Prefix):
-        return Prefix(e.prefix, substitute_t_with_star(e.tail))
-    return Omega(on_t(e.body))
+    return _recast(e, _RELAX)
 
 
 def erase_to_regex(e: TExpr) -> RegExpr:
@@ -388,41 +389,19 @@ def erase_to_regex(e: TExpr) -> RegExpr:
     finite repetition count); ``Cat``/``Star`` keep their word-level
     meaning.
     """
-    if isinstance(e, Empty):
-        return REmpty()
-    if isinstance(e, Sym):
-        return RSym(e.letter)
-    if isinstance(e, Cat):
-        return RCat(erase_to_regex(e.left), erase_to_regex(e.right))
-    if isinstance(e, Sum):
-        return RAlt(erase_to_regex(e.left), erase_to_regex(e.right))
-    return RStar(erase_to_regex(e.body))
+    return _recast(e, _ERASE)
 
 
 def t_subexpressions(e: OmegaTExpr) -> list[TExpr]:
     """Bodies of all ``^T`` nodes in document order."""
+    found: list[TExpr] = []
 
-    def walk_t(x: TExpr, acc: list[TExpr]) -> None:
-        if isinstance(x, (Cat, Sum)):
-            walk_t(x.left, acc)
-            walk_t(x.right, acc)
-        elif isinstance(x, Star):
-            walk_t(x.body, acc)
-        elif isinstance(x, T):
-            acc.append(x.body)
-            walk_t(x.body, acc)
-
-    acc: list[TExpr] = []
-
-    def walk(x: OmegaTExpr) -> None:
-        if isinstance(x, Union):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Prefix):
-            walk(x.tail)
-        else:
-            walk_t(x.body, acc)
+    def walk(x) -> None:
+        if type(x) is T:
+            found.append(x.body)
+        for value in vars(x).values():
+            if type(value) in _RELAX:  # a prefix's regular expression has no ^T
+                walk(value)
 
     walk(e)
-    return acc
-
+    return found

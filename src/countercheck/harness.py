@@ -130,44 +130,24 @@ def random_simple_cca(
     return a
 
 
-def random_regex(rng: random.Random, depth: int, alphabet=("a", "b"), allow_empty=True) -> ex.RegExpr:
+def _random_tree(rng: random.Random, depth: int, alphabet, allow_empty, layer: dict):
     if depth <= 0 or rng.random() < 0.4:
         if allow_empty and rng.random() < 0.12:
-            return ex.REmpty()
-        return ex.RSym(rng.choice(alphabet))
-    kind = rng.choice(("cat", "alt", "star"))
-    if kind == "cat":
-        return ex.RCat(
-            random_regex(rng, depth - 1, alphabet, allow_empty),
-            random_regex(rng, depth - 1, alphabet, allow_empty),
-        )
-    if kind == "alt":
-        return ex.RAlt(
-            random_regex(rng, depth - 1, alphabet, allow_empty),
-            random_regex(rng, depth - 1, alphabet, allow_empty),
-        )
-    return ex.RStar(random_regex(rng, depth - 1, alphabet, allow_empty))
+            return layer["empty"]()
+        return layer["sym"](rng.choice(alphabet))
+    kind = rng.choice(tuple(layer)[2:])  # the compound kinds, in table order
+    left = _random_tree(rng, depth - 1, alphabet, allow_empty, layer)
+    if kind in ("star", "t"):
+        return layer[kind](left)
+    return layer[kind](left, _random_tree(rng, depth - 1, alphabet, allow_empty, layer))
+
+
+def random_regex(rng: random.Random, depth: int, alphabet=("a", "b"), allow_empty=True) -> ex.RegExpr:
+    return _random_tree(rng, depth, alphabet, allow_empty, ex.REGEX)
 
 
 def random_texpr(rng: random.Random, depth: int, alphabet=("a", "b"), allow_empty=True) -> ex.TExpr:
-    if depth <= 0 or rng.random() < 0.4:
-        if allow_empty and rng.random() < 0.12:
-            return ex.Empty()
-        return ex.Sym(rng.choice(alphabet))
-    kind = rng.choice(("cat", "sum", "star", "t"))
-    if kind == "cat":
-        return ex.Cat(
-            random_texpr(rng, depth - 1, alphabet, allow_empty),
-            random_texpr(rng, depth - 1, alphabet, allow_empty),
-        )
-    if kind == "sum":
-        return ex.Sum(
-            random_texpr(rng, depth - 1, alphabet, allow_empty),
-            random_texpr(rng, depth - 1, alphabet, allow_empty),
-        )
-    if kind == "star":
-        return ex.Star(random_texpr(rng, depth - 1, alphabet, allow_empty))
-    return ex.T(random_texpr(rng, depth - 1, alphabet, allow_empty))
+    return _random_tree(rng, depth, alphabet, allow_empty, ex.BLOCK)
 
 
 def random_omega_expr(

@@ -45,7 +45,6 @@ from .expr import (
     RegExpr,
     Union,
     erase_to_regex,
-    substitute_t_with_star,
     t_subexpressions,
 )
 
@@ -696,8 +695,8 @@ def _word_formula(e: OmegaTExpr, start: Term, supply: NameSupply) -> Formula:
 
 
 def omega_word_formula(e: OmegaTExpr) -> Formula:
-    """Closed formula for a T-free omega expression (the standard encoding
-    of omega-regular languages)."""
+    """Closed formula for an omega expression that reads ``^T`` as ``*`` (the
+    standard encoding of omega-regular languages)."""
     supply = NameSupply()
     first = supply.fresh("x")
     return ExistsFO(first, And(IsFirst(Var(first)), _word_formula(e, Var(first), supply)))
@@ -711,6 +710,6 @@ def emit_phi(e: OmegaTExpr) -> Formula:
     to their sites, so the result is documented as an approximation, not
     asserted language-equal.
     """
-    core = omega_word_formula(substitute_t_with_star(e))
+    core = omega_word_formula(e)
     conditions = [t_condition(erase_to_regex(body)) for body in t_subexpressions(e)]
     return reduce(And, [core, *conditions])

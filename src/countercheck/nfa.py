@@ -9,7 +9,7 @@ iterates in a deterministic order.
 Shortest accepted runs come from one breadth-first search,
 ``breadth_first_run``, over any graph given by a successor function that
 yields each state's edges already in tie-break order: ``shortest_accepting_run``
-sorts an automaton's edges by ``_edge_key`` once as it indexes them, and the
+reads them from ``NFA.adjacency``, which sorts them by ``_edge_key``, and the
 emptiness module's product reference, which explores a product on the fly,
 yields its edges in that same order.  The same search finds a
 counter-check automaton's run prefixes (``cca.has_run_prefix``): there the
@@ -212,10 +212,5 @@ def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
     """
     if n.has_silent_edges:
         raise ValueError("shortest-run search requires a silent-free automaton")
-    successors: dict = {}
-    for source, label, target in n.transitions:
-        successors.setdefault(source, []).append((label, target))
-    for edges in successors.values():
-        edges.sort(key=_edge_key)
-    return breadth_first_run(n.initial, n.finals.__contains__, lambda s: successors.get(s, ()))
+    return breadth_first_run(n.initial, n.finals.__contains__, n.adjacency().__getitem__)
 

@@ -135,6 +135,80 @@ CATALOGUE = (
         "return bf, bs - {f.var}, names",
         ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
     ),
+    Mutant(
+        "the structure-phase walk drops check states from the movers",
+        "src/countercheck/emptiness.py",
+        "movers = part.lettered.union(*part.inc, *part.check)",
+        "movers = part.lettered.union(*part.inc)",
+        ("tests/test_emptiness.py::test_structure_nfa_state_count_matches_the_built_nfa",),
+    ),
+    Mutant(
+        "the graph memo compares automata by equality",
+        "src/countercheck/emptiness.py",
+        "last[0]() is a:",
+        "last[0]() == a:",
+        ("tests/test_emptiness.py::test_the_graph_memo_never_serves_a_stale_graph",),
+    ),
+    Mutant(
+        "the graph memo has no callback to drop its entry",
+        "src/countercheck/emptiness.py",
+        "weakref.ref(a, _forget)",
+        "weakref.ref(a)",
+        ("tests/test_emptiness.py::test_the_graph_memo_keeps_no_automaton_alive",),
+    ),
+    Mutant(
+        "simplify derives the adjacency again",
+        "src/countercheck/emptiness.py",
+        "a = simplify(a, adjacency)",
+        "a = simplify(a)",
+        ("tests/test_emptiness.py::test_examine_derives_one_graph_per_simple_case",),
+    ),
+    Mutant(
+        "the ^T walk records a body after the ^T nodes inside it",
+        "src/countercheck/expr.py",
+        """        if type(x) is T:
+            found.append(x.body)
+        for value in vars(x).values():
+            if type(value) in _RELAX:  # a prefix's regular expression has no ^T
+                walk(value)
+""",
+        """        for value in vars(x).values():
+            if type(value) in _RELAX:  # a prefix's regular expression has no ^T
+                walk(value)
+        if type(x) is T:
+            found.append(x.body)
+""",
+        ("tests/test_expr.py::test_t_subexpressions_document_order",),
+    ),
+    Mutant(
+        "the block layer refuses a nested ^w with the prefix layer's message",
+        "src/countercheck/expr.py",
+        """_BLOCK_REFUSALS = {"omega": "'^w' cannot be nested"}""",
+        "_BLOCK_REFUSALS = _REGEX_REFUSALS",
+        ("tests/test_expr.py::test_stratifier_refusals_are_pinned[nested-omega]",),
+    ),
+    Mutant(
+        "the ^T relaxation keeps ^T",
+        "src/countercheck/expr.py",
+        "| {T: Star}",
+        "| {T: T}",
+        ("tests/test_expr.py::test_substitute_t_with_star_paper_case",),
+    ),
+    Mutant(
+        "the random generators draw the right operand first",
+        "src/countercheck/harness.py",
+        """    left = _random_tree(rng, depth - 1, alphabet, allow_empty, layer)
+    if kind in ("star", "t"):
+        return layer[kind](left)
+    return layer[kind](left, _random_tree(rng, depth - 1, alphabet, allow_empty, layer))
+""",
+        """    if kind in ("star", "t"):
+        return layer[kind](_random_tree(rng, depth - 1, alphabet, allow_empty, layer))
+    right = _random_tree(rng, depth - 1, alphabet, allow_empty, layer)
+    return layer[kind](_random_tree(rng, depth - 1, alphabet, allow_empty, layer), right)
+""",
+        ("tests/test_cca.py::test_run_prefixes_and_printing_are_pinned",),
+    ),
 )
 
 

@@ -58,6 +58,27 @@ def test_letter_outside_alphabet_rejected():
     assert "c" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("a^T b^w", "'^T' is only allowed underneath '^w'", 1),
+        ("a^w b^w", "'^w' cannot appear inside a finite prefix; it must end the branch", 1),
+        ("((a^w) b)^w", "'^w' cannot be nested", 3),
+        ("a^T", "'^T' needs an enclosing '^w'", 1),
+        ("a b", "missing omega closure: every branch needs '^w'", 2),
+        ("(a c)^w", "letter 'c' is not in the alphabet", 3),
+        ("c (a b)^w", "letter 'c' is not in the alphabet", 0),
+    ],
+    ids=["t-in-prefix", "omega-in-prefix", "nested-omega", "t-without-omega",
+         "missing-closure", "letter-in-block", "letter-in-prefix"],
+)
+def test_stratifier_refusals_are_pinned(text, message, position):
+    with pytest.raises(ex.ParseError) as excinfo:
+        ex.parse_omega_t(text, "ab")
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ex.ParseError) as excinfo:
         ex.parse_omega_t("(a^w", "ab")
@@ -124,6 +145,9 @@ def test_erase_to_regex_shapes():
 def test_t_subexpressions_document_order():
     tree = ex.parse_omega_t("(a^T b^T)^w + (b a^T)^w", "ab")
     assert ex.t_subexpressions(tree) == [ex.Sym("a"), ex.Sym("b"), ex.Sym("a")]
+    # an outer ^T comes before the ^T inside its body
+    nested = ex.parse_omega_t("((a^T b)^T)^w", "ab")
+    assert ex.t_subexpressions(nested) == [ex.Cat(ex.T(ex.Sym("a")), ex.Sym("b")), ex.Sym("a")]
 
 
 def letters(e) -> frozenset[str]:
