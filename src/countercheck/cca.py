@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -54,8 +55,7 @@ class Transition(NamedTuple):
 def transitions_from(rows: Iterable[tuple]) -> frozenset[Transition]:
     """The transitions of ``(source, label, target, counter, op)`` rows,
     made by ``tuple.__new__`` at C level; ``CCA`` validates them."""
-    new = tuple.__new__
-    return frozenset(new(Transition, row) for row in rows)
+    return frozenset(map(tuple.__new__, repeat(Transition), rows))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,19 @@ sequence mix use N + N' + 1, finite repetition N + 1, the recurring-size
 repetition N + 2.  Operand automata are renamed apart at every use, so no
 state name is ever shared between two automata of a compilation.
 
+Renaming apart copies no transitions.  A block rule returns a *part*: the
+current name of each of its local state ids, its initial and final ids, its
+counter count, its operands as shared pieces (operand part, id shift,
+counter offset) and the rule's own glue rows in local ids.  Renaming a part
+apart re-sorts its current names and draws fresh names in that order, as a
+copy renamed state by state would.  At the ``^w`` level one walk over each
+member's pieces emits its transition rows exactly once, adding up the id
+shifts and counter offsets on the way, and appends the loop-back row; a
+prefix appends its Thompson rows, and one merge over all rows builds the
+only automaton ``compile_expression`` constructs.  ``compile_t``,
+``compile_omega`` and the trace materialise the same parts and members as
+automata.
+
 Full language equality between an expression and its automaton is a limit
 property that no finite run can certify; the test suite probes it instead
 (per-block shapes of witness splits, emptiness agreement over random
@@ -21,10 +34,11 @@ expressions, run-prefix membership against the star relaxation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .cca import CCA, CHECK, INC, NO_OP, CCAError, Transition, hat, satisfies_final_contract, transitions_from
+from .cca import CCA, CHECK, INC, NO_OP, CCAError, transitions_from
 from .nfa import thompson
 
 # The most automata one expression may compile to.  On a 2-vCPU machine
@@ -54,25 +68,6 @@ class FreshNames:
         return [f"{self.prefix}{i}" for i in range(first, first + k)]
 
 
-def rename_apart(a: CCA, names: FreshNames, offset: int = 0) -> CCA:
-    """A copy of ``a`` with fresh state names, drawn in sorted state order,
-    and its counters renumbered upward by ``offset``; silent bookkeeping
-    no-ops stay on counter 1 (their counter is immaterial and must remain
-    1)."""
-    mapping = dict(zip(sorted(a.states), names.take(len(a.states))))
-    return CCA(
-        states=frozenset(mapping.values()),
-        alphabet=a.alphabet,
-        initial=mapping[a.initial],
-        counters=a.counters + offset,
-        transitions=transitions_from(
-            (mapping[source], label, mapping[target], counter if op == NO_OP else counter + offset, op)
-            for source, label, target, counter, op in a.transitions
-        ),
-        final=None if a.final is None else mapping[a.final],
-    )
-
-
 @dataclass(frozen=True)
 class AutomatonSet:
     expression: object  # the compiled (sub-)expression
@@ -88,60 +83,86 @@ class AutomatonSet:
             seen |= a.states
 
 
-def _require_contract(a: CCA) -> CCA:
-    assert satisfies_final_contract(a), "compiler produced a bad final state"
-    return a
+Trace = list[tuple[str, AutomatonSet]]
+
+# (source, label, target, counter, op): in local ids inside a part, in
+# state names once emitted
+Row = tuple
+
+
+class _Part(NamedTuple):
+    """A block rule's automaton, kept as glue over shared operand parts."""
+
+    names: list[str]  # the current name of each local state id
+    initial: int
+    final: int
+    counters: int
+    pieces: tuple[tuple["_Part", int, int], ...]  # (operand, id shift, counter offset)
+    glue: tuple[Row, ...]  # the rule's own rows, in local ids and its own counters
+
+
+def _renamed(p: _Part, names: FreshNames) -> list[str]:
+    """Fresh names for ``p``'s state ids, drawn in the sorted order of its
+    current names."""
+    fresh = dict(zip(sorted(p.names), names.take(len(p.names))))
+    return [fresh[s] for s in p.names]
+
+
+def _rows(p: _Part) -> list[Row]:
+    """Every transition row of ``p`` in state names: the glue of ``p`` and
+    of its pieces, ids moved by the id shifts and the counting operations'
+    counters by the counter offsets added up along the way; silent
+    bookkeeping no-ops stay on counter 1."""
+    names = p.names
+    rows: list[Row] = []
+    stack = [(p, 0, 0)]
+    while stack:
+        part, shift, offset = stack.pop()
+        rows += [
+            (names[source + shift], label, names[target + shift], counter if op == NO_OP else counter + offset, op)
+            for source, label, target, counter, op in part.glue
+        ]
+        for sub, sub_shift, sub_offset in part.pieces:
+            stack.append((sub, shift + sub_shift, offset + sub_offset))
+    return rows
+
+
+def _part_cca(p: _Part, alphabet: frozenset[str]) -> CCA:
+    names = p.names
+    return CCA(frozenset(names), alphabet, names[p.initial], p.counters, transitions_from(_rows(p)), names[p.final])
 
 
 # --------------------------------------------------------------------------
 # block-expression rules
 
-def _atom_empty(alphabet: frozenset[str], names: FreshNames) -> CCA:
-    s0, sf = names(), names()
-    return CCA(frozenset({s0, sf}), alphabet, s0, 1, frozenset(), sf)
+def _atom(glue: tuple[Row, ...], names: FreshNames) -> _Part:
+    return _Part([names(), names()], 0, 1, 1, (), glue)
 
 
-def _atom_symbol(letter: str, alphabet: frozenset[str], names: FreshNames) -> CCA:
-    s0, sf = names(), names()
-    return CCA(
-        frozenset({s0, sf}),
-        alphabet,
-        s0,
-        1,
-        frozenset({Transition(s0, letter, sf, 1, NO_OP), Transition(sf, None, sf, 1, INC)}),
-        sf,
+def _loops(state: int, low: int, high: int) -> tuple[Row, ...]:
+    """Inc and check self-loops on ``state`` for counters ``low..high``."""
+    return tuple((state, None, state, k, op) for k in range(low, high + 1) for op in (INC, CHECK))
+
+
+def _concat(a: _Part, b: _Part, names: FreshNames) -> _Part:
+    n = a.counters
+    k = len(a.names)
+    final = k + len(b.names)
+    return _Part(
+        _renamed(a, names) + _renamed(b, names) + [names()],
+        a.initial,
+        final,
+        n + b.counters + 1,
+        ((a, 0, 1), (b, k, n + 1)),
+        (
+            (a.final, None, k + b.initial, 2, CHECK),
+            (k + b.final, None, final, n + 2, CHECK),
+            (final, None, final, 1, INC),
+        ),
     )
 
 
-def _concat_pair(a: CCA, b: CCA, names: FreshNames) -> CCA:
-    n, n2 = a.counters, b.counters
-    left = rename_apart(a, names, 1)
-    right = rename_apart(b, names, n + 1)
-    final = names()
-    glue = {
-        Transition(left.final, None, right.initial, 2, CHECK),
-        Transition(right.final, None, final, n + 2, CHECK),
-        Transition(final, None, final, 1, INC),
-    }
-    return CCA(
-        states=left.states.union(right.states, (final,)),
-        alphabet=a.alphabet,
-        initial=left.initial,
-        counters=n + n2 + 1,
-        transitions=left.transitions.union(right.transitions, glue),
-        final=final,
-    )
-
-
-def _own_range_loops(state: str, low: int, high: int) -> set[Transition]:
-    return {
-        Transition(state, None, state, k, op)
-        for k in range(low, high + 1)
-        for op in (INC, CHECK)
-    }
-
-
-def _mix_triple(a: CCA, b: CCA, names: FreshNames) -> list[CCA]:
+def _mix_triple(a: _Part, b: _Part, names: FreshNames) -> list[_Part]:
     """The three automata of the sequence-mix rule.
 
     Each starts with a silent choice between fresh copies of the two
@@ -149,127 +170,105 @@ def _mix_triple(a: CCA, b: CCA, names: FreshNames) -> list[CCA]:
     extra self-loops over a counter range, letting a run keep the idle
     side's counters alive.
     """
-    n, n2 = a.counters, b.counters
-    total = n + n2 + 1
-    extras = [
-        lambda fa, fb: _own_range_loops(fa, n + 2, total),
-        lambda fa, fb: _own_range_loops(fb, 2, n + 1),
-        lambda fa, fb: _own_range_loops(fa, 2, n + 1) | _own_range_loops(fb, n + 2, total),
+    n = a.counters
+    total = n + b.counters + 1
+    k = len(a.names)
+    start = k + len(b.names)
+    final = start + 1
+    fa, fb = a.final, k + b.final
+    core = (
+        (start, None, a.initial, 1, NO_OP),
+        (start, None, k + b.initial, 1, NO_OP),
+        (fa, None, final, 2, CHECK),
+        (fb, None, final, n + 2, CHECK),
+        (final, None, final, 1, INC),
+    )
+    pieces = ((a, 0, 1), (b, k, n + 1))
+    extras = (
+        _loops(fa, n + 2, total),
+        _loops(fb, 2, n + 1),
+        _loops(fa, 2, n + 1) + _loops(fb, n + 2, total),
+    )
+    return [
+        _Part(_renamed(a, names) + _renamed(b, names) + [names(), names()], start, final, total, pieces, core + extra)
+        for extra in extras
     ]
-    variants = []
-    for extra in extras:
-        aa = rename_apart(a, names, 1)
-        bb = rename_apart(b, names, n + 1)
-        start, final = names(), names()
-        core = {
-            Transition(start, None, aa.initial, 1, NO_OP),
-            Transition(start, None, bb.initial, 1, NO_OP),
-            Transition(aa.final, None, final, 2, CHECK),
-            Transition(bb.final, None, final, n + 2, CHECK),
-            Transition(final, None, final, 1, INC),
-        }
-        variants.append(
-            CCA(
-                states=aa.states.union(bb.states, (start, final)),
-                alphabet=a.alphabet,
-                initial=start,
-                counters=total,
-                transitions=aa.transitions.union(bb.transitions, core, extra(aa.final, bb.final)),
-                final=final,
-            )
-        )
-    return variants
 
 
-def _star_member(a: CCA, names: FreshNames) -> CCA:
-    lifted = rename_apart(a, names, 1)
-    final = names()
-    glue = {
-        Transition(lifted.final, None, lifted.initial, 1, NO_OP),
-        Transition(lifted.final, None, final, 2, CHECK),
-        Transition(final, None, final, 1, INC),
-    }
-    return CCA(
-        states=lifted.states | {final},
-        alphabet=a.alphabet,
-        initial=lifted.initial,
-        counters=a.counters + 1,
-        transitions=lifted.transitions | glue,
-        final=final,
+def _star_member(a: _Part, names: FreshNames) -> _Part:
+    final = len(a.names)
+    return _Part(
+        _renamed(a, names) + [names()],
+        a.initial,
+        final,
+        a.counters + 1,
+        ((a, 0, 1),),
+        (
+            (a.final, None, a.initial, 1, NO_OP),
+            (a.final, None, final, 2, CHECK),
+            (final, None, final, 1, INC),
+        ),
     )
 
 
-def _recur_member(a: CCA, names: FreshNames) -> CCA:
+def _recur_member(a: _Part, names: FreshNames) -> _Part:
     """Repetition whose block sizes must recur unboundedly often.
 
     Counter 2 counts the blocks of the current size batch and is checked on
     exit; counter 3 (the operand's lifted block counter) may additionally be
     checked on the operand's final state.
     """
-    lifted = rename_apart(a, names, 2)
-    final = names()
-    glue = {
-        Transition(lifted.final, None, lifted.initial, 2, INC),
-        Transition(lifted.final, None, final, 2, CHECK),
-        Transition(lifted.final, None, lifted.final, 3, CHECK),
-        Transition(final, None, final, 1, INC),
-    }
-    return CCA(
-        states=lifted.states | {final},
-        alphabet=a.alphabet,
-        initial=lifted.initial,
-        counters=a.counters + 2,
-        transitions=lifted.transitions | glue,
-        final=final,
+    final = len(a.names)
+    return _Part(
+        _renamed(a, names) + [names()],
+        a.initial,
+        final,
+        a.counters + 2,
+        ((a, 0, 2),),
+        (
+            (a.final, None, a.initial, 2, INC),
+            (a.final, None, final, 2, CHECK),
+            (a.final, None, a.final, 3, CHECK),
+            (final, None, final, 1, INC),
+        ),
     )
+
+
+def _block_parts(e: ex.TExpr, alphabet: frozenset[str], names: FreshNames, trace: Optional[Trace]) -> list[_Part]:
+    if isinstance(e, ex.Empty):
+        parts = [_atom((), names)]
+    elif isinstance(e, ex.Sym):
+        if e.letter not in alphabet:
+            raise ValueError(f"letter {e.letter!r} outside the alphabet")
+        parts = [_atom(((0, e.letter, 1, 1, NO_OP), (1, None, 1, 1, INC)), names)]
+    elif isinstance(e, ex.Cat):
+        left = _block_parts(e.left, alphabet, names, trace)
+        right = _block_parts(e.right, alphabet, names, trace)
+        parts = [_concat(a, b, names) for a in left for b in right]
+    elif isinstance(e, ex.Sum):
+        left = _block_parts(e.left, alphabet, names, trace)
+        right = _block_parts(e.right, alphabet, names, trace)
+        parts = [m for a in left for b in right for m in _mix_triple(a, b, names)]
+    elif isinstance(e, ex.Star):
+        parts = [_star_member(a, names) for a in _block_parts(e.body, alphabet, names, trace)]
+    elif isinstance(e, ex.T):
+        parts = [_recur_member(a, names) for a in _block_parts(e.body, alphabet, names, trace)]
+    else:
+        raise TypeError(f"not a block expression: {e!r}")
+    if trace is not None:
+        trace.append((ex.pretty(e), AutomatonSet(e, tuple(_part_cca(p, alphabet) for p in parts))))
+    return parts
 
 
 def compile_t(
     e: ex.TExpr,
     alphabet: frozenset[str],
     names: Optional[FreshNames] = None,
-    trace: "Optional[Trace]" = None,
+    trace: Optional[Trace] = None,
 ) -> AutomatonSet:
     """Structural compilation of a block expression into an automaton set."""
-    if names is None:
-        names = FreshNames()
-    if isinstance(e, ex.Empty):
-        members = [_atom_empty(alphabet, names)]
-    elif isinstance(e, ex.Sym):
-        if e.letter not in alphabet:
-            raise ValueError(f"letter {e.letter!r} outside the alphabet")
-        members = [_atom_symbol(e.letter, alphabet, names)]
-    elif isinstance(e, ex.Cat):
-        left = compile_t(e.left, alphabet, names, trace)
-        right = compile_t(e.right, alphabet, names, trace)
-        members = [
-            _concat_pair(a, b, names)
-            for a in left.automata
-            for b in right.automata
-        ]
-    elif isinstance(e, ex.Sum):
-        left = compile_t(e.left, alphabet, names, trace)
-        right = compile_t(e.right, alphabet, names, trace)
-        members = [
-            m
-            for a in left.automata
-            for b in right.automata
-            for m in _mix_triple(a, b, names)
-        ]
-    elif isinstance(e, ex.Star):
-        inner = compile_t(e.body, alphabet, names, trace)
-        members = [_star_member(a, names) for a in inner.automata]
-    elif isinstance(e, ex.T):
-        inner = compile_t(e.body, alphabet, names, trace)
-        members = [_recur_member(a, names) for a in inner.automata]
-    else:
-        raise TypeError(f"not a block expression: {e!r}")
-    for m in members:
-        _require_contract(m)
-    result = AutomatonSet(e, tuple(members))
-    if trace is not None:
-        trace.append((ex.pretty(e), result))
-    return result
+    parts = _block_parts(e, alphabet, FreshNames() if names is None else names, trace)
+    return AutomatonSet(e, tuple(_part_cca(p, alphabet) for p in parts))
 
 
 def member_count(e: ex.TExpr) -> int:
@@ -305,24 +304,57 @@ def expected_counters(e: ex.TExpr) -> int:
 # --------------------------------------------------------------------------
 # omega-level rules
 
-def _prepend_regex(r: ex.RegExpr, a: CCA, alphabet: frozenset[str], names: FreshNames) -> CCA:
+class _Member(NamedTuple):
+    """One automaton of an omega expression's set, as rows in state names."""
+
+    states: list[str]
+    initial: str
+    entry: str  # the omega part's initial state, target of the loop-back
+    final: str
+    counters: int
+    rows: list[Row]
+
+
+def _omega_member(p: _Part) -> _Member:
+    """The loop-back closure of a block part, with the checks every member
+    of a compilation passes once: the final state's only outgoing row is
+    its counter-1 increment loop, and no row touches a counter beyond N."""
+    rows = _rows(p)
+    initial, final = p.names[p.initial], p.names[p.final]
+    if not {row for row in rows if row[0] == final} <= {(final, None, final, 1, INC)}:
+        raise CCAError("compiler produced a bad final state")
+    if rows and max(map(itemgetter(3), rows)) > p.counters:
+        raise CCAError(f"a compiled transition touches a counter beyond {p.counters}")
+    rows.append((final, None, initial, 1, CHECK))
+    return _Member(p.names, initial, initial, final, p.counters, rows)
+
+
+def _prefixed(r: ex.RegExpr, m: _Member, alphabet: frozenset[str], names: FreshNames) -> _Member:
     word_nfa = thompson(r, alphabet, names)
-    copies = {
-        Transition(source, label, target, 1, NO_OP)
-        for source, label, target in word_nfa.transitions
-    }
-    links = {Transition(f, None, a.initial, 1, NO_OP) for f in word_nfa.finals}
-    return CCA(
-        states=a.states | word_nfa.states,
-        alphabet=alphabet,
-        initial=word_nfa.initial,
-        counters=a.counters,
-        transitions=a.transitions | copies | links,
-        final=a.final,
-    )
+    rows = [(source, label, target, 1, NO_OP) for source, label, target in word_nfa.transitions]
+    rows += [(f, None, m.initial, 1, NO_OP) for f in word_nfa.finals]
+    return m._replace(states=m.states + list(word_nfa.states), initial=word_nfa.initial, rows=m.rows + rows)
 
 
-Trace = list[tuple[str, AutomatonSet]]
+def _member_cca(m: _Member, alphabet: frozenset[str]) -> CCA:
+    return CCA(frozenset(m.states), alphabet, m.initial, m.counters, transitions_from(m.rows), m.final)
+
+
+def _omega_members(
+    e: ex.OmegaTExpr, alphabet: frozenset[str], names: FreshNames, trace: Optional[Trace]
+) -> list[_Member]:
+    if isinstance(e, ex.Union):
+        members = _omega_members(e.left, alphabet, names, trace) + _omega_members(e.right, alphabet, names, trace)
+    elif isinstance(e, ex.Prefix):
+        tail = _omega_members(e.tail, alphabet, names, trace)
+        members = [_prefixed(e.prefix, m, alphabet, names) for m in tail]
+    elif isinstance(e, ex.Omega):
+        members = [_omega_member(p) for p in _block_parts(e.body, alphabet, names, trace)]
+    else:
+        raise TypeError(f"not an omega expression: {e!r}")
+    if trace is not None:
+        trace.append((ex.pretty(e), AutomatonSet(e, tuple(_member_cca(m, alphabet) for m in members))))
+    return members
 
 
 def compile_omega(
@@ -331,54 +363,40 @@ def compile_omega(
     names: Optional[FreshNames] = None,
     trace: Optional[Trace] = None,
 ) -> AutomatonSet:
-    if names is None:
-        names = FreshNames()
-    if isinstance(e, ex.Union):
-        left = compile_omega(e.left, alphabet, names, trace)
-        right = compile_omega(e.right, alphabet, names, trace)
-        result = AutomatonSet(e, left.automata + right.automata)
-    elif isinstance(e, ex.Prefix):
-        tail = compile_omega(e.tail, alphabet, names, trace)
-        result = AutomatonSet(
-            e, tuple(_prepend_regex(e.prefix, a, alphabet, names) for a in tail.automata)
-        )
-    elif isinstance(e, ex.Omega):
-        inner = compile_t(e.body, alphabet, names, trace)
-        result = AutomatonSet(e, tuple(hat(a) for a in inner.automata))
-    else:
-        raise TypeError(f"not an omega expression: {e!r}")
-    if trace is not None:
-        trace.append((ex.pretty(e), result))
-    return result
+    members = _omega_members(e, alphabet, FreshNames() if names is None else names, trace)
+    return AutomatonSet(e, tuple(_member_cca(m, alphabet) for m in members))
+
+
+def _merged(members: list[_Member], alphabet: frozenset[str], names: FreshNames) -> CCA:
+    """Glue members into one automaton behind a fresh silent-choice root;
+    members with fewer counters get idle-counter self-loops on their entry
+    state so padding counters stay checkable."""
+    top = max(m.counters for m in members)
+    states: set[str] = set()
+    for m in members:
+        states.update(m.states)
+    if len(states) != sum(len(m.states) for m in members):
+        raise ValueError("automaton set members must be state-disjoint")
+    root = names()
+    while root in states:
+        root = names()
+    states.add(root)
+    rows: list[Row] = []
+    for m in members:
+        rows += m.rows
+        rows += _loops(m.initial, m.counters + 1, top)
+        rows.append((root, None, m.initial, 1, NO_OP))
+    return CCA(frozenset(states), alphabet, root, top, transitions_from(rows), None)
 
 
 def merge(auto_set: AutomatonSet, names: Optional[FreshNames] = None) -> CCA:
     """Glue an automaton set into one automaton behind a fresh silent-choice
-    root; members with fewer counters get idle-counter self-loops on their
-    entry state so padding counters stay checkable."""
-    if names is None:
-        names = FreshNames("m")
-    members = auto_set.automata
-    top = max(a.counters for a in members)
-    root = names()
-    while any(root in a.states for a in members):
-        root = names()
-    states = {root}
-    transitions = set()
-    alphabet = members[0].alphabet
-    for a in members:
-        states |= a.states
-        transitions.update(a.transitions)
-        transitions |= _own_range_loops(a.initial, a.counters + 1, top)
-        transitions.add(Transition(root, None, a.initial, 1, NO_OP))
-    return CCA(
-        states=frozenset(states),
-        alphabet=alphabet,
-        initial=root,
-        counters=top,
-        transitions=frozenset(transitions),
-        final=None,
-    )
+    root, padding narrower members as ``compile_expression`` does."""
+    members = [
+        _Member(list(a.states), a.initial, a.initial, a.final, a.counters, list(a.transitions))
+        for a in auto_set.automata
+    ]
+    return _merged(members, auto_set.automata[0].alphabet, FreshNames("m") if names is None else names)
 
 
 def compile_expression(
@@ -394,4 +412,4 @@ def compile_expression(
         raise CCAError(f"expression compiles to {members} automata, more than {MAX_MEMBERS}")
     sigma = frozenset(alphabet)
     names = FreshNames()
-    return merge(compile_omega(e, sigma, names, trace), names)
+    return _merged(_omega_members(e, sigma, names, trace), sigma, names)

@@ -109,6 +109,10 @@ def test_compile_intermediate_dumps_sets(capsys):
     assert out.count("==") >= 8  # one banner per sub-expression
     assert "a^T" in out
     assert out == (Path(__file__).parent / "golden" / "compile_intermediate.txt").read_text(encoding="utf-8")
+    # every rule at once: a mix, a star, a ^T, a prefix and a union
+    code, out, _ = run(capsys, "compile", "b (a + b^T)^w + (a* b)^w", "--intermediate")
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "compile_intermediate_union.txt").read_text(encoding="utf-8")
 
 
 def test_dot_output(capsys, tmp_path):

@@ -33,7 +33,6 @@ from countercheck.translate import (
     member_count,
     merge,
     omega_member_count,
-    rename_apart,
 )
 
 from conftest import accepts_extension, atom_a, random_general_cca
@@ -227,8 +226,11 @@ def test_final_contract_everywhere(rng):
         trace = []
         compile_t(e, SIGMA, FreshNames(), trace)
         for _, auto_set in trace:
+            seen = set()
             for m in auto_set.automata:
                 assert satisfies_final_contract(m)
+                assert not seen & m.states
+                seen |= m.states
 
 
 def shift(a: CCA, offset: int) -> CCA:
@@ -269,8 +271,25 @@ def test_shift_composes():
     assert shift(shift(a, 1), 1) == shift(a, 2)
 
 
+def rename_apart(a: CCA, names: FreshNames, offset: int = 0) -> CCA:
+    """Reference renaming: a copy of ``a`` with fresh state names, drawn in
+    sorted state order, and its counters lifted by ``offset`` in the same
+    pass."""
+    mapping = dict(zip(sorted(a.states), names.take(len(a.states))))
+    return CCA(
+        frozenset(mapping.values()),
+        a.alphabet,
+        mapping[a.initial],
+        a.counters + offset,
+        frozenset(
+            Transition(mapping[t.source], t.label, mapping[t.target], t.counter if t.op == NO_OP else t.counter + offset, t.op)
+            for t in a.transitions
+        ),
+        None if a.final is None else mapping[a.final],
+    )
+
+
 def test_rename_apart_lifts_counters_as_shift_does(rng):
-    # the rules rename and lift each operand in one pass
     for _ in range(60):
         a = random_general_cca(rng, max_states=8, max_counters=3)
         if rng.random() < 0.5:
@@ -278,8 +297,30 @@ def test_rename_apart_lifts_counters_as_shift_does(rng):
         offset = rng.randint(0, 3)
         once = rename_apart(a, FreshNames("r"), offset)
         assert once == shift(rename_apart(a, FreshNames("r")), offset)
-    member = the(compile_t(ex.parse_omega_t("(a^T b)^w", "ab").body, SIGMA))
-    assert rename_apart(member, FreshNames(), 2) == shift(rename_apart(member, FreshNames()), 2)
+    # every rule holds its operands renamed apart and lifted as the
+    # reference does, drawing names in the same order
+    checked = 0
+    while checked < 40:
+        left, right = random_texpr(rng, depth=3), random_texpr(rng, depth=3)
+        if member_count(left) * member_count(right) > 27:
+            continue
+        for rule, offset in ((ex.Star, 1), (ex.T, 2)):
+            names = FreshNames()
+            inner = compile_t(left, SIGMA, names).automata
+            for a, m in zip(inner, compile_t(rule(left), SIGMA).automata):
+                copy = rename_apart(a, names, offset)
+                names()  # the rule's own final state
+                assert copy.states < m.states and copy.transitions < m.transitions
+        names = FreshNames()
+        operands = compile_t(left, SIGMA, names).automata, compile_t(right, SIGMA, names).automata
+        members = iter(compile_t(ex.Cat(left, right), SIGMA).automata)
+        for a in operands[0]:
+            for b in operands[1]:
+                m = next(members)
+                for copy in (rename_apart(a, names, 1), rename_apart(b, names, a.counters + 1)):
+                    assert copy.states < m.states and copy.transitions <= m.transitions
+                names()
+        checked += 1
 
 
 def test_state_disjointness_across_compilation(rng):
@@ -296,6 +337,21 @@ def test_state_disjointness_across_compilation(rng):
             assert not (final_states & member.states)
             final_states |= member.states
         assert final_states <= auto.states
+
+
+@pytest.mark.parametrize("text", ["((a+b)(a+b))^w", "b (a^w + (b 0)^w)"])
+def test_compile_expression_constructs_one_automaton(text, monkeypatch):
+    # renaming apart copies no automaton: only the merged one is built
+    built = []
+    validate = CCA.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(CCA, "__post_init__", counting)
+    auto = compile_expression(ex.parse_omega_t(text, "ab"), "ab")
+    assert built == [auto]
 
 
 # --------------------------------------------------------------------------
