@@ -368,9 +368,14 @@ def compile_omega(
 
 
 def _merged(members: list[_Member], alphabet: frozenset[str], names: FreshNames) -> CCA:
-    """Glue members into one automaton behind a fresh silent-choice root;
-    members with fewer counters get idle-counter self-loops on their entry
-    state so padding counters stay checkable."""
+    """Glue members into one automaton behind a fresh silent-choice root.
+
+    A member with fewer counters than the widest gets inc and check
+    self-loops for the missing counters on its omega part's entry, the
+    target of its loop-back, which every recurring cycle passes.  A
+    prefixed member's initial state is passed only once, so padding there
+    would leave those counters unchecked and the member empty.
+    """
     top = max(m.counters for m in members)
     states: set[str] = set()
     for m in members:
@@ -384,16 +389,25 @@ def _merged(members: list[_Member], alphabet: frozenset[str], names: FreshNames)
     rows: list[Row] = []
     for m in members:
         rows += m.rows
-        rows += _loops(m.initial, m.counters + 1, top)
+        rows += _loops(m.entry, m.counters + 1, top)
         rows.append((root, None, m.initial, 1, NO_OP))
     return CCA(frozenset(states), alphabet, root, top, transitions_from(rows), None)
+
+
+def _entry(a: CCA) -> str:
+    """The target of ``a``'s loop-back: the silent counter-1 check out of
+    its final state; ``a.initial`` when it has none."""
+    for source, label, target, counter, op in a.transitions:
+        if source == a.final and label is None and counter == 1 and op == CHECK:
+            return target
+    return a.initial
 
 
 def merge(auto_set: AutomatonSet, names: Optional[FreshNames] = None) -> CCA:
     """Glue an automaton set into one automaton behind a fresh silent-choice
     root, padding narrower members as ``compile_expression`` does."""
     members = [
-        _Member(list(a.states), a.initial, a.initial, a.final, a.counters, list(a.transitions))
+        _Member(list(a.states), a.initial, _entry(a), a.final, a.counters, list(a.transitions))
         for a in auto_set.automata
     ]
     return _merged(members, auto_set.automata[0].alphabet, FreshNames("m") if names is None else names)

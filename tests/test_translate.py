@@ -18,7 +18,7 @@ from countercheck.cca import (
     simplify,
     split_with_residue,
 )
-from countercheck.emptiness import brute_force_witness, is_empty
+from countercheck.emptiness import brute_force_witness, decide, is_empty, verify_witness
 from countercheck.harness import random_texpr, random_omega_expr
 from countercheck.logic import emit_phi, pretty_formula
 from countercheck.nfa import accepts, thompson
@@ -418,6 +418,16 @@ def test_merge_pads_counters():
     assert padding == {(4, INC), (4, CHECK), (5, INC), (5, CHECK)}
 
 
+@pytest.mark.parametrize("text", ["a b^w + (a^T 0)^w", "0*^w + b a^w", "b (a^w + (b 0)^w)"])
+def test_merge_pads_a_prefixed_member_on_its_cycle(text):
+    # the only nonempty member has a prefix and fewer counters than the
+    # widest; padded on the prefix's first state, passed once, its padding
+    # counters could never be checked again and the union read as empty
+    report = decide(compile_expression(ex.parse_omega_t(text, "ab"), "ab"))
+    assert not report.empty
+    assert verify_witness(report.simple, report.witness)
+
+
 def test_merge_empty_iff_every_member_empty(rng):
     for _ in range(12):
         e = random_omega_expr(rng, depth=3)
@@ -544,4 +554,4 @@ def test_compile_exports_and_formulas_are_pinned():
         ):
             digest.update(text.encode() + b"\n")
     assert transitions > 30000
-    assert digest.hexdigest() == "8c8423bc98d919141073f8f6561fb566a35eb45ca3d68e71d4718d73c6699dad"
+    assert digest.hexdigest() == "42c2f57c468f889f5dd189fd240009af984bba44bb11634a559045c2c3f42f92"
