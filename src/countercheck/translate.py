@@ -43,9 +43,10 @@ from .nfa import thompson
 
 # The most automata one expression may compile to.  On a 2-vCPU machine
 # (Python 3.11, peak RSS of a process that also simplifies the result)
-# ``((a+b)^6)^w`` (729 members, 60,507 transitions) compiles and exports
-# in 0.8-1.0 s at 77 MB, ``((a+b)^7)^w`` (2187, 212,139 transitions) in
-# about 3.6 s at 223 MB, and every further ``+`` triples the count.
+# ``((a+b)^6)^w`` (729 members, 60,507 transitions) compiles in 0.13-0.19 s
+# and exports in 0.33-0.44 s all told at 64 MB, ``((a+b)^7)^w`` (2187,
+# 212,139 transitions) in 0.7-0.9 s and 2.1-2.2 s at 174 MB, and every
+# further ``+`` triples the count.
 MAX_MEMBERS = 1000
 
 

@@ -209,6 +209,34 @@ CATALOGUE = (
 """,
         ("tests/test_cca.py::test_run_prefixes_and_printing_are_pinned",),
     ),
+    Mutant(
+        "merge pads a narrower member on its initial state, not its loop-back target",
+        "src/countercheck/translate.py",
+        "rows += _loops(m.entry, m.counters + 1, top)",
+        "rows += _loops(m.initial, m.counters + 1, top)",
+        ("tests/test_translate.py::test_merge_pads_a_prefixed_member_on_its_cycle",),
+    ),
+    Mutant(
+        "renaming apart draws fresh names in id order, not name order",
+        "src/countercheck/translate.py",
+        "fresh = dict(zip(sorted(p.names), names.take(len(p.names))))",
+        "fresh = dict(zip(p.names, names.take(len(p.names))))",
+        ("tests/test_translate.py::test_rename_apart_lifts_counters_as_shift_does",),
+    ),
+    Mutant(
+        "the row walk does not accumulate a piece's counter offset",
+        "src/countercheck/translate.py",
+        "stack.append((sub, shift + sub_shift, offset + sub_offset))",
+        "stack.append((sub, shift + sub_shift, sub_offset))",
+        ("tests/test_translate.py::test_rename_apart_lifts_counters_as_shift_does",),
+    ),
+    Mutant(
+        "the third mix variant drops the loops on the right operand's final state",
+        "src/countercheck/translate.py",
+        "_loops(fa, 2, n + 1) + _loops(fb, n + 2, total),",
+        "_loops(fa, 2, n + 1),",
+        ("tests/test_translate.py::test_compile_mix_shapes",),
+    ),
 )
 
 
