@@ -217,6 +217,13 @@ CATALOGUE = (
         ("tests/test_translate.py::test_merge_pads_a_prefixed_member_on_its_cycle",),
     ),
     Mutant(
+        "merge of an automaton set pads each member on its initial state",
+        "src/countercheck/translate.py",
+        "_Member(list(a.states), a.initial, _entry(a), a.final, a.counters, list(a.transitions))",
+        "_Member(list(a.states), a.initial, a.initial, a.final, a.counters, list(a.transitions))",
+        ("tests/test_translate.py::test_merge_pads_a_prefixed_member_on_its_cycle",),
+    ),
+    Mutant(
         "renaming apart draws fresh names in id order, not name order",
         "src/countercheck/translate.py",
         "fresh = dict(zip(sorted(p.names), names.take(len(p.names))))",

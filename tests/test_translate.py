@@ -297,6 +297,8 @@ def test_rename_apart_lifts_counters_as_shift_does(rng):
         offset = rng.randint(0, 3)
         once = rename_apart(a, FreshNames("r"), offset)
         assert once == shift(rename_apart(a, FreshNames("r")), offset)
+    member = the(compile_t(ex.parse_omega_t("(a^T b)^w", "ab").body, SIGMA))
+    assert rename_apart(member, FreshNames(), 2) == shift(rename_apart(member, FreshNames()), 2)
     # every rule holds its operands renamed apart and lifted as the
     # reference does, drawing names in the same order
     checked = 0
@@ -423,9 +425,11 @@ def test_merge_pads_a_prefixed_member_on_its_cycle(text):
     # the only nonempty member has a prefix and fewer counters than the
     # widest; padded on the prefix's first state, passed once, its padding
     # counters could never be checked again and the union read as empty
-    report = decide(compile_expression(ex.parse_omega_t(text, "ab"), "ab"))
-    assert not report.empty
-    assert verify_witness(report.simple, report.witness)
+    tree = ex.parse_omega_t(text, "ab")
+    for auto in (compile_expression(tree, "ab"), merge(compile_omega(tree, SIGMA))):
+        report = decide(auto)
+        assert not report.empty
+        assert verify_witness(report.simple, report.witness)
 
 
 def test_merge_empty_iff_every_member_empty(rng):
