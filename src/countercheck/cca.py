@@ -93,12 +93,17 @@ class CCA:
     def adjacency(self) -> dict[str, tuple[Transition, ...]]:
         """Each state's out-transitions in ``Transition.sort_key`` order.
 
-        Plain tuple order is that order whenever the labels of one list are
-        all letters or all silent.  A list that mixes them compares ``None``
-        with a letter, which raises ``TypeError``, and is sorted by
+        Derived on the first call and kept on the automaton, outside its
+        fields, so later calls return the same dict; callers never mutate
+        it.  Plain tuple order is that order whenever the labels of one
+        list are all letters or all silent.  A list that mixes them compares
+        ``None`` with a letter, which raises ``TypeError``, and is sorted by
         ``sort_key`` instead; its keys are distinct, so the order does not
         depend on how far the first sort got.
         """
+        kept = self.__dict__.get("_adjacency")
+        if kept is not None:
+            return kept
         out: dict[str, list[Transition]] = {s: [] for s in self.states}
         for t in self.transitions:
             out[t[0]].append(t)
@@ -108,7 +113,8 @@ class CCA:
                     ts.sort()
                 except TypeError:
                     ts.sort(key=Transition.sort_key)
-        return {s: tuple(ts) for s, ts in out.items()}
+        kept = self.__dict__["_adjacency"] = {s: tuple(ts) for s, ts in out.items()}
+        return kept
 
 
 @dataclass(frozen=True)
@@ -143,15 +149,6 @@ def _is_choice(out: tuple[Transition, ...]) -> bool:
     return all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out)
 
 
-def is_simple(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None) -> bool:
-    """Each state either fires exactly one transition, or only silent
-    no-op choices (possibly none); ``adjacency`` reuses one the caller
-    already has."""
-    if adjacency is None:
-        adjacency = a.adjacency()
-    return all(len(out) == 1 or _is_choice(out) for out in adjacency.values())
-
-
 @dataclass(frozen=True)
 class Partition:
     lettered: frozenset[str]  # states firing a lettered transition
@@ -159,17 +156,17 @@ class Partition:
     check: tuple[frozenset[str], ...]
 
 
-def partition(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None) -> Partition:
-    """The partition of a simple automaton, from one pass over its
-    adjacency: a state firing one transition is inc-k or check-k by that
-    transition's op and lettered by its label.  Stuck and choice states are
-    in no set: a stuck state has no out-edge, a choice state has some."""
-    if adjacency is None:
-        adjacency = a.adjacency()
+def _classify(a: CCA) -> Optional[Partition]:
+    """One pass over the adjacency: the partition when every state either
+    fires exactly one transition or only silent no-op choices (possibly
+    none), else None.  A state firing one transition is inc-k or check-k by
+    that transition's op and lettered by its label.  Stuck and choice
+    states are in no set: a stuck state has no out-edge, a choice state has
+    some."""
     lettered: set[str] = set()
     inc: list[set[str]] = [set() for _ in range(a.counters)]
     check: list[set[str]] = [set() for _ in range(a.counters)]
-    for s, out in adjacency.items():
+    for s, out in a.adjacency().items():
         if len(out) == 1:
             t = out[0]
             if t.op == INC:
@@ -179,26 +176,47 @@ def partition(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = N
             if t.label is not None:
                 lettered.add(s)
         elif out and not _is_choice(out):
-            raise CCAError("state classification requires a simple automaton")
+            return None
     return Partition(frozenset(lettered), tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
 
 
-def simplify(a: CCA, adjacency: Optional[dict[str, tuple[Transition, ...]]] = None) -> CCA:
+def _classification(a: CCA) -> Optional[Partition]:
+    """``_classify(a)``, made on the first call and kept on the automaton
+    beside its adjacency."""
+    kept = a.__dict__
+    if "_partition" not in kept:
+        kept["_partition"] = _classify(a)
+    return kept["_partition"]
+
+
+def is_simple(a: CCA) -> bool:
+    """Each state either fires exactly one transition, or only silent
+    no-op choices (possibly none)."""
+    return _classification(a) is not None
+
+
+def partition(a: CCA) -> Partition:
+    """The partition of a simple automaton into its lettered, inc-k and
+    check-k states; ``CCAError`` for any other automaton."""
+    part = _classification(a)
+    if part is None:
+        raise CCAError("state classification requires a simple automaton")
+    return part
+
+
+def simplify(a: CCA) -> CCA:
     """Split every offending state into a silent choice over one fresh
     carrier state per original transition; returns ``a`` itself when no
     state offends.  Adds at most one state per transition and preserves
-    which words admit a run prefix; ``adjacency`` reuses one the caller
-    already has.
+    which words admit a run prefix.
 
     The carriers of ``s`` are named ``s.0``, ``s.1``, ... in the order of
     its out-transitions, skipping names ``a`` already has.  A carrier name
     ends in its index, so carriers of different states never collide.
     """
-    if adjacency is None:
-        adjacency = a.adjacency()
     kept: list[Transition] = []
     offending: list[tuple[str, tuple[Transition, ...]]] = []
-    for s, out in adjacency.items():
+    for s, out in a.adjacency().items():
         if len(out) == 1 or _is_choice(out):
             kept += out
         else:
@@ -269,23 +287,24 @@ class RunPrefix:
         return "".join(t.label for t in self.steps if t.label is not None)
 
 
-def default_eps_budget(a: CCA) -> int:
-    return len(a.states) * (a.counters + 2)
-
-
 def has_run_prefix(a: CCA, word: str, eps_budget: Optional[int] = None) -> Optional[RunPrefix]:
     """Search for a run prefix consuming exactly ``word``, with at most
-    ``eps_budget`` silent steps before each letter and none after the last.
+    ``eps_budget`` silent steps before each letter and none after the last;
+    the default is |S| - 1.
 
     Counter values never gate transitions, so ``nfa.breadth_first_run``
     searches (state, position, silent-steps) triples with the fired
     transitions as edge labels; the returned configurations are replayed
-    from the transition sequence it finds.
+    from the transition sequence it finds.  A gap of |S| or more silent
+    steps repeats a state, and cutting that cycle out leaves a shorter run,
+    so the search never takes more than |S| - 1 in one gap: a larger budget
+    finds the same run.
     """
-    if eps_budget is None:
-        eps_budget = default_eps_budget(a)
-    if eps_budget < 0:
-        raise CCAError("silent-step budget must be nonnegative")
+    cap = len(a.states) - 1
+    if eps_budget is not None:
+        if eps_budget < 0:
+            raise CCAError("silent-step budget must be nonnegative")
+        cap = min(cap, eps_budget)
     for letter in word:
         if letter not in a.alphabet:
             raise CCAError(f"letter {letter!r} outside the alphabet")
@@ -297,7 +316,7 @@ def has_run_prefix(a: CCA, word: str, eps_budget: Optional[int] = None) -> Optio
         state, pos, eps_used = node
         for t in adjacency[state]:
             if t.label is None:
-                if eps_used < eps_budget and pos < end:
+                if eps_used < cap and pos < end:
                     yield t, (t.target, pos, eps_used + 1)
             elif pos < end and t.label == word[pos]:
                 yield t, (t.target, pos + 1, 0)

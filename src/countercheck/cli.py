@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = expression_command("simulate", "search for a run prefix consuming a word", True)
     p.add_argument("--word", required=True)
-    p.add_argument("--eps", type=int, default=None, help="silent-step budget between letters")
+    eps_help = "silent steps allowed before each letter (default, and the most a run needs: states - 1)"
+    p.add_argument("--eps", type=int, default=None, help=eps_help)
     p.set_defaults(func=cmd_simulate)
 
     p = expression_command("formula", "emit the second-order formula for an expression")

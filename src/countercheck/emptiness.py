@@ -21,15 +21,10 @@ counter values, so the question is one about the automaton's graph:
   states by walking the same table, for the size-bound check, without
   building it.
 
-Each public entry point takes the automaton's adjacency and state
-partition from a one-entry memo and hands them to private helpers; the
-partition (lettered, inc-k and check-k states) comes from
-``cca.partition``, one pass over the adjacency.  The memo holds the last
-automaton seen, compared by identity, so the entry points a fuzz case
-calls in turn on one automaton derive its graph once.  It refers to that
-automaton weakly and keeps its adjacency and partition alive until
-another automaton is passed or this one is freed; nothing is stored on
-the automaton.
+Every entry point reads the automaton's adjacency and state partition
+(lettered, inc-k and check-k states) from ``cca``, which derives both once
+per automaton and keeps them on it, so the entry points a fuzz case calls
+in turn on one automaton share one graph.
 
 Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
 before it is returned; ``brute_force_witness`` provides the same answer by
@@ -42,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -101,57 +95,21 @@ def witness_from_json(text: str) -> AcceptingWitness:
 
 
 # --------------------------------------------------------------------------
-# the graph memo
+# the simple automaton and its partition
 
-# a weak reference to the last automaton ``_derive`` saw, its adjacency,
-# and its partition (None when it is not simple); rebound whole, so a reader
-# never pairs one automaton with another's graph
-_last: tuple = (None, None, None)
-
-
-def _derive(a: CCA) -> tuple[dict, Optional[Partition]]:
-    """The adjacency of ``a`` and, when ``a`` is simple, its partition.
-
-    The automaton is immutable, so the values derived for the last one
-    passed, compared by identity, are handed out again: the entry points a
-    fuzz case calls in turn on one automaton share one graph.  Callers never
-    mutate what they get.
-    """
-    global _last
-    last = _last
-    if last[0] is not None and last[0]() is a:
-        return last[1], last[2]
-    adjacency = a.adjacency()
-    part = partition(a, adjacency) if is_simple(a, adjacency) else None
-    _last = (weakref.ref(a, _forget), adjacency, part)
-    return adjacency, part
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Drop the memo with its automaton, so that the graph never outlives
-    it; a race with ``_derive`` can only cost a later miss."""
-    global _last
-    if _last[0] is ref:
-        _last = (None, None, None)
-
-
-def _graph(a: CCA, purpose: str) -> tuple[dict, Partition]:
-    """The adjacency and partition of a simple automaton; a ``CCAError``
-    naming ``purpose`` for any other automaton."""
-    adjacency, part = _derive(a)
-    if part is None:
+def _partition(a: CCA, purpose: str) -> Partition:
+    """The partition of a simple automaton; a ``CCAError`` naming
+    ``purpose`` for any other automaton."""
+    if not is_simple(a):
         raise CCAError(f"{purpose} requires a simple automaton")
-    return adjacency, part
+    return partition(a)
 
 
-def _simple_graph(a: CCA) -> tuple[CCA, dict, Partition]:
-    """The simple automaton a decision works on, with its adjacency and
-    partition."""
-    adjacency, part = _derive(a)
-    if part is None:
-        a = simplify(a, adjacency)
-        adjacency, part = _derive(a)
-    return a, adjacency, part
+def _simple(a: CCA) -> CCA:
+    """The simple automaton a decision works on: ``a`` itself, found by
+    the kept classification without ``simplify``'s walk, or its
+    simplification."""
+    return a if is_simple(a) else simplify(a)
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +120,7 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 
     Reads only the state path, never counter values.
     """
-    _, part = _graph(a, "witness verification")
+    part = _partition(a, "witness verification")
     return _verify(a, w, part)
 
 
@@ -274,7 +232,7 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
     even when no phase reaches it.  The state count is bounded by
     2 + 2*N*|S| + N*|S|^2 + |S|.
     """
-    _, part = _graph(a, "the witness-structure NFA")
+    part = _partition(a, "the witness-structure NFA")
     return _structure_nfa(a, part)
 
 
@@ -324,7 +282,7 @@ def witness_nfa_state_bound(a: CCA) -> int:
 def witness_nfa_state_count(a: CCA) -> int:
     """The number of states of ``build_potential_witness_nfa(a)``, counted
     by walking the phase table without building the NFA."""
-    _, part = _graph(a, "the witness-structure NFA")
+    part = _partition(a, "the witness-structure NFA")
     return len(_structure_phases(a, part))
 
 
@@ -377,7 +335,8 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     the language is empty.  This is the reference ``decide`` is fuzzed
     against, not the production path.
     """
-    simple, adjacency, part = _simple_graph(a)
+    simple = _simple(a)
+    adjacency, part = simple.adjacency(), partition(simple)
     n = simple.counters
     letters_of: dict = {}  # the letters leaving each state, in repr order
 
@@ -590,7 +549,7 @@ class EmptinessReport:
     simple: CCA
 
 
-def _shortest_witness(a: CCA, adjacency: dict, part: Partition) -> Optional[AcceptingWitness]:
+def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     """The layered search on a simple automaton.
 
     Tie-breaks: of the anchors with the least total the smallest name wins.
@@ -599,7 +558,7 @@ def _shortest_witness(a: CCA, adjacency: dict, part: Partition) -> Optional[Acce
     order; each segment between them is the walk :func:`_walk` finds.
     Raises ``CCAError`` when no witness has at most ``MAX_WITNESS`` states.
     """
-    names, number, succ = _numbered(adjacency, a.initial)
+    names, number, succ = _numbered(a.adjacency(), a.initial)
     n = a.counters
     dist, parent = _search_tree(succ, number[a.initial])
     component = _components(succ, number[a.initial])
@@ -718,8 +677,9 @@ def _shortest_witness(a: CCA, adjacency: dict, part: Partition) -> Optional[Acce
 def decide(a: CCA) -> EmptinessReport:
     """Decide emptiness; every nonempty answer carries a verified shortest
     witness."""
-    simple, adjacency, part = _simple_graph(a)
-    witness = _shortest_witness(simple, adjacency, part)
+    simple = _simple(a)
+    part = partition(simple)
+    witness = _shortest_witness(simple, part)
     if witness is None:
         return EmptinessReport(True, None, simple)
     if not _verify(simple, witness, part):
@@ -745,7 +705,8 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     them discards no answers, and the first path whose set holds
     ``("accept",)`` is a shortest one.  ``scan_path`` then marks it.
     """
-    adjacency, part = _graph(a, "the brute-force search")
+    part = _partition(a, "the brute-force search")
+    adjacency = a.adjacency()
     if depth < 0:
         raise CCAError("depth must be nonnegative")
     n = a.counters
@@ -798,7 +759,7 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
     of the path per step, trying a move-on before a stay and remembering
     dead ends; usable on paths from any source.
     """
-    _, part = _graph(a, "the path scan")
+    part = _partition(a, "the path scan")
     return _scan(path, part, a.counters)
 
 

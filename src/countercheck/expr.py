@@ -387,7 +387,11 @@ def erase_to_regex(e: TExpr) -> RegExpr:
 
     ``Sum`` becomes a union, ``T`` a plain star (any single block shows some
     finite repetition count); ``Cat``/``Star`` keep their word-level
-    meaning.
+    meaning.  So a star here means zero or more repetitions, while the
+    compiler reads a block-level ``e*`` under ``^w`` as one or more per
+    block: ``(0* b)^w`` compiles to an empty automaton, and ``(a* b)^w``
+    has no run prefix on ``bbb``.  ``emit_phi``'s star-relaxed core
+    inherits the zero-or-more reading.
     """
     return _recast(e, _ERASE)
 

@@ -215,8 +215,8 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     >= L; an empty answer forbids any bounded-search hit.
 
     Every call here is a public ``emptiness`` entry point on the same
-    automaton, and they take its graph from ``emptiness``'s one-entry memo:
-    a simple case derives its adjacency and partition once, in ``decide``.
+    automaton, which derives its adjacency and partition on the first
+    call and keeps them: a simple case derives its graph once.
     """
     try:
         report = decide(a)

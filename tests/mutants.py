@@ -54,8 +54,8 @@ CATALOGUE = (
     Mutant(
         "has_run_prefix allows one silent step more than its budget",
         "src/countercheck/cca.py",
-        "if eps_used < eps_budget and pos < end:",
-        "if eps_used <= eps_budget and pos < end:",
+        "if eps_used < cap and pos < end:",
+        "if eps_used <= cap and pos < end:",
         ("tests/test_cca.py::test_run_prefix_respects_budget",),
     ),
     Mutant(
@@ -143,25 +143,35 @@ CATALOGUE = (
         ("tests/test_emptiness.py::test_structure_nfa_state_count_matches_the_built_nfa",),
     ),
     Mutant(
-        "the graph memo compares automata by equality",
-        "src/countercheck/emptiness.py",
-        "last[0]() is a:",
-        "last[0]() == a:",
-        ("tests/test_emptiness.py::test_the_graph_memo_never_serves_a_stale_graph",),
+        "adjacency is derived again on every call",
+        "src/countercheck/cca.py",
+        'kept = self.__dict__.get("_adjacency")',
+        "kept = None",
+        (
+            "tests/test_cca.py::test_an_automaton_derives_its_graph_once",
+            "tests/test_emptiness.py::test_examine_derives_one_graph_per_simple_case",
+        ),
     ),
     Mutant(
-        "the graph memo has no callback to drop its entry",
-        "src/countercheck/emptiness.py",
-        "weakref.ref(a, _forget)",
-        "weakref.ref(a)",
-        ("tests/test_emptiness.py::test_the_graph_memo_keeps_no_automaton_alive",),
+        "is_simple classifies again instead of reading the kept classification",
+        "src/countercheck/cca.py",
+        "return _classification(a) is not None",
+        "return _classify(a) is not None",
+        ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
     ),
     Mutant(
-        "simplify derives the adjacency again",
-        "src/countercheck/emptiness.py",
-        "a = simplify(a, adjacency)",
-        "a = simplify(a)",
-        ("tests/test_emptiness.py::test_examine_derives_one_graph_per_simple_case",),
+        "partition classifies again instead of reading the kept classification",
+        "src/countercheck/cca.py",
+        "part = _classification(a)",
+        "part = _classify(a)",
+        ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
+    ),
+    Mutant(
+        "has_run_prefix searches past |S| - 1 silent steps a gap",
+        "src/countercheck/cca.py",
+        "cap = min(cap, eps_budget)",
+        "cap = eps_budget",
+        ("tests/test_cca.py::test_run_prefix_search_is_bounded_by_the_states",),
     ),
     Mutant(
         "the ^T walk records a body after the ^T nodes inside it",

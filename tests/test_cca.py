@@ -10,6 +10,7 @@ from countercheck.emptiness import is_empty
 from countercheck.translate import compile_expression
 from countercheck.expr import parse_omega_t, pretty
 from countercheck.harness import random_omega_expr, random_regex, random_simple_cca, random_texpr
+from countercheck.nfa import breadth_first_run
 
 from conftest import atom_a, atom_empty, random_general_cca
 
@@ -286,8 +287,8 @@ def test_simplify_preserves_run_prefixes_100_random(rng):
     for _ in range(100):
         a = random_general_cca(rng, max_states=6, max_counters=2)
         simple = cca.simplify(a)
-        budget_a = cca.default_eps_budget(simple)  # large enough for both
-        assert _word_set(a, 4, budget_a) == _word_set(simple, 4, budget_a)
+        budget = len(simple.states) - 1  # large enough for both
+        assert _word_set(a, 4, budget) == _word_set(simple, 4, budget)
 
 
 # --------------------------------------------------------------------------
@@ -343,6 +344,61 @@ def test_run_prefix_respects_budget():
     closed = cca.hat(atom_a())
     # a a needs the silent inc/check detour between the two letters
     assert cca.has_run_prefix(closed, "aa", eps_budget=0) is None
+
+
+def _uncapped_run_prefix(a: CCA, word: str, eps_budget: int):
+    """``has_run_prefix`` without its cap of |S| - 1 silent steps a gap."""
+    adjacency = a.adjacency()
+
+    def successors(node):
+        state, pos, eps_used = node
+        for t in adjacency[state]:
+            if t.label is None:
+                if eps_used < eps_budget and pos < len(word):
+                    yield t, (t.target, pos, eps_used + 1)
+            elif pos < len(word) and t.label == word[pos]:
+                yield t, (t.target, pos + 1, 0)
+
+    run = breadth_first_run((a.initial, 0, 0), lambda node: node[1] == len(word), successors)
+    return None if run is None else run[0]
+
+
+def test_run_prefix_budget_beyond_states_changes_nothing(rng):
+    # a shortest run never takes |S| silent steps in one gap, so every
+    # budget from |S| - 1 up finds the run an uncapped search finds
+    autos = [random_general_cca(rng, max_states=6, max_counters=2) for _ in range(40)]
+    autos += [cca.simplify(a) for a in autos[:10]]
+    autos.append(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab"))
+    for a in autos:
+        letters = sorted(a.alphabet)
+        words = ["", *letters, *(x + y + z for x in letters for y in letters for z in letters)]
+        size = len(a.states)
+        for word in words:
+            default = cca.has_run_prefix(a, word)
+            for budget in (size - 1, size, 3 * size):
+                run = cca.has_run_prefix(a, word, budget)
+                assert run == default
+                assert (None if run is None else run.steps) == _uncapped_run_prefix(a, word, budget)
+
+
+def test_run_prefix_search_is_bounded_by_the_states(monkeypatch):
+    # `abb` has no run prefix, so the search dequeues every node it can
+    # reach; at most |S| silent steps a gap bound them, whatever the budget
+    dequeued = []
+    search = cca.breadth_first_run
+
+    def counted(initial, is_final, successors):
+        def counting(node):
+            dequeued.append(node)
+            return successors(node)
+
+        return search(initial, is_final, counting)
+
+    monkeypatch.setattr(cca, "breadth_first_run", counted)
+    a = compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")
+    size = len(a.states)
+    assert cca.has_run_prefix(a, "abb", 10 * size) is None
+    assert 0 < len(dequeued) <= size * size * len("abb")
 
 
 def _steps(a: CCA, *hops) -> cca.RunPrefix:
@@ -512,6 +568,30 @@ def test_json_import_rejects_non_string_transition_names():
         cca.import_json("[]")
 
 
+def test_an_automaton_derives_its_graph_once(monkeypatch):
+    from dataclasses import replace
+
+    passes = []
+    classify = cca._classify
+    monkeypatch.setattr(cca, "_classify", lambda a: passes.append(a) or classify(a))
+    a = cca.hat(atom_a())
+    simple = cca.simplify(a)
+    assert a.adjacency() is a.adjacency()
+    assert cca.is_simple(simple) and cca.is_simple(simple)
+    assert cca.partition(simple) is cca.partition(simple)
+    assert not cca.is_simple(a) and not cca.is_simple(a)
+    with pytest.raises(cca.CCAError, match="requires a simple automaton"):
+        cca.partition(a)
+    assert passes == [simple, a]
+    # what an automaton keeps is outside its fields: an equal twin compares
+    # and hashes alike and derives its own
+    twin = replace(simple)
+    assert twin == simple and hash(twin) == hash(simple) and repr(twin) == repr(simple)
+    assert twin.adjacency() == simple.adjacency() and twin.adjacency() is not simple.adjacency()
+    assert cca.partition(twin) == cca.partition(simple)
+    assert passes == [simple, a, twin]
+
+
 def test_partition_slots_are_disjoint(rng):
     from countercheck.harness import random_simple_cca
 
@@ -519,7 +599,7 @@ def test_partition_slots_are_disjoint(rng):
         a = random_simple_cca(rng)
         adjacency = a.adjacency()
         part = cca.partition(a)
-        assert cca.partition(a, adjacency) == part
+        assert cca.partition(a) is part
         assert len(part.inc) == len(part.check) == a.counters
         slots = [*part.inc, *part.check]
         assert sum(map(len, slots)) == len(set().union(*slots))

@@ -790,17 +790,23 @@ def test_examine_reports_a_structure_nfa_over_its_size_bound(monkeypatch):
     assert outcome.failure == "structure NFA exceeded its size bound"
 
 
-def counted_adjacency(monkeypatch) -> list:
-    """Record every ``CCA.adjacency`` call from here on."""
-    calls = []
+def counted_graphs(monkeypatch) -> list:
+    """Record, from here on, each automaton whose adjacency is derived
+    anew: a ``CCA.adjacency`` call that returns a dict no earlier call
+    returned."""
+    derived = []
+    seen: list = []  # the dicts returned so far, kept alive so ids stay unique
     derive = CCA.adjacency
 
     def counted(a):
-        calls.append(a)
-        return derive(a)
+        graph = derive(a)
+        if not any(graph is old for old in seen):
+            seen.append(graph)
+            derived.append(a)
+        return graph
 
     monkeypatch.setattr(CCA, "adjacency", counted)
-    return calls
+    return derived
 
 
 def test_examine_derives_one_graph_per_simple_case(monkeypatch):
@@ -814,46 +820,45 @@ def test_examine_derives_one_graph_per_simple_case(monkeypatch):
         return verify_witness(a, w)
 
     monkeypatch.setattr(harness, "verify_witness", verify)
-    calls = counted_adjacency(monkeypatch)
+    derived = counted_graphs(monkeypatch)
     outcome = harness.examine(auto)
     assert outcome.failure is None and not outcome.empty and verified
     # decide, the reference, the count, the oracle and the verification
     # share one graph
-    assert calls == [auto]
+    assert derived == [auto]
     # a non-simple automaton: its own graph, then its simplification's
     compiled = compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")
     assert not is_simple(compiled)
-    calls.clear()
     report = decide(compiled)
-    assert calls == [compiled, report.simple]
+    assert derived == [auto, compiled, report.simple]
+    # deciding the simplification again derives nothing
+    assert decide(report.simple) == report
+    assert derived == [auto, compiled, report.simple]
 
 
 def test_the_graph_memo_never_serves_a_stale_graph(monkeypatch):
     from dataclasses import replace
 
-    def fresh(a):
-        monkeypatch.setattr(emptiness, "_last", (None, None, None))
-        return decide(a)
-
     rng = random.Random(20261022)
     autos = [random_simple_cca(rng, max_counters=3) for _ in range(60)]
     autos += [closed_atom(), compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")]
-    expected = [fresh(b) for b in autos]
+    # an equal automaton that is another object keeps no graph yet
+    expected = [decide(replace(b)) for b in autos]
     assert any(r.empty for r in expected) and not all(r.empty for r in expected)
     for a, b, b_expected in zip(autos, autos[1:] + autos[:1], expected[1:] + expected[:1]):
         decide(a)
         assert decide(b) == b_expected
     # an equal automaton that is another object gets its own graph
-    calls = counted_adjacency(monkeypatch)
+    derived = counted_graphs(monkeypatch)
     for a, a_expected in zip(autos, expected):
         twin = replace(a)
-        assert twin == a and twin is not a
+        assert twin == a and twin is not a and hash(twin) == hash(a)
         decide(a)
-        calls.clear()
+        derived.clear()
         assert decide(twin) == a_expected
-        assert calls[0] is twin
-    # the memo holds the simplification after this, and must not lend its
-    # partition to the non-simple automaton
+        assert derived[0] is twin
+    # the simplification's partition is never lent to the non-simple
+    # automaton it came from
     compiled = autos[-1]
     report = decide(compiled)
     with pytest.raises(CCAError, match="^witness verification requires a simple automaton$"):
@@ -861,6 +866,8 @@ def test_the_graph_memo_never_serves_a_stale_graph(monkeypatch):
 
 
 def test_the_graph_memo_keeps_no_automaton_alive():
+    # the graph an automaton keeps refers to no automaton, so the last
+    # reference going frees it at once
     import weakref
 
     auto = closed_atom()
@@ -868,18 +875,19 @@ def test_the_graph_memo_keeps_no_automaton_alive():
     ref = weakref.ref(auto)
     del auto
     assert ref() is None
-    assert emptiness._last == (None, None, None)
 
 
 def test_the_graph_memo_under_threads():
     # four threads decide the same automata in different orders while the
-    # interpreter switches between them as often as it can
+    # interpreter switches between them as often as it can; no automaton
+    # has derived its graph before
     import sys
     import threading
+    from dataclasses import replace
 
     rng = random.Random(20261023)
-    autos = [random_simple_cca(rng, max_counters=3) for _ in range(40)]
-    expected = [decide(a) for a in autos]
+    autos = [replace(random_simple_cca(rng, max_counters=3)) for _ in range(40)]
+    expected = [decide(replace(a)) for a in autos]
     results: dict = {}
 
     def work(offset: int) -> None:
