@@ -287,24 +287,18 @@ class RunPrefix:
         return "".join(t.label for t in self.steps if t.label is not None)
 
 
-def has_run_prefix(a: CCA, word: str, eps_budget: Optional[int] = None) -> Optional[RunPrefix]:
-    """Search for a run prefix consuming exactly ``word``, with at most
-    ``eps_budget`` silent steps before each letter and none after the last;
-    the default is |S| - 1.
+def has_run_prefix(a: CCA, word: str) -> Optional[RunPrefix]:
+    """Search for a run prefix consuming exactly ``word``, with no silent
+    step after the last letter.
 
     Counter values never gate transitions, so ``nfa.breadth_first_run``
-    searches (state, position, silent-steps) triples with the fired
-    transitions as edge labels; the returned configurations are replayed
-    from the transition sequence it finds.  A gap of |S| or more silent
-    steps repeats a state, and cutting that cycle out leaves a shorter run,
-    so the search never takes more than |S| - 1 in one gap: a larger budget
-    finds the same run.
+    searches (state, position) pairs with the fired transitions as edge
+    labels: a silent transition keeps the position, a letter advances it.
+    The returned configurations are replayed from the transition sequence
+    it finds.  The search stops at the first pair at the end of the word
+    without expanding it, so ``word[pos]`` is always in range and at most
+    |S|·|w| pairs are dequeued.
     """
-    cap = len(a.states) - 1
-    if eps_budget is not None:
-        if eps_budget < 0:
-            raise CCAError("silent-step budget must be nonnegative")
-        cap = min(cap, eps_budget)
     for letter in word:
         if letter not in a.alphabet:
             raise CCAError(f"letter {letter!r} outside the alphabet")
@@ -313,15 +307,14 @@ def has_run_prefix(a: CCA, word: str, eps_budget: Optional[int] = None) -> Optio
     end = len(word)
 
     def successors(node):
-        state, pos, eps_used = node
+        state, pos = node
         for t in adjacency[state]:
             if t.label is None:
-                if eps_used < cap and pos < end:
-                    yield t, (t.target, pos, eps_used + 1)
-            elif pos < end and t.label == word[pos]:
-                yield t, (t.target, pos + 1, 0)
+                yield t, (t.target, pos)
+            elif t.label == word[pos]:
+                yield t, (t.target, pos + 1)
 
-    run = breadth_first_run((a.initial, 0, 0), lambda node: node[1] == end, successors)
+    run = breadth_first_run((a.initial, 0), lambda node: node[1] == end, successors)
     if run is None:
         return None
     fired = run[0]
@@ -475,15 +468,23 @@ def from_json_dict(data: dict) -> CCA:
         raise _malformed(str(err)) from None
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a DOT double-quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(a: CCA) -> str:
-    lines = ["digraph cca {", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    start = "__start"  # the start point, named apart from every state
+    while start in a.states:
+        start += "_"
+    lines = ["digraph cca {", "  rankdir=LR;", f'  {start} [shape=point, label=""];']
     for s in sorted(a.states):
         shape = "doublecircle" if s == a.final else "circle"
-        lines.append(f'  "{s}" [shape={shape}];')
-    lines.append(f'  __start -> "{a.initial}";')
+        lines.append(f"  {_quoted(s)} [shape={shape}];")
+    lines.append(f"  {start} -> {_quoted(a.initial)};")
     for t in sorted(a.transitions, key=Transition.sort_key):
-        label = "ε" if t.label is None else t.label
-        lines.append(f'  "{t.source}" -> "{t.target}" [label="{label}/{t.counter}:{t.op}"];')
+        label = _quoted(f"{'ε' if t.label is None else t.label}/{t.counter}:{t.op}")
+        lines.append(f"  {_quoted(t.source)} -> {_quoted(t.target)} [label={label}];")
     lines.append("}")
     return "\n".join(lines)
 

@@ -96,7 +96,7 @@ def cmd_dot(args) -> int:
 
 def cmd_simulate(args) -> int:
     automaton = _automaton_for(args)
-    run = has_run_prefix(automaton, args.word, args.eps)
+    run = has_run_prefix(automaton, args.word)
     if run is None:
         print("ABSENT")
     else:
@@ -181,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = expression_command("simulate", "search for a run prefix consuming a word", True)
     p.add_argument("--word", required=True)
-    eps_help = "silent steps allowed before each letter (default, and the most a run needs: states - 1)"
-    p.add_argument("--eps", type=int, default=None, help=eps_help)
     p.set_defaults(func=cmd_simulate)
 
     p = expression_command("formula", "emit the second-order formula for an expression")

@@ -13,8 +13,8 @@ reads them from ``NFA.adjacency``, which sorts them by ``_edge_key``, and the
 emptiness module's product reference, which explores a product on the fly,
 yields its edges in that same order.  The same search finds a
 counter-check automaton's run prefixes (``cca.has_run_prefix``): there the
-nodes are (state, position, silent steps) triples and each edge's label is
-the transition it fires.
+nodes are (state, position) pairs and each edge's label is the transition
+it fires.
 """
 from __future__ import annotations
 

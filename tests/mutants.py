@@ -52,11 +52,18 @@ CATALOGUE = (
         ("tests/test_nfa.py::test_breadth_first_run_follows_the_order_of_its_successors",),
     ),
     Mutant(
-        "has_run_prefix allows one silent step more than its budget",
+        "has_run_prefix advances the position on a silent step",
         "src/countercheck/cca.py",
-        "if eps_used < cap and pos < end:",
-        "if eps_used <= cap and pos < end:",
-        ("tests/test_cca.py::test_run_prefix_respects_budget",),
+        "yield t, (t.target, pos)\n",
+        "yield t, (t.target, pos + 1)\n",
+        ("tests/test_cca.py::test_run_prefix_budget_beyond_states_changes_nothing",),
+    ),
+    Mutant(
+        "has_run_prefix lets a letter step read any letter",
+        "src/countercheck/cca.py",
+        "elif t.label == word[pos]:",
+        "else:",
+        ("tests/test_cca.py::test_run_prefix_on_compiled_automaton",),
     ),
     Mutant(
         "the printer leaves a concatenation's right operand at level 2 unwrapped",
@@ -167,11 +174,11 @@ CATALOGUE = (
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
     ),
     Mutant(
-        "has_run_prefix searches past |S| - 1 silent steps a gap",
+        "the DOT export quotes names without escaping them",
         "src/countercheck/cca.py",
-        "cap = min(cap, eps_budget)",
-        "cap = eps_budget",
-        ("tests/test_cca.py::test_run_prefix_search_is_bounded_by_the_states",),
+        r"""text.replace("\\", "\\\\").replace('"', '\\"')""",
+        "text",
+        ("tests/test_cca.py::test_export_dot_escapes_names",),
     ),
     Mutant(
         "the ^T walk records a body after the ^T nodes inside it",
@@ -224,7 +231,10 @@ CATALOGUE = (
         "src/countercheck/translate.py",
         "rows += _loops(m.entry, m.counters + 1, top)",
         "rows += _loops(m.initial, m.counters + 1, top)",
-        ("tests/test_translate.py::test_merge_pads_a_prefixed_member_on_its_cycle",),
+        (
+            "tests/test_translate.py::test_merge_pads_a_prefixed_member_on_its_cycle",
+            "tests/test_translate.py::test_compiled_verdicts_match_the_expressions_1000_random",
+        ),
     ),
     Mutant(
         "merge of an automaton set pads each member on its initial state",

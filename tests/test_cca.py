@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -269,14 +270,14 @@ def test_simplify_state_growth_bound(rng):
         assert len(simple.states) <= len(a.states) + len(a.transitions)
 
 
-def _word_set(a: CCA, max_len: int, budget: int) -> set[str]:
+def _word_set(a: CCA, max_len: int) -> set[str]:
     words = {""}
     frontier = [""]
     alphabet = sorted(a.alphabet)
     found = set()
     while frontier:
         word = frontier.pop()
-        if cca.has_run_prefix(a, word, budget) is not None:
+        if cca.has_run_prefix(a, word) is not None:
             found.add(word)
             if len(word) < max_len:
                 frontier.extend(word + c for c in alphabet)
@@ -287,8 +288,7 @@ def test_simplify_preserves_run_prefixes_100_random(rng):
     for _ in range(100):
         a = random_general_cca(rng, max_states=6, max_counters=2)
         simple = cca.simplify(a)
-        budget = len(simple.states) - 1  # large enough for both
-        assert _word_set(a, 4, budget) == _word_set(simple, 4, budget)
+        assert _word_set(a, 4) == _word_set(simple, 4)
 
 
 # --------------------------------------------------------------------------
@@ -340,14 +340,9 @@ def test_run_prefix_rejects_on_hat_of_atom():
     assert cca.has_run_prefix(closed, "aa") is not None
 
 
-def test_run_prefix_respects_budget():
-    closed = cca.hat(atom_a())
-    # a a needs the silent inc/check detour between the two letters
-    assert cca.has_run_prefix(closed, "aa", eps_budget=0) is None
-
-
 def _uncapped_run_prefix(a: CCA, word: str, eps_budget: int):
-    """``has_run_prefix`` without its cap of |S| - 1 silent steps a gap."""
+    """A run-prefix search over (state, position, silent steps) triples,
+    with at most ``eps_budget`` silent steps before each letter."""
     adjacency = a.adjacency()
 
     def successors(node):
@@ -364,8 +359,9 @@ def _uncapped_run_prefix(a: CCA, word: str, eps_budget: int):
 
 
 def test_run_prefix_budget_beyond_states_changes_nothing(rng):
-    # a shortest run never takes |S| silent steps in one gap, so every
-    # budget from |S| - 1 up finds the run an uncapped search finds
+    # a shortest run never takes |S| silent steps in one gap, so a search
+    # that counts them finds the pair search's run at every budget from
+    # |S| - 1 up
     autos = [random_general_cca(rng, max_states=6, max_counters=2) for _ in range(40)]
     autos += [cca.simplify(a) for a in autos[:10]]
     autos.append(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab"))
@@ -374,16 +370,15 @@ def test_run_prefix_budget_beyond_states_changes_nothing(rng):
         words = ["", *letters, *(x + y + z for x in letters for y in letters for z in letters)]
         size = len(a.states)
         for word in words:
-            default = cca.has_run_prefix(a, word)
+            run = cca.has_run_prefix(a, word)
+            steps = None if run is None else run.steps
             for budget in (size - 1, size, 3 * size):
-                run = cca.has_run_prefix(a, word, budget)
-                assert run == default
-                assert (None if run is None else run.steps) == _uncapped_run_prefix(a, word, budget)
+                assert steps == _uncapped_run_prefix(a, word, budget)
 
 
 def test_run_prefix_search_is_bounded_by_the_states(monkeypatch):
     # `abb` has no run prefix, so the search dequeues every node it can
-    # reach; at most |S| silent steps a gap bound them, whatever the budget
+    # reach: at most one (state, position) pair per state and letter
     dequeued = []
     search = cca.breadth_first_run
 
@@ -397,8 +392,8 @@ def test_run_prefix_search_is_bounded_by_the_states(monkeypatch):
     monkeypatch.setattr(cca, "breadth_first_run", counted)
     a = compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")
     size = len(a.states)
-    assert cca.has_run_prefix(a, "abb", 10 * size) is None
-    assert 0 < len(dequeued) <= size * size * len("abb")
+    assert cca.has_run_prefix(a, "abb") is None
+    assert 0 < len(dequeued) <= size * len("abb")
 
 
 def _steps(a: CCA, *hops) -> cca.RunPrefix:
@@ -466,6 +461,36 @@ def test_export_atom_a_dot():
     assert text.count("[shape=doublecircle]") == 1
     assert 'label="a/1:no_op"' in text
     assert 'label="ε/1:inc"' in text
+
+
+def test_export_dot_escapes_names():
+    # a JSON automaton may name a state with a quote, a backslash, or the
+    # start point's name; each node ID must decode to its state alone
+    names = ('p"q', "r\\", "__start")
+    a = CCA(
+        states=frozenset(names),
+        alphabet=frozenset({"a", '"'}),
+        initial="__start",
+        counters=1,
+        transitions=frozenset(
+            {Transition("__start", '"', 'p"q', 1, NO_OP), Transition('p"q', None, "r\\", 1, INC)}
+        ),
+        final="r\\",
+    )
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+
+    def decoded(text: str) -> list[str]:
+        return [re.sub(r"\\(.)", r"\1", x) for x in re.findall(quoted, text)]
+
+    lines = cca.export(a, "dot").splitlines()
+    nodes = [line for line in lines if "[shape=" in line and "point" not in line]
+    assert sorted(x for line in nodes for x in decoded(line)) == sorted(names)
+    (start,) = [line.split()[0] for line in lines if "shape=point" in line]
+    assert start not in names
+    (entry,) = [line for line in lines if line.split()[0] == start and "->" in line]
+    assert decoded(entry) == ["__start"]
+    edges = [decoded(line) for line in lines if "->" in line and line != entry]
+    assert sorted(edges) == [['__start', 'p"q', '"/1:no_op'], ['p"q', "r\\", "ε/1:inc"]]
 
 
 def test_json_round_trip_handmade():
@@ -618,15 +643,14 @@ def test_run_prefixes_and_printing_are_pinned():
     for index in range(240):
         a = random_simple_cca(rng) if index % 2 else random_general_cca(rng)
         for word in ("", "a", "b", "ab", "ba", "aab", "abab"):
-            for budget in (None, 0, 1):
-                run = cca.has_run_prefix(a, word, budget)
-                found += run is not None
-                absent += run is None
-                runs.update(repr(run).encode())
+            run = cca.has_run_prefix(a, word)
+            found += run is not None
+            absent += run is None
+            runs.update(repr(run).encode())
     assert found > 500 and absent > 500
     printed = hashlib.sha256()
     for generate in (random_regex, random_texpr, random_omega_expr):
         for _ in range(200):
             printed.update(pretty(generate(rng, 5)).encode() + b"\n")
-    assert runs.hexdigest() == "5314d564a24d045af9157fda805c3b2971ee6cde93f9af6baa88d6a69e885ab8"
+    assert runs.hexdigest() == "ea6d09bdcf440deb5b0d5ec60380984358c0785d86bae03d82df5495c7a3879f"
     assert printed.hexdigest() == "79a156c692bcfe20da8f43c8a5ae9ebbe8d6fe236882880a7b475d19e8a4ee6a"

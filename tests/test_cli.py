@@ -134,10 +134,11 @@ def test_simulate_present_and_absent(capsys):
     assert out.strip() == "ABSENT"
 
 
-def test_simulate_eps_budget(capsys):
-    code, out, _ = run(capsys, "simulate", "(a b)^w", "--word", "abab", "--eps", "0")
+def test_simulate_long_word(capsys):
+    # the search visits each (state, position) pair at most once
+    code, out, _ = run(capsys, "simulate", "((a+b)(a+b))^w", "--word", "ab" * 1000)
     assert code == 0
-    assert out.strip() == "ABSENT"
+    assert out.splitlines()[0] == "PRESENT"
 
 
 def test_classify_staircase_line(capsys):

@@ -468,6 +468,46 @@ def test_empty_free_expressions_are_nonempty(rng):
     assert checked == 25
 
 
+def _regex_nonempty(r: ex.RegExpr) -> bool:
+    if type(r) in (ex.RCat, ex.RAlt):
+        left, right = _regex_nonempty(r.left), _regex_nonempty(r.right)
+        return left and right if type(r) is ex.RCat else left or right
+    return type(r) is not ex.REmpty  # a star holds the empty word
+
+
+def _block_values(e: ex.TExpr) -> tuple[bool, bool]:
+    """Whether the block expression's sequence language is nonempty, and
+    whether it has a sequence with infinitely many nonempty blocks."""
+    if type(e) in (ex.Star, ex.T):  # one or more iterations per block, as compiled
+        return _block_values(e.body)
+    if type(e) in (ex.Cat, ex.Sum):
+        (ln, li), (rn, ri) = _block_values(e.left), _block_values(e.right)
+        if type(e) is ex.Sum:
+            return ln or rn, li or ri
+        return ln and rn, ln and rn and (li or ri)
+    return (True, True) if type(e) is ex.Sym else (False, False)
+
+
+def _omega_nonempty(e: ex.OmegaTExpr) -> bool:
+    """Nonemptiness read off the expression tree alone, with no automaton."""
+    if type(e) is ex.Omega:
+        return _block_values(e.body)[1]
+    if type(e) is ex.Prefix:
+        return _regex_nonempty(e.prefix) and _omega_nonempty(e.tail)
+    return _omega_nonempty(e.left) or _omega_nonempty(e.right)
+
+
+def test_compiled_verdicts_match_the_expressions_1000_random():
+    rng = random.Random(1)
+    checked = 0
+    while checked < 1000:
+        e = random_omega_expr(rng, 4)
+        if omega_member_count(e) > 30:
+            continue
+        assert decide(compile_expression(e, SIGMA)).empty != _omega_nonempty(e), ex.pretty(e)
+        checked += 1
+
+
 def _block_shape_nfa(e: ex.TExpr):
     return thompson(ex.erase_to_regex(e), SIGMA, FreshNames("w"))
 
