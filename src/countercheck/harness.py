@@ -23,26 +23,7 @@ from .emptiness import (
     witness_nfa_state_bound,
     witness_nfa_state_count,
 )
-from .logic import (
-    BINARY,
-    FO_BINDER,
-    NEGATION,
-    SHAPES,
-    And,
-    Bounding,
-    ExistsFO,
-    ExistsFin,
-    ExistsOmega,
-    ExistsSO,
-    ForAllFO,
-    Implies,
-    InP,
-    InX,
-    Not,
-    Or,
-    Unbounding,
-    Var,
-)
+from .logic import ATOM, BINARY, FO_BINDER, NEGATION, SHAPES, Not, Succ, Var
 
 
 # --------------------------------------------------------------------------
@@ -167,21 +148,38 @@ def random_omega_expr(
     )
 
 
-# the node classes random_formula draws from, in a fixed order: the draw is seeded
-_FORMULA_KINDS = (
-    Not, Or, And, Implies, ExistsFO, ForAllFO, ExistsSO,
-    Unbounding, Bounding, ExistsFin, ExistsOmega,
-)
+# the node classes random_formula draws from, in the order of SHAPES: the
+# draw is seeded
+_ATOMS = tuple(cls for cls, shape in SHAPES.items() if shape == ATOM)
+_CONNECTIVES = tuple(cls for cls, shape in SHAPES.items() if shape != ATOM)
+
+
+def _random_term(rng: random.Random, fo: tuple[str, ...]):
+    term = Var(rng.choice(fo))
+    while rng.random() < 0.25:
+        term = Succ(term)
+    return term
 
 
 def random_formula(rng: random.Random, depth: int) -> object:
+    """A random formula over every node class of ``SHAPES``.  An atom's
+    fields are filled one by one: a ``Term`` field gets a first-order
+    variable under zero or more successors, ``letter`` a letter, and every
+    other field a set name."""
     fo = ("x", "y", "z")
     so = ("X", "Y", "Z")
     if depth <= 0 or rng.random() < 0.35:
-        if rng.random() < 0.5:
-            return InP(Var(rng.choice(fo)), rng.choice(("a", "b")))
-        return InX(Var(rng.choice(fo)), rng.choice(so))
-    cls = rng.choice(_FORMULA_KINDS)
+        cls = rng.choice(_ATOMS)
+        args = []
+        for field, kind in cls.__annotations__.items():
+            if kind == "Term":
+                args.append(_random_term(rng, fo))
+            elif field == "letter":
+                args.append(rng.choice(("a", "b")))
+            else:
+                args.append(rng.choice(so))
+        return cls(*args)
+    cls = rng.choice(_CONNECTIVES)
     shape = SHAPES[cls]
     if shape == NEGATION:
         return Not(random_formula(rng, depth - 1))
