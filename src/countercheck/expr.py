@@ -28,8 +28,8 @@ layer's class; the stratifier, the ``^T`` relaxation, the erasure, the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union as TUnion
+from dataclasses import FrozenInstanceError
+from typing import NamedTuple, Union as TUnion
 
 
 class ParseError(ValueError):
@@ -41,32 +41,74 @@ class ParseError(ValueError):
 
 
 # --------------------------------------------------------------------------
+# the node base
+
+class Node:
+    """Base of every expression and formula node: an immutable record whose
+    fields are its class's own annotations, in order.
+
+    A node is built from its fields by position or by keyword, equals a node
+    of the same class with equal fields, hashes as the tuple of its fields,
+    prints as ``Class(field=value, ...)`` and refuses assignment and
+    deletion, as a frozen dataclass does.  Its instance dict holds exactly
+    its fields, in order.  No method is generated at import: a class
+    compiles its own ``__init__`` when its first node is built.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        params = ", ".join(cls._fields)
+        stores = "".join(f"\n    d[{name!r}] = {name}" for name in cls._fields)
+        namespace: dict = {}
+        exec(f"def __init__(self, {params}):\n    d = self.__dict__{stores}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__(self, *args, **kwargs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# --------------------------------------------------------------------------
 # regular expressions (finite words)
 
-@dataclass(frozen=True)
-class REmpty:
+class REmpty(Node):
     pass
 
 
-@dataclass(frozen=True)
-class RSym:
+class RSym(Node):
     letter: str
 
 
-@dataclass(frozen=True)
-class RCat:
+class RCat(Node):
     left: "RegExpr"
     right: "RegExpr"
 
 
-@dataclass(frozen=True)
-class RAlt:
+class RAlt(Node):
     left: "RegExpr"
     right: "RegExpr"
 
 
-@dataclass(frozen=True)
-class RStar:
+class RStar(Node):
     body: "RegExpr"
 
 
@@ -76,35 +118,29 @@ RegExpr = TUnion[REmpty, RSym, RCat, RAlt, RStar]
 # --------------------------------------------------------------------------
 # block expressions (languages of infinite sequences of finite words)
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(Node):
     letter: str
 
 
-@dataclass(frozen=True)
-class Cat:
+class Cat(Node):
     left: "TExpr"
     right: "TExpr"
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Node):
     left: "TExpr"
     right: "TExpr"
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Node):
     body: "TExpr"
 
 
-@dataclass(frozen=True)
-class T:
+class T(Node):
     body: "TExpr"
 
 
@@ -114,20 +150,17 @@ TExpr = TUnion[Empty, Sym, Cat, Sum, Star, T]
 # --------------------------------------------------------------------------
 # omega expressions (languages of infinite words)
 
-@dataclass(frozen=True)
-class Union:
+class Union(Node):
     left: "OmegaTExpr"
     right: "OmegaTExpr"
 
 
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(Node):
     prefix: RegExpr
     tail: "OmegaTExpr"
 
 
-@dataclass(frozen=True)
-class Omega:
+class Omega(Node):
     body: TExpr
 
 
@@ -151,8 +184,7 @@ _BLOCK_REFUSALS = {"omega": "'^w' cannot be nested"}
 # --------------------------------------------------------------------------
 # raw parse tree (context-free; stratified afterwards)
 
-@dataclass(frozen=True)
-class _Raw:
+class _Raw(NamedTuple):
     kind: str  # empty | sym | cat | plus | star | t | omega
     pos: int
     letter: str = ""

@@ -29,11 +29,11 @@ connective layer (it never normalizes connectives away, and never touches
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Union as TUnion
 
 from .expr import (
+    Node,
     Omega,
     OmegaTExpr,
     Prefix,
@@ -52,13 +52,11 @@ from .expr import (
 # --------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Var:
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Succ:
+class Succ(Node):
     arg: "Term"
 
 
@@ -74,148 +72,124 @@ def _term_var(t: Term) -> str:
 # --------------------------------------------------------------------------
 # formulas
 
-@dataclass(frozen=True)
-class InP:  # position carries a letter
+class InP(Node):  # position carries a letter
     term: Term
     letter: str
 
 
-@dataclass(frozen=True)
-class InX:  # position belongs to a set variable
+class InX(Node):  # position belongs to a set variable
     term: Term
     setvar: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class ExistsFO:
+class ExistsFO(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class ForAllFO:
+class ForAllFO(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class ExistsSO:
+class ExistsSO(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class ForAllSO:
+class ForAllSO(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Unbounding:
+class Unbounding(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Bounding:
+class Bounding(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class ExistsFin:
+class ExistsFin(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class ExistsOmega:
+class ExistsOmega(Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Less:
+class Less(Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class LessEq:
+class LessEq(Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class SubsetEq:
+class SubsetEq(Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class ProperSubset:
+class ProperSubset(Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class InInterval:  # term lies between lo and hi, inclusive
+class InInterval(Node):  # term lies between lo and hi, inclusive
     term: Term
     lo: Term
     hi: Term
 
 
-@dataclass(frozen=True)
-class SubsetInterval:  # every member of the set lies between lo and hi
+class SubsetInterval(Node):  # every member of the set lies between lo and hi
     setvar: str
     lo: Term
     hi: Term
 
 
-@dataclass(frozen=True)
-class MinGreater:  # every member of the set exceeds the term
+class MinGreater(Node):  # every member of the set exceeds the term
     setvar: str
     term: Term
 
 
-@dataclass(frozen=True)
-class InDifference:  # term in left set but not in right set
+class InDifference(Node):  # term in left set but not in right set
     term: Term
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class IsFirst:  # term is the least position
+class IsFirst(Node):  # term is the least position
     term: Term
 
 
