@@ -4,12 +4,14 @@ Subcommands: parse, compile, empty, dot, simulate, formula, classify,
 verify, fuzz.  Wherever an expression is accepted, ``--automaton FILE``
 substitutes a JSON automaton instead.  Exit codes: 0 success, 1 failed
 check (fuzz disagreement, invalid witness), 2 usage or parse errors,
-3 internal invariant violation.
+3 internal invariant violation, 141 when the reader of stdout closes it
+early.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -215,7 +217,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone, as `| head` does: end quietly with
+        # the status a filter killed by SIGPIPE gets, and point stdout at
+        # the null device so that the final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as err:  # ParseError and CCAError among them
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -359,19 +359,38 @@ def test_automaton_json_at_the_counter_limit_is_decided(capsys, tmp_path):
     assert (code, out) == (0, "EMPTY\n")
 
 
-@pytest.mark.parametrize("expression", ["((a^T b)^T a)^w", "(a^T b)^w + (b^T a)^w", "(a + b)^w"])
-def test_empty_output_independent_of_hash_seed(expression):
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter that imports these sources."""
     import countercheck
 
     src = str(Path(countercheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("expression", ["((a^T b)^T a)^w", "(a^T b)^w + (b^T a)^w", "(a + b)^w"])
+def test_empty_output_independent_of_hash_seed(expression):
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-m", "countercheck.cli", "empty", expression],
-            env=env, capture_output=True, check=True,
+            env=_child_env(PYTHONHASHSEED=seed), capture_output=True, check=True,
         )
         outputs.append(done.stdout)
     assert outputs[0].startswith(b"NONEMPTY\n")
     assert outputs[0] == outputs[1]
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly():
+    # 2000 letters print about 250 KB, far more than a pipe holds, so the
+    # command is still writing when its reader leaves after one line
+    command = [sys.executable, "-m", "countercheck.cli", "simulate", "((a+b)(a+b))^w", "--word", "ab" * 1000]
+    with subprocess.Popen(
+        command, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as child:
+        assert child.stdout.readline() == b"PRESENT\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=60)
+    assert (status, err) == (141, b"")
