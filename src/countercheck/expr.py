@@ -29,6 +29,7 @@ layer's class; the stratifier, the ``^T`` relaxation, the erasure, the
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import NamedTuple, Union as TUnion
 
 
@@ -43,6 +44,18 @@ class ParseError(ValueError):
 # --------------------------------------------------------------------------
 # the node base
 
+def _tuple_of(fields: tuple[str, ...]):
+    """The function from a node to the tuple of its ``fields``, read in C:
+    ``attrgetter`` gives a tuple for two names or more, the bare value for
+    one."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(*fields)
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
 class Node:
     """Base of every expression and formula node: an immutable record whose
     fields are its class's own annotations, in order.
@@ -50,35 +63,40 @@ class Node:
     A node is built from its fields by position or by keyword, equals a node
     of the same class with equal fields, hashes as the tuple of its fields,
     prints as ``Class(field=value, ...)`` and refuses assignment and
-    deletion, as a frozen dataclass does.  Its instance dict holds exactly
-    its fields, in order.  No method is generated at import: a class
-    compiles its own ``__init__`` when its first node is built.
+    deletion, as a frozen dataclass does; ``vars(node)`` holds exactly its
+    fields, in order.  No method is generated at import: a class compiles
+    its own ``__init__`` when its first node is built.
     """
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._values = staticmethod(_tuple_of(cls._fields))
 
     def __init__(self, *args, **kwargs) -> None:
+        # the compiled __init__ sets each field through object.__setattr__,
+        # as a frozen dataclass does: writing the instance dict instead
+        # would give every node a dict of its own, larger and slower to read
         cls = type(self)
         params = ", ".join(cls._fields)
-        stores = "".join(f"\n    d[{name!r}] = {name}" for name in cls._fields)
-        namespace: dict = {}
-        exec(f"def __init__(self, {params}):\n    d = self.__dict__{stores}", namespace)
+        sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n    pass{sets}", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__(self, *args, **kwargs)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
-        return f"{type(self).__qualname__}({fields})"
+        fields = zip(self._fields, self._values(self))
+        text = ", ".join([f"{name}={value!r}" for name, value in fields])
+        return f"{type(self).__qualname__}({text})"
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
