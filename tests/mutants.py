@@ -264,6 +264,27 @@ CATALOGUE = (
         "_loops(fa, 2, n + 1),",
         ("tests/test_translate.py::test_compile_mix_shapes",),
     ),
+    Mutant(
+        "node equality ignores the class",
+        "src/countercheck/expr.py",
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, Node):",
+        ("tests/test_nodes.py::test_nodes_of_different_classes_with_equal_fields_differ",),
+    ),
+    Mutant(
+        "the compiled __init__ binds a node's fields in reverse order",
+        "src/countercheck/expr.py",
+        'params = ", ".join(cls._fields)',
+        'params = ", ".join(reversed(cls._fields))',
+        ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
+    ),
+    Mutant(
+        "main turns a reader that leaves early into a usage error",
+        "src/countercheck/cli.py",
+        "return 141",
+        "return 2",
+        ("tests/test_cli.py::test_a_reader_that_leaves_early_ends_the_command_quietly",),
+    ),
 )
 
 
