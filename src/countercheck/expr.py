@@ -48,12 +48,10 @@ def _tuple_of(fields: tuple[str, ...]):
     """The function from a node to the tuple of its ``fields``, read in C:
     ``attrgetter`` gives a tuple for two names or more, the bare value for
     one."""
-    if len(fields) > 1:
-        return attrgetter(*fields)
-    if fields:
-        get = attrgetter(*fields)
-        return lambda node: (get(node),)
-    return lambda node: ()
+    if not fields:
+        return lambda node: ()
+    get = attrgetter(*fields)
+    return get if len(fields) > 1 else lambda node: (get(node),)
 
 
 class Node:
