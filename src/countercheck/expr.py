@@ -80,8 +80,9 @@ class Node:
         sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
         namespace = {"_set": object.__setattr__}
         exec(f"def __init__(self, {params}):\n    pass{sets}", namespace)
-        cls.__init__ = namespace["__init__"]
-        cls.__init__(self, *args, **kwargs)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"  # named in its errors
+        init(self, *args, **kwargs)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -94,6 +94,15 @@ def test_positional_and_keyword_construction_agree(cls):
         assert getattr(by_keyword, name) is value
 
 
+def test_construction_errors_name_the_class():
+    with pytest.raises(TypeError, match=r"^RCat\.__init__\(\) missing 1 required positional argument: 'right'$"):
+        ex.RCat(ex.RSym("a"))
+    with pytest.raises(TypeError, match=r"^InP\.__init__\(\) got multiple values for argument 'term'$"):
+        lg.InP(x, term=x)
+    with pytest.raises(TypeError, match=r"^Empty\.__init__\(\) takes 1 positional argument but 2 were given$"):
+        ex.Empty("a")
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
 def test_hash_is_the_hash_of_the_field_tuple(cls):
     fields = SAMPLES[cls]
