@@ -23,11 +23,11 @@ transition however it was made.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .expr import Record
 from .nfa import breadth_first_run
 
 NO_OP = "no_op"
@@ -58,8 +58,7 @@ def transitions_from(rows: Iterable[tuple]) -> frozenset[Transition]:
     return frozenset(map(tuple.__new__, repeat(Transition), rows))
 
 
-@dataclass(frozen=True)
-class CCA:
+class CCA(Record):
     states: frozenset[str]
     alphabet: frozenset[str]
     initial: str
@@ -117,8 +116,7 @@ class CCA:
         return kept
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     state: str
     counters: tuple[int, ...]
 
@@ -149,11 +147,19 @@ def _is_choice(out: tuple[Transition, ...]) -> bool:
     return all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     lettered: frozenset[str]  # states firing a lettered transition
     inc: tuple[frozenset[str], ...]  # per counter, 1-based at index k-1
     check: tuple[frozenset[str], ...]
+
+
+_NO_STATES: frozenset[str] = frozenset()
+
+
+def _frozen(states: set[str]) -> frozenset[str]:
+    """``states`` as a frozenset; every empty slot of every partition is
+    the one empty frozenset, which this interpreter does not share itself."""
+    return frozenset(states) if states else _NO_STATES
 
 
 def _classify(a: CCA) -> Optional[Partition]:
@@ -177,7 +183,7 @@ def _classify(a: CCA) -> Optional[Partition]:
                 lettered.add(s)
         elif out and not _is_choice(out):
             return None
-    return Partition(frozenset(lettered), tuple(map(frozenset, inc)), tuple(map(frozenset, check)))
+    return Partition(_frozen(lettered), tuple(map(_frozen, inc)), tuple(map(_frozen, check)))
 
 
 def _classification(a: CCA) -> Optional[Partition]:
@@ -278,10 +284,9 @@ def satisfies_final_contract(a: CCA) -> bool:
 # --------------------------------------------------------------------------
 # finite simulation
 
-@dataclass(frozen=True)
-class RunPrefix:
+class RunPrefix(Record):
     configurations: tuple[Configuration, ...]
-    steps: tuple[Transition, ...] = field(default=())
+    steps: tuple[Transition, ...] = ()
 
     def word(self) -> str:
         return "".join(t.label for t in self.steps if t.label is not None)

@@ -6,6 +6,9 @@ substitutes a JSON automaton instead.  Exit codes: 0 success, 1 failed
 check (fuzz disagreement, invalid witness), 2 usage or parse errors,
 3 internal invariant violation, 141 when the reader of stdout closes it
 early.
+
+A subcommand imports the modules only it needs (``logic``, ``exponents``,
+``harness``) when it runs, so the other commands never load them.
 """
 from __future__ import annotations
 
@@ -18,10 +21,7 @@ from typing import Optional
 from . import __version__
 from .cca import CCA, export, has_run_prefix, import_json, simplify
 from .emptiness import InternalCheckError, decide, verify_witness, witness_from_json
-from .exponents import classify, parse_generator
 from .expr import OmegaTExpr, ParseError, parse_omega_t, pretty
-from .harness import run_fuzz
-from .logic import emit_phi, pretty_formula
 from .translate import Trace, compile_expression
 
 
@@ -109,6 +109,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_formula(args) -> int:
+    from .logic import emit_phi, pretty_formula
+
     formula = emit_phi(_parse(args)[0])
     style = "ascii" if args.ascii else "unicode"
     text = pretty_formula(formula, style=style, expand_macros=args.expand_macros)
@@ -118,6 +120,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .exponents import classify, parse_generator
+
     flags = classify(parse_generator(args.generator))
     print(
         f"bounded={str(flags.bounded).lower()}"
@@ -140,6 +144,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .harness import run_fuzz
+
     report = run_fuzz(args.seed, args.cases, args.depth, log=lambda msg: print(msg))
     print(
         f"fuzz: {report.cases - len(report.failures)}/{report.cases} cases agree"

@@ -38,11 +38,11 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
 from .cca import CCA, CCAError, Partition, is_simple, partition, simplify
+from .expr import Record
 from .nfa import NFA, accepts, breadth_first_run
 
 
@@ -51,8 +51,7 @@ class InternalCheckError(RuntimeError):
     legitimate outcome."""
 
 
-@dataclass(frozen=True)
-class AcceptingWitness:
+class AcceptingWitness(Record):
     path: tuple[str, ...]
     begin: int
     pairs: tuple[tuple[int, int], ...]  # one (loop entry, loop exit) per counter
@@ -542,8 +541,7 @@ def _spread(succ: list, seeds: list, limit: float = math.inf) -> tuple[list, lis
     return cost, origin
 
 
-@dataclass(frozen=True)
-class EmptinessReport:
+class EmptinessReport(Record):
     empty: bool
     witness: Optional[AcceptingWitness]
     simple: CCA

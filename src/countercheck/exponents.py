@@ -15,12 +15,12 @@ and a diverging part.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union as TUnion
 
+from .expr import Record
 
-@dataclass(frozen=True)
-class Constant:
+
+class Constant(Record):
     value: int
 
     def __post_init__(self):
@@ -28,8 +28,7 @@ class Constant:
             raise ValueError("block sizes must be positive")
 
 
-@dataclass(frozen=True)
-class Ramp:
+class Ramp(Record):
     start: int
     step: int
 
@@ -38,13 +37,11 @@ class Ramp:
             raise ValueError("start and step must be positive")
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(Record):
     """1; 1,2; 1,2,3; ... -- every positive size recurs forever."""
 
 
-@dataclass(frozen=True)
-class PeriodicList:
+class PeriodicList(Record):
     values: tuple[int, ...]
 
     def __post_init__(self):
@@ -52,8 +49,7 @@ class PeriodicList:
             raise ValueError("need a nonempty list of positive sizes")
 
 
-@dataclass(frozen=True)
-class Interleave:
+class Interleave(Record):
     first: "ExponentGen"
     second: "ExponentGen"
 
@@ -92,8 +88,7 @@ def sample(gen: ExponentGen, i: int) -> int:
 # The only ramp the infinitely-recurring side ever carries is (1, 1) (from
 # Staircase), which keeps set difference inside the representation.
 
-@dataclass(frozen=True)
-class ValueSet:
+class ValueSet(Record):
     singles: frozenset[int] = frozenset()
     ramps: tuple[tuple[int, int], ...] = ()
     removed: frozenset[int] = frozenset()
@@ -163,8 +158,7 @@ def is_bounded(gen: ExponentGen) -> bool:
     return is_bounded(gen.first) and is_bounded(gen.second)
 
 
-@dataclass(frozen=True)
-class ClassFlags:
+class ClassFlags(Record):
     bounded: bool
     strictly_unbounded: bool
     t_holds: bool
@@ -185,8 +179,7 @@ def classify(gen: ExponentGen) -> ClassFlags:
     )
 
 
-@dataclass(frozen=True)
-class PrefixDecomposition:
+class PrefixDecomposition(Record):
     """Index labels for a sequence prefix.
 
     ``labels[j]`` is ``"S"`` when the (j+1)-th size occurs only finitely

@@ -28,7 +28,6 @@ layer's class; the stratifier, the ``^T`` relaxation, the erasure, the
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import NamedTuple, Union as TUnion
 
@@ -54,6 +53,25 @@ def _tuple_of(fields: tuple[str, ...]):
     return get if len(fields) > 1 else lambda node: (get(node),)
 
 
+def _compiled_init(cls):
+    """The ``__init__`` of ``cls``: one parameter per field, in order, a
+    field with a class attribute of its name taking that value as its
+    default, as a dataclass field does; it sets each field, then runs the
+    class's ``__post_init__`` if it has one."""
+    defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in cls._fields)
+    # each field is set through object.__setattr__, as a frozen dataclass
+    # does: writing the instance dict instead would give every node a dict
+    # of its own, larger and slower to read
+    sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):\n    pass{sets}{post}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # named in its errors
+    return init
+
+
 class Node:
     """Base of every expression and formula node: an immutable record whose
     fields are its class's own annotations, in order.
@@ -66,22 +84,13 @@ class Node:
     its own ``__init__`` when its first node is built.
     """
 
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
         cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
         cls._values = staticmethod(_tuple_of(cls._fields))
 
     def __init__(self, *args, **kwargs) -> None:
-        # the compiled __init__ sets each field through object.__setattr__,
-        # as a frozen dataclass does: writing the instance dict instead
-        # would give every node a dict of its own, larger and slower to read
-        cls = type(self)
-        params = ", ".join(cls._fields)
-        sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
-        namespace = {"_set": object.__setattr__}
-        exec(f"def __init__(self, {params}):\n    pass{sets}", namespace)
-        init = cls.__init__ = namespace["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"  # named in its errors
+        init = type(self).__init__ = _compiled_init(type(self))
         init(self, *args, **kwargs)
 
     def __eq__(self, other):
@@ -98,10 +107,40 @@ class Node:
         return f"{type(self).__qualname__}({text})"
 
     def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _refuse(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        _refuse(f"cannot delete field {name!r}")
+
+
+def _refuse(message: str):
+    # dataclasses is loaded only to refuse a write: importing it at start-up
+    # would cost about as much as this package's largest module
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(message)
+
+
+class Record(Node):
+    """Base of the package's other records: a node whose fields may have
+    defaults (a class attribute named after the field) and whose class may
+    define a ``__post_init__`` hook that validates a new record, as a
+    dataclass does.
+
+    A record class compiles its ``__init__`` when it is made, so its first
+    record costs no code generation: a forked worker whose parent never
+    built one does not pay for it on every input.  ``frozen=False`` in the
+    class statement makes records that take assignment and deletion and
+    have no hash, as a mutable dataclass does.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__init__ = _compiled_init(cls)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
 
 
 # --------------------------------------------------------------------------
@@ -413,9 +452,7 @@ def _recast(e, classes: dict):
     """``e`` rebuilt with each node of a class keyed in ``classes`` made of
     the class it maps to; any other field (a letter, a prefix's regular
     expression) is kept as it is."""
-    args = []
-    for value in vars(e).values():
-        args.append(_recast(value, classes) if type(value) in classes else value)
+    args = [_recast(value, classes) if type(value) in classes else value for value in e._values(e)]
     return classes[type(e)](*args)
 
 
@@ -452,7 +489,7 @@ def t_subexpressions(e: OmegaTExpr) -> list[TExpr]:
     def walk(x) -> None:
         if type(x) is T:
             found.append(x.body)
-        for value in vars(x).values():
+        for value in x._values(x):
             if type(value) in _RELAX:  # a prefix's regular expression has no ^T
                 walk(value)
 

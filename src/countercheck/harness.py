@@ -8,7 +8,6 @@ shrunk by greedy transition and state deletion before being reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import expr as ex
@@ -191,8 +190,7 @@ def random_formula(rng: random.Random, depth: int) -> object:
 # --------------------------------------------------------------------------
 # the agreement property
 
-@dataclass
-class CaseOutcome:
+class CaseOutcome(ex.Record, frozen=False):
     empty: bool
     witness: Optional[AcceptingWitness]
     bound_ok: bool
@@ -284,8 +282,7 @@ def shrink_failure(a: CCA, depth: int = 40) -> CCA:
     return a
 
 
-@dataclass
-class FuzzReport:
+class FuzzReport(ex.Record, frozen=False):
     cases: int
     nonempty: int
     failures: list[tuple[int, CCA, str]]

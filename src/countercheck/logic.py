@@ -227,7 +227,7 @@ def _atom_vars(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     """An atom's (first-order, set) variables: its terms hold the first
     kind, and every other field but a letter names a set."""
     fo, so = [], []
-    for field, value in vars(f).items():
+    for field, value in zip(f._fields, f._values(f)):
         if isinstance(value, (Var, Succ)):
             fo.append(_term_var(value))
         elif field != "letter":

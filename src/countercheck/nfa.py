@@ -19,10 +19,9 @@ it fires.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-from .expr import RAlt, RCat, REmpty, RSym, RegExpr
+from .expr import RAlt, RCat, REmpty, Record, RSym, RegExpr
 
 State = Hashable
 Label = Optional[Hashable]  # None is the silent label
@@ -34,8 +33,7 @@ def _edge_key(edge: tuple) -> tuple:
     return (label is not None, repr(label), repr(target))
 
 
-@dataclass(frozen=True)
-class NFA:
+class NFA(Record):
     states: frozenset
     alphabet: frozenset
     transitions: frozenset  # (source, label-or-None, target)

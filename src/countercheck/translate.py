@@ -33,7 +33,6 @@ expressions, run-prefix membership against the star relaxation).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -69,8 +68,7 @@ class FreshNames:
         return [f"{self.prefix}{i}" for i in range(first, first + k)]
 
 
-@dataclass(frozen=True)
-class AutomatonSet:
+class AutomatonSet(ex.Record):
     expression: object  # the compiled (sub-)expression
     automata: tuple[CCA, ...]
 

@@ -31,6 +31,12 @@ def atom_a(alphabet="ab") -> CCA:
     )
 
 
+def twin_of(a: CCA) -> CCA:
+    """An automaton equal to ``a`` that is another object, built from its
+    fields: it keeps nothing ``a`` has derived."""
+    return CCA(a.states, a.alphabet, a.initial, a.counters, a.transitions, a.final)
+
+
 def random_general_cca(rng: random.Random, max_states=6, max_counters=2, alphabet=("a", "b")) -> CCA:
     """Arbitrary (usually non-simple) automaton for normalization tests."""
     n = rng.randint(2, max_states)

@@ -185,11 +185,11 @@ CATALOGUE = (
         "src/countercheck/expr.py",
         """        if type(x) is T:
             found.append(x.body)
-        for value in vars(x).values():
+        for value in x._values(x):
             if type(value) in _RELAX:  # a prefix's regular expression has no ^T
                 walk(value)
 """,
-        """        for value in vars(x).values():
+        """        for value in x._values(x):
             if type(value) in _RELAX:  # a prefix's regular expression has no ^T
                 walk(value)
         if type(x) is T:
@@ -272,11 +272,25 @@ CATALOGUE = (
         ("tests/test_nodes.py::test_nodes_of_different_classes_with_equal_fields_differ",),
     ),
     Mutant(
-        "the compiled __init__ binds a node's fields in reverse order",
+        "the compiled __init__ sets each field from the parameter of its mirror image",
         "src/countercheck/expr.py",
-        'params = ", ".join(cls._fields)',
-        'params = ", ".join(reversed(cls._fields))',
+        '_set(self, {name!r}, {name})" for name in cls._fields)',
+        '_set(self, {name!r}, {value})" for name, value in zip(cls._fields, reversed(cls._fields)))',
         ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
+    ),
+    Mutant(
+        "a record's compiled __init__ skips its class's __post_init__",
+        "src/countercheck/expr.py",
+        'if hasattr(cls, "__post_init__") else ""',
+        'if False else ""',
+        ("tests/test_cca.py::test_constructor_names_the_offending_transition",),
+    ),
+    Mutant(
+        "cli imports harness when it is imported, not when fuzz runs",
+        "src/countercheck/cli.py",
+        "from .translate import Trace, compile_expression\n",
+        "from .harness import run_fuzz\nfrom .translate import Trace, compile_expression\n",
+        ("tests/test_package.py::test_an_emptiness_command_loads_only_what_it_runs",),
     ),
     Mutant(
         "main turns a reader that leaves early into a usage error",

@@ -13,7 +13,7 @@ from countercheck.expr import parse_omega_t, pretty
 from countercheck.harness import random_omega_expr, random_regex, random_simple_cca, random_texpr
 from countercheck.nfa import breadth_first_run
 
-from conftest import atom_a, atom_empty, random_general_cca
+from conftest import atom_a, atom_empty, random_general_cca, twin_of
 
 
 def two_counter_host(*transitions, states=("s", "t", "u"), initial="s") -> CCA:
@@ -594,8 +594,6 @@ def test_json_import_rejects_non_string_transition_names():
 
 
 def test_an_automaton_derives_its_graph_once(monkeypatch):
-    from dataclasses import replace
-
     passes = []
     classify = cca._classify
     monkeypatch.setattr(cca, "_classify", lambda a: passes.append(a) or classify(a))
@@ -610,7 +608,7 @@ def test_an_automaton_derives_its_graph_once(monkeypatch):
     assert passes == [simple, a]
     # what an automaton keeps is outside its fields: an equal twin compares
     # and hashes alike and derives its own
-    twin = replace(simple)
+    twin = twin_of(simple)
     assert twin == simple and hash(twin) == hash(simple) and repr(twin) == repr(simple)
     assert twin.adjacency() == simple.adjacency() and twin.adjacency() is not simple.adjacency()
     assert cca.partition(twin) == cca.partition(simple)
@@ -632,6 +630,19 @@ def test_partition_slots_are_disjoint(rng):
         # every state in no set fires silent no-op choices only, or nothing
         for s in sorted(a.states - part.lettered - set().union(*slots)):
             assert all(t.label is None and t.op == NO_OP for t in adjacency[s])
+
+
+def test_empty_partition_slots_are_one_object(rng):
+    from countercheck.harness import random_simple_cca
+
+    part = cca.partition(two_counter_host(Transition("s", "a", "t", 1, NO_OP)))
+    assert part.lettered == {"s"}
+    assert part.inc == part.check == (frozenset(), frozenset())
+    empties = {id(slot) for slot in (*part.inc, *part.check)}
+    for _ in range(20):
+        part = cca.partition(random_simple_cca(rng))
+        empties |= {id(slot) for slot in (part.lettered, *part.inc, *part.check) if not slot}
+    assert len(empties) == 1
 
 
 def test_run_prefixes_and_printing_are_pinned():

@@ -38,7 +38,7 @@ from countercheck.harness import random_simple_cca, run_fuzz
 from countercheck.nfa import accepts, intersect, shortest_accepting_run
 from countercheck.translate import compile_expression
 
-from conftest import atom_a, atom_empty, flat_word, nonempty_witness
+from conftest import atom_a, atom_empty, flat_word, nonempty_witness, twin_of
 
 
 def closed_atom() -> CCA:
@@ -764,17 +764,17 @@ def test_examine_runs_the_oracle_once_when_it_finds_the_witness(monkeypatch):
 
 
 def test_fuzz_examine_catches_a_layered_search_off_the_reference(monkeypatch):
-    from dataclasses import replace
-
     from countercheck import harness
+    from countercheck.emptiness import AcceptingWitness, EmptinessReport
 
     auto = closed_atom()
     assert harness.examine(auto).failure is None
     report = decide(auto)
-    longer = replace(report.witness, path=report.witness.path + ("s1",))
-    monkeypatch.setattr(harness, "decide", lambda a: replace(report, witness=longer))
+    w = report.witness
+    longer = AcceptingWitness(w.path + ("s1",), w.begin, w.pairs, w.checks, w.end)
+    monkeypatch.setattr(harness, "decide", lambda a: EmptinessReport(False, longer, report.simple))
     assert "shortest length" in harness.examine(auto).failure
-    monkeypatch.setattr(harness, "decide", lambda a: replace(report, empty=True, witness=None))
+    monkeypatch.setattr(harness, "decide", lambda a: EmptinessReport(True, None, report.simple))
     assert "verdict" in harness.examine(auto).failure
 
 
@@ -837,13 +837,11 @@ def test_examine_derives_one_graph_per_simple_case(monkeypatch):
 
 
 def test_the_graph_memo_never_serves_a_stale_graph(monkeypatch):
-    from dataclasses import replace
-
     rng = random.Random(20261022)
     autos = [random_simple_cca(rng, max_counters=3) for _ in range(60)]
     autos += [closed_atom(), compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")]
     # an equal automaton that is another object keeps no graph yet
-    expected = [decide(replace(b)) for b in autos]
+    expected = [decide(twin_of(b)) for b in autos]
     assert any(r.empty for r in expected) and not all(r.empty for r in expected)
     for a, b, b_expected in zip(autos, autos[1:] + autos[:1], expected[1:] + expected[:1]):
         decide(a)
@@ -851,7 +849,7 @@ def test_the_graph_memo_never_serves_a_stale_graph(monkeypatch):
     # an equal automaton that is another object gets its own graph
     derived = counted_graphs(monkeypatch)
     for a, a_expected in zip(autos, expected):
-        twin = replace(a)
+        twin = twin_of(a)
         assert twin == a and twin is not a and hash(twin) == hash(a)
         decide(a)
         derived.clear()
@@ -883,11 +881,10 @@ def test_the_graph_memo_under_threads():
     # has derived its graph before
     import sys
     import threading
-    from dataclasses import replace
 
     rng = random.Random(20261023)
-    autos = [replace(random_simple_cca(rng, max_counters=3)) for _ in range(40)]
-    expected = [decide(replace(a)) for a in autos]
+    autos = [random_simple_cca(rng, max_counters=3) for _ in range(40)]
+    expected = [decide(twin_of(a)) for a in autos]
     results: dict = {}
 
     def work(offset: int) -> None:

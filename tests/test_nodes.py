@@ -171,3 +171,21 @@ def test_copies_and_pickles_equal_the_original(cls):
         assert hash(twin) == hash(node)
         assert repr(twin) == repr(node)
         assert list(vars(twin)) == list(vars(node))
+
+
+def test_walks_read_fields_without_an_instance_dict(monkeypatch):
+    # vars() would give each node it reads a dict of its own; the walks
+    # read a node's fields through its class instead
+    def refuse(node):
+        raise AssertionError(f"vars() called on {node!r}")
+
+    monkeypatch.setattr(ex, "vars", refuse, raising=False)
+    monkeypatch.setattr(lg, "vars", refuse, raising=False)
+    tree = ex.parse_omega_t("a (b + a)* (a^T b + (b a^T)* + 0)^w", "ab")
+    relaxed = ex.substitute_t_with_star(tree)
+    assert ex.pretty(relaxed) == "a (b + a)* (a* b + (b a*)* + 0)^w"
+    assert ex.t_subexpressions(tree) == [ex.Sym("a"), ex.Sym("a")]
+    assert ex.pretty(ex.erase_to_regex(tree.tail.body)) == "a* b + (b a*)* + 0"
+    formula = lg.ExistsFO("x", lg.InDifference(lg.Succ(x), "X", "Y"))
+    assert lg.free_vars(formula) == (frozenset(), frozenset({"X", "Y"}))
+    assert lg.free_vars(lg.emit_phi(tree))[0] == frozenset()
