@@ -129,18 +129,12 @@ class Record(Node):
 
     A record class compiles its ``__init__`` when it is made, so its first
     record costs no code generation: a forked worker whose parent never
-    built one does not pay for it on every input.  ``frozen=False`` in the
-    class statement makes records that take assignment and deletion and
-    have no hash, as a mutable dataclass does.
+    built one does not pay for it on every input.
     """
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.__init__ = _compiled_init(cls)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
 
 # --------------------------------------------------------------------------

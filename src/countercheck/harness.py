@@ -190,7 +190,7 @@ def random_formula(rng: random.Random, depth: int) -> object:
 # --------------------------------------------------------------------------
 # the agreement property
 
-class CaseOutcome(ex.Record, frozen=False):
+class CaseOutcome(ex.Record):
     empty: bool
     witness: Optional[AcceptingWitness]
     bound_ok: bool
@@ -282,7 +282,7 @@ def shrink_failure(a: CCA, depth: int = 40) -> CCA:
     return a
 
 
-class FuzzReport(ex.Record, frozen=False):
+class FuzzReport(ex.Record):
     cases: int
     nonempty: int
     failures: list[tuple[int, CCA, str]]

@@ -883,7 +883,8 @@ def test_the_graph_memo_under_threads():
     import threading
 
     rng = random.Random(20261023)
-    autos = [random_simple_cca(rng, max_counters=3) for _ in range(40)]
+    autos = [twin_of(random_simple_cca(rng, max_counters=3)) for _ in range(40)]
+    assert all(tuple(vars(a)) == a._fields for a in autos)
     expected = [decide(twin_of(a)) for a in autos]
     results: dict = {}
 

@@ -1,7 +1,7 @@
 """What every record class promises: positional and keyword construction,
 its defaults, its validation, equality within a class only, the hash of the
-field tuple (frozen records) or none (mutable ones), the field-by-field
-repr, immutability, and copies and pickles equal to the original."""
+field tuple, the field-by-field repr, immutability, and copies and pickles
+equal to the original."""
 import copy
 import pickle
 from dataclasses import FrozenInstanceError
@@ -53,8 +53,6 @@ SAMPLES = {
     exponents.ClassFlags: {"bounded": True, "strictly_unbounded": False, "t_holds": False},
     exponents.PrefixDecomposition: {"labels": ("S", "BT"), "recurring_kind": "B"},
 }
-
-MUTABLE = {harness.CaseOutcome, harness.FuzzReport}
 
 # the fields a record fills in when they are left out
 DEFAULTS = {
@@ -125,14 +123,17 @@ def test_construction_validates(build, error, message):
         build()
 
 
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as error:  # a field holds a list
+        return str(error)
+
+
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
 def test_hash_is_the_hash_of_the_field_tuple(cls):
     record = cls(**SAMPLES[cls])
-    if cls in MUTABLE:
-        with pytest.raises(TypeError, match="unhashable type"):
-            hash(record)
-    else:
-        assert hash(record) == hash(tuple(SAMPLES[cls].values()))
+    assert _hash_or_error(record) == _hash_or_error(tuple(SAMPLES[cls].values()))
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
@@ -159,8 +160,8 @@ def test_records_compare_by_fields(cls):
     assert record != object()
 
 
-@pytest.mark.parametrize("cls", sorted(set(SAMPLES) - MUTABLE, key=_name), ids=_name)
-def test_frozen_records_refuse_assignment_and_deletion(cls):
+@pytest.mark.parametrize("cls", CLASSES, ids=_name)
+def test_records_refuse_assignment_and_deletion(cls):
     fields = SAMPLES[cls]
     record = cls(**fields)
     for name in fields:
@@ -173,23 +174,12 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
     assert record == cls(**fields)
 
 
-@pytest.mark.parametrize("cls", sorted(MUTABLE, key=_name), ids=_name)
-def test_mutable_records_take_assignment(cls):
-    fields = SAMPLES[cls]
-    record = cls(**fields)
-    name = next(iter(fields))
-    setattr(record, name, "z")
-    assert getattr(record, name) == "z"
-    assert record != cls(**fields)
-    delattr(record, name)
-    assert not hasattr(record, name)
-
-
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
 def test_copies_and_pickles_equal_the_original(cls):
     record = cls(**SAMPLES[cls])
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls
         assert twin == record
-        assert repr(twin) == repr(record)
+        # not the reprs: a copied frozenset may list its members in another order
+        assert vars(twin) == vars(record)
 
