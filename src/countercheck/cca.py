@@ -40,6 +40,11 @@ class CCAError(ValueError):
     pass
 
 
+class InternalCheckError(RuntimeError):
+    """A decoded certificate failed re-verification; this is a bug, never a
+    legitimate outcome."""
+
+
 class Transition(NamedTuple):
     source: str
     label: Optional[str]  # None is the silent label

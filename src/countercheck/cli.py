@@ -7,8 +7,9 @@ check (fuzz disagreement, invalid witness), 2 usage or parse errors,
 3 internal invariant violation, 141 when the reader of stdout closes it
 early.
 
-A subcommand imports the modules only it needs (``logic``, ``exponents``,
-``harness``) when it runs, so the other commands never load them.
+A subcommand imports the modules only it needs (``emptiness``, ``logic``,
+``exponents``, ``harness``) when it runs, so the other commands never load
+them.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .cca import CCA, export, has_run_prefix, import_json, simplify
-from .emptiness import InternalCheckError, decide, verify_witness, witness_from_json
+from .cca import CCA, InternalCheckError, export, has_run_prefix, import_json, simplify
 from .expr import OmegaTExpr, ParseError, parse_omega_t, pretty
 from .translate import Trace, compile_expression
 
@@ -81,6 +81,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_empty(args) -> int:
+    from .emptiness import decide
+
     automaton = _automaton_for(args)
     report = decide(automaton)
     if report.empty:
@@ -132,6 +134,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .emptiness import verify_witness, witness_from_json
+
     with open(args.automaton, "r", encoding="utf-8") as handle:
         automaton = import_json(handle.read())
     with open(args.witness, "r", encoding="utf-8") as handle:

@@ -41,14 +41,9 @@ from collections import deque
 from itertools import chain
 from typing import Optional
 
-from .cca import CCA, CCAError, Partition, is_simple, partition, simplify
+from .cca import CCA, CCAError, InternalCheckError, Partition, is_simple, partition, simplify
 from .expr import Record
 from .nfa import NFA, accepts, breadth_first_run
-
-
-class InternalCheckError(RuntimeError):
-    """A decoded certificate failed re-verification; this is a bug, never a
-    legitimate outcome."""
 
 
 class AcceptingWitness(Record):

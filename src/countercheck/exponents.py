@@ -81,12 +81,13 @@ def sample(gen: ExponentGen, i: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# closed-form value sets
+# value sets from the leaves
 #
-# A ValueSet denotes  singles  union  (union of ramps  minus  removed),
-# where a ramp (a, d) is the arithmetic progression {a, a+d, a+2d, ...}.
-# The only ramp the infinitely-recurring side ever carries is (1, 1) (from
-# Staircase), which keeps set difference inside the representation.
+# An Interleave visits each of its leaves infinitely often, so the sizes
+# that recur are every size when a leaf is a Staircase, else the sizes of
+# the Constant and PeriodicList leaves; the sizes that vanish are those of
+# the Ramp leaves that do not recur.  A ValueSet denotes  singles  union
+# (union of ramps  minus  removed),  a ramp (a, d) being {a, a+d, ...}.
 
 class ValueSet(Record):
     singles: frozenset[int] = frozenset()
@@ -109,53 +110,43 @@ class ValueSet(Record):
         return bool(self.ramps)
 
 
-def _union(x: ValueSet, y: ValueSet) -> ValueSet:
-    dropped = frozenset(v for v in (x.removed | y.removed) if v not in x and v not in y)
-    return ValueSet(x.singles | y.singles, x.ramps + y.ramps, dropped)
-
-
-def _difference(x: ValueSet, y: ValueSet) -> ValueSet:
-    if y.ramps:
-        # y is cofinite here: its ramps all cover every positive size
-        assert all(r == (1, 1) for r in y.ramps), "unexpected ramp in recurring set"
-        hole = frozenset(v for v in y.removed if v not in y.singles)
-        return ValueSet(frozenset(v for v in hole if v in x))
-    return ValueSet(
-        frozenset(v for v in x.singles if v not in y.singles),
-        x.ramps,
-        x.removed | y.singles,
-    )
+def _leaves(gen: ExponentGen) -> list[ExponentGen]:
+    """The generator's leaves, left to right, without recursion."""
+    leaves, todo = [], [gen]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Interleave):
+            todo += (g.second, g.first)
+        else:
+            leaves.append(g)
+    return leaves
 
 
 def recurring_values(gen: ExponentGen) -> ValueSet:
     """Sizes occurring infinitely often in the sequence."""
-    if isinstance(gen, Constant):
-        return ValueSet(frozenset({gen.value}))
-    if isinstance(gen, Ramp):
-        return ValueSet()
-    if isinstance(gen, Staircase):
+    leaves = _leaves(gen)
+    if any(isinstance(leaf, Staircase) for leaf in leaves):
         return ValueSet(ramps=((1, 1),))
-    if isinstance(gen, PeriodicList):
-        return ValueSet(frozenset(gen.values))
-    return _union(recurring_values(gen.first), recurring_values(gen.second))
+    sizes = set()
+    for leaf in leaves:
+        if isinstance(leaf, Constant):
+            sizes.add(leaf.value)
+        elif isinstance(leaf, PeriodicList):
+            sizes.update(leaf.values)
+    return ValueSet(frozenset(sizes))
 
 
 def vanishing_values(gen: ExponentGen) -> ValueSet:
     """Sizes occurring at least once but only finitely often."""
-    if isinstance(gen, (Constant, Staircase, PeriodicList)):
+    recurring = recurring_values(gen)
+    if recurring.is_infinite:
         return ValueSet()
-    if isinstance(gen, Ramp):
-        return ValueSet(ramps=((gen.start, gen.step),))
-    raw = _union(vanishing_values(gen.first), vanishing_values(gen.second))
-    return _difference(raw, _union(recurring_values(gen.first), recurring_values(gen.second)))
+    ramps = tuple((leaf.start, leaf.step) for leaf in _leaves(gen) if isinstance(leaf, Ramp))
+    return ValueSet(ramps=ramps, removed=recurring.singles)
 
 
 def is_bounded(gen: ExponentGen) -> bool:
-    if isinstance(gen, (Constant, PeriodicList)):
-        return True
-    if isinstance(gen, (Ramp, Staircase)):
-        return False
-    return is_bounded(gen.first) and is_bounded(gen.second)
+    return not any(isinstance(leaf, (Ramp, Staircase)) for leaf in _leaves(gen))
 
 
 class ClassFlags(Record):
@@ -172,9 +163,10 @@ def classify(gen: ExponentGen) -> ClassFlags:
     t_holds: infinitely many distinct sizes each recur forever.
     """
     recurring = recurring_values(gen)
+    bounded = is_bounded(gen)
     return ClassFlags(
-        bounded=is_bounded(gen),
-        strictly_unbounded=recurring.is_empty and not is_bounded(gen),
+        bounded=bounded,
+        strictly_unbounded=recurring.is_empty and not bounded,
         t_holds=recurring.is_infinite,
     )
 

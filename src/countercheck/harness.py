@@ -11,10 +11,9 @@ import random
 from typing import Callable, Optional
 
 from . import expr as ex
-from .cca import CCA, CCAError, CHECK, INC, NO_OP, Transition, is_simple
+from .cca import CCA, CCAError, CHECK, INC, NO_OP, InternalCheckError, Transition, is_simple
 from .emptiness import (
     AcceptingWitness,
-    InternalCheckError,
     brute_force_witness,
     decide,
     decide_by_product,

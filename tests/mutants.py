@@ -299,6 +299,27 @@ CATALOGUE = (
         "return 2",
         ("tests/test_cli.py::test_a_reader_that_leaves_early_ends_the_command_quietly",),
     ),
+    Mutant(
+        "cli imports emptiness when it is imported, not when empty or verify runs",
+        "src/countercheck/cli.py",
+        "from .expr import OmegaTExpr",
+        "from .emptiness import decide\nfrom .expr import OmegaTExpr",
+        ("tests/test_package.py::test_commands_without_a_decision_leave_emptiness_unloaded",),
+    ),
+    Mutant(
+        "the leaf walk drops an interleave's second operand",
+        "src/countercheck/exponents.py",
+        "todo += (g.second, g.first)",
+        "todo += (g.first,)",
+        ("tests/test_exponents.py::test_classify_interleaved_single_recurring_size",),
+    ),
+    Mutant(
+        "is_bounded ignores a staircase leaf",
+        "src/countercheck/exponents.py",
+        "isinstance(leaf, (Ramp, Staircase))",
+        "isinstance(leaf, Ramp)",
+        ("tests/test_exponents.py::test_classify_staircase",),
+    ),
 )
 
 

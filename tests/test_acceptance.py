@@ -3,6 +3,7 @@
 Every test prints a single summary line (visible under ``pytest -s`` or
 ``-rA``); a failed assertion is the fail signal.
 """
+import hashlib
 import random
 import time
 from pathlib import Path
@@ -170,6 +171,24 @@ def test_criterion_7_prefix_decomposition():
         f"criterion 7 (prefix decomposition): PASS — {len(generators)} generators"
          f" at prefix length {prefix_len}"
     )
+
+
+def test_exponent_classes_are_pinned():
+    # the flags, which of the sizes 1-40 recur or vanish, and the labels of
+    # a 60-index prefix, for every generator of depth at most 3
+    digest = hashlib.sha256()
+    generators = _generators_to_depth_3()
+    for gen in generators:
+        flags = xp.classify(gen)
+        recurring = xp.recurring_values(gen)
+        vanishing = xp.vanishing_values(gen)
+        digest.update(repr((flags.bounded, flags.strictly_unbounded, flags.t_holds)).encode())
+        digest.update(bytes(v in recurring for v in range(1, 41)))
+        digest.update(bytes(v in vanishing for v in range(1, 41)))
+        digest.update(" ".join(xp.decompose_prefix(gen, 60).labels).encode() + b"\n")
+    assert len(generators) == 1806
+    assert digest.hexdigest() == "c7f2744cd6ede5f8fb92199fd9c98a32ef9bbb1a29f1f1f29cfe377ef6e7ed2f"
+    print(f"exponent classes: PASS — {len(generators)} generators match the pin")
 
 
 def test_criterion_8_simulation_probes():

@@ -229,13 +229,14 @@ def test_malformed_witness_file_exits_cleanly(capsys, tmp_path):
 
 
 def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
-    from countercheck import cli
+    from countercheck import emptiness
     from countercheck.emptiness import InternalCheckError
 
     def explode(_):
         raise InternalCheckError("decoded witness failed verification")
 
-    monkeypatch.setattr(cli, "decide", explode)
+    # `empty` imports `decide` from `emptiness` when it runs
+    monkeypatch.setattr(emptiness, "decide", explode)
     code, _, err = run(capsys, "empty", "(a b)^w")
     assert code == 3
     assert "internal error" in err

@@ -73,6 +73,27 @@ def test_an_emptiness_command_loads_only_what_it_runs():
         assert name not in modules, name
 
 
+def test_commands_without_a_decision_leave_emptiness_unloaded():
+    loaded = json.loads(_fresh("""
+        import contextlib, io, json, sys
+        from countercheck import cli
+        statuses = []
+        for argv in (
+            ["parse", "(a^T b)^w"],
+            ["compile", "(a^T b)^w"],
+            ["dot", "(a^T b)^w"],
+            ["simulate", "(a^T b)^w", "--word", "ab"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                statuses.append(cli.main(argv))
+        print(json.dumps([statuses, sorted(sys.modules)]))
+    """))
+    statuses, modules = loaded
+    assert statuses == [0, 0, 0, 0]
+    for name in ("countercheck.emptiness", "countercheck.logic", "countercheck.exponents", "countercheck.harness"):
+        assert name not in modules, name
+
+
 def test_the_first_record_of_each_class_generates_no_code():
     # a forked worker whose parent never built a record must not pay for
     # code generation on its first one; the samples are built after the
