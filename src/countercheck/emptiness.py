@@ -373,19 +373,24 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
 # breadth-first distance over walks of length >= 0, d+ over walks of length
 # >= 1, and Lk(p) the shortest closed walk at p that avoids the check-k
 # states.  Everything after d0 is a closed walk through t, so it stays in
-# t's strongly connected component.  For one anchor the least closed walk
-# takes 2N+1 breadth-first spreads, each seeded with the costs of the
-# previous layer: O(N·(|S|+|E|)).  One backward pass of the same spreads,
-# ending at any anchor instead of at t, bounds every anchor from below, so
-# only anchors whose bound can still win are searched, and none when the
-# language is empty.  A least bound above MAX_WITNESS states refuses the
-# input before any forward spread.
+# t's strongly connected component, and only a *candidate* component, one
+# holding a lettered state and an inc-k and a check-k state for every k,
+# can hold a witness.  Without a candidate the language is empty, decided
+# before any spread; the search then covers the candidates alone.  For one
+# anchor the least closed walk takes 2N+1 breadth-first spreads, each
+# seeded with the costs of the previous layer: O(N·(|S|+|E|)).  One
+# backward pass of the same spreads over the candidates, ending at any
+# anchor instead of at t, bounds every anchor from below, so only anchors
+# whose bound can still win are searched, and none when the language is
+# empty.  A least bound above MAX_WITNESS states refuses the input before
+# any forward spread.
 #
-# The search runs on the states reachable from the initial state, numbered
-# once in name order: succ[i] lists the numbers of i's successors in
-# adjacency order, and every table is a list indexed by state number, so
-# "smallest name" and "name order" are index order.  Names come back only
-# when the witness is built.  No table outlives the call.
+# One breadth-first pass from the initial state, successors in adjacency
+# order, finds the reachable states with their distances and parents.  They
+# are then numbered in name order: succ[i] lists the numbers of i's
+# successors in adjacency order, and every table is a list indexed by state
+# number, so "smallest name" and "name order" are index order.  Names come
+# back only when the witness is built.  No table outlives the call.
 
 # the longest certificate, in states, that a decision may return: n = 100
 # letters of the flat word (a b a b ...)^w need 99,900, decided in about
@@ -394,36 +399,21 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
 MAX_WITNESS = 100_000
 
 
-def _numbered(adjacency: dict, initial: str) -> tuple[list[str], dict, list]:
-    """The states reachable from ``initial`` in name order, the number of
-    each, and the numbers of each one's successors in adjacency order."""
-    seen = {initial}
-    todo = [initial]
-    while todo:
-        for t in adjacency[todo.pop()]:
-            if t.target not in seen:
-                seen.add(t.target)
-                todo.append(t.target)
-    names = sorted(seen)
-    number = {s: i for i, s in enumerate(names)}
-    return names, number, [tuple(number[t.target] for t in adjacency[s]) for s in names]
-
-
-def _search_tree(succ: list, root: int) -> tuple[list, list]:
-    """Breadth-first distances and parents from ``root`` (None where there
-    is none)."""
-    dist: list = [None] * len(succ)
-    parent: list = [None] * len(succ)
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        here = queue.popleft()
-        for there in succ[here]:
-            if dist[there] is None:
-                dist[there] = dist[here] + 1
+def _breadth_first(adjacency: dict, initial: str) -> tuple[dict, dict]:
+    """The breadth-first parents (None at ``initial``) and distances of
+    the states reachable from ``initial``, successors in adjacency order."""
+    parent = {initial: None}
+    dist = {initial: 0}
+    queue = [initial]
+    for here in queue:  # the queue grows behind the loop
+        further = dist[here] + 1
+        for t in adjacency[here]:
+            there = t.target
+            if there not in parent:
                 parent[there] = here
+                dist[there] = further
                 queue.append(there)
-    return dist, parent
+    return parent, dist
 
 
 def _components(succ: list, root: int) -> list:
@@ -551,22 +541,48 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     order; each segment between them is the walk :func:`_walk` finds.
     Raises ``CCAError`` when no witness has at most ``MAX_WITNESS`` states.
     """
-    names, number, succ = _numbered(a.adjacency(), a.initial)
+    adjacency = a.adjacency()
+    parent, dist = _breadth_first(adjacency, a.initial)
+    # a witness visits a lettered state and, for every k, an inc-k and a
+    # check-k state, all in one strongly connected component: first each
+    # must be reachable, then one component must hold them all
+    if any(dist.keys().isdisjoint(states) for states in (part.lettered, *part.inc, *part.check)):
+        return None
+    names = sorted(dist)
+    number = {s: i for i, s in enumerate(names)}
+    succ = [tuple(number[t.target] for t in adjacency[s]) for s in names]
     n = a.counters
-    dist, parent = _search_tree(succ, number[a.initial])
     component = _components(succ, number[a.initial])
-    # closed walks never leave a component, so they only need these edges
-    local = [
-        tuple(there for there in out if component[there] == component[here])
-        for here, out in enumerate(succ)
-    ]
-    back: list[list[int]] = [[] for _ in local]
-    for here, out in enumerate(local):
-        for there in out:
-            back[there].append(here)
+
+    def holders(states: frozenset[str]) -> set[int]:
+        return {component[number[s]] for s in states if s in number}
+
+    candidates = holders(part.lettered)
+    for k in range(n):
+        if not candidates:
+            break
+        candidates &= holders(part.inc[k]) & holders(part.check[k])
+    if not candidates:
+        return None
+
+    # closed walks only need the edges inside the candidates; the pass that
+    # takes them also numbers each candidate's members in name order
+    local: list[tuple[int, ...]] = [()] * len(succ)
+    back: list[list[int]] = [[] for _ in succ]
+    members_of: dict[int, list[int]] = {root: [] for root in candidates}
+    at: dict[int, int] = {}
+    for here, root in enumerate(component):
+        if root in members_of:
+            local[here] = out = tuple(there for there in succ[here] if component[there] == root)
+            for there in out:
+                back[there].append(here)
+            members = members_of[root]
+            at[here] = len(members)
+            members.append(here)
 
     def numbers(states: frozenset[str]) -> list[int]:
-        return sorted(number[s] for s in states if s in number)
+        found = (number[s] for s in states if s in number)
+        return sorted(s for s in found if component[s] in members_of)
 
     anchors = numbers(part.lettered)
     inc = [numbers(part.inc[k]) for k in range(n)]
@@ -590,42 +606,42 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
         return [(cost[c], c) for c in checks[k] if cost[c] is not None]
 
     # backward: the least closed walk from each anchor to any anchor
-    everything = range(len(succ))
     cost = _spread(back, [(0, t) for t in anchors])[0]
     for k in reversed(range(n)):
         cost = _spread(back, checked(cost, k, check))[0]
     for k in reversed(range(n)):
-        cost = _spread(back, pumped(cost, k, inc, everything))[0]
-    bounds = sorted((dist[t] + cost[t], t) for t in anchors if cost[t] is not None)
+        cost = _spread(back, pumped(cost, k, inc, range(len(succ))))[0]
+    bounds = sorted((dist[names[t]] + cost[t], t) for t in anchors if cost[t] is not None)
     if bounds and bounds[0][0] + 1 > MAX_WITNESS:
         raise CCAError(
             f"a shortest witness has at least {bounds[0][0] + 1} states, more than {MAX_WITNESS}"
         )
 
     # forward, anchor by anchor, while the bound can still win; each
-    # anchor's spreads run on its component alone, renumbered in name order
+    # anchor's spreads run on its component's block alone: the members, their
+    # successors inside it and its inc-k and check-k members, all renumbered
     blocks: dict[int, tuple] = {}
 
     def block(root: int) -> tuple:
         if root not in blocks:
-            members = [s for s in everything if component[s] == root]
-            at = {s: j for j, s in enumerate(members)}
+            members = members_of[root]
             blocks[root] = (
                 members,
                 [tuple(at[there] for there in local[s]) for s in members],
-                [[at[p] for p in ps if p in at] for ps in inc],
-                [[at[c] for c in cs if c in at] for cs in check],
+                [[at[p] for p in ps if component[p] == root] for ps in inc],
+                [[at[c] for c in cs if component[c] == root] for cs in check],
             )
         return blocks[root]
 
-    best = None  # (total, anchor, the anchor's 2N+1 spreads, its component)
+    best = None  # (total, anchor, the anchor's 2N+1 spreads, its block's members)
     for bound, t in bounds:
         if best is not None and (bound, t) > best[:2]:
             break  # neither this anchor nor a later one can beat the best
         # a later name has to be strictly shorter to win
-        limit = math.inf if best is None else best[0] - dist[t] - (1 if t > best[1] else 0)
+        depth = dist[names[t]]
+        limit = math.inf if best is None else best[0] - depth - (1 if t > best[1] else 0)
         members, sub, incs, checks = block(component[t])
-        start = members.index(t)
+        start = at[t]
         spreads = [_spread(sub, [(0, start)], limit)]
         for k in range(n):
             spreads.append(_spread(sub, pumped(spreads[-1][0], k, incs, members), limit))
@@ -633,21 +649,21 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
             spreads.append(_spread(sub, checked(spreads[-1][0], k, checks), limit))
         closing = spreads[-1][0][start]
         if closing is not None:
-            total = dist[t] + closing
+            total = depth + closing
             if best is None or (total, t) < best[:2]:
                 best = (total, t, spreads, members)
     if best is None:
         return None
 
     total, t, spreads, members = best
-    chain = [members.index(t)]
+    chain = [at[t]]
     for _, origin in reversed(spreads):
         chain.append(origin[chain[-1]])
     chain = [members[j] for j in reversed(chain)]  # t, p1..pN, c1..cN, t
-    path = [t]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
+    prefix = [names[t]]
+    while parent[prefix[-1]] is not None:
+        prefix.append(parent[prefix[-1]])
+    path = [number[s] for s in reversed(prefix)]
     begin = len(path) - 1
     pairs = []
     for k, (here, pump) in enumerate(zip(chain, chain[1 : n + 1])):

@@ -218,7 +218,12 @@ def parse_generator(text: str) -> ExponentGen:
     if spec.startswith("periodic:"):
         return PeriodicList(tuple(_int(p, text) for p in spec[9:].split(",")))
     if spec.startswith("interleave(") and spec.endswith(")"):
+        # a periodic list's commas are top level too, and no generator spec
+        # starts with a digit, so the operands split at the first top-level
+        # comma after which the rest parses; when none does, the rest after
+        # the last one names the fault
         inner = spec[len("interleave(") : -1]
+        refusal = None
         depth = 0
         for i, c in enumerate(inner):
             if c == "(":
@@ -226,8 +231,13 @@ def parse_generator(text: str) -> ExponentGen:
             elif c == ")":
                 depth -= 1
             elif c == "," and depth == 0:
-                return Interleave(parse_generator(inner[:i]), parse_generator(inner[i + 1 :]))
-        raise ValueError(f"bad generator spec {text!r}: interleave needs two parts")
+                try:
+                    second = parse_generator(inner[i + 1 :])
+                except ValueError as err:
+                    refusal = err
+                    continue
+                return Interleave(parse_generator(inner[:i]), second)
+        raise refusal or ValueError(f"bad generator spec {text!r}: interleave needs two parts")
     raise ValueError(f"bad generator spec {text!r}")
 
 

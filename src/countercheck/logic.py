@@ -576,6 +576,7 @@ def blockset_formula(e: RegExpr, family: str) -> Formula:
     y = supply.fresh("y")
     yv = Var(y)
     block_x = supply.fresh("X")
+    is_block = block_formula(e, block_x)  # one node, shared by the three conjuncts
 
     covered = ForAllFO(
         y,
@@ -583,9 +584,7 @@ def blockset_formula(e: RegExpr, family: str) -> Formula:
             InX(yv, family),
             ExistsFin(
                 block_x,
-                reduce(And, [
-                    block_formula(e, block_x), SubsetEq(block_x, family), InX(yv, block_x)
-                ]),
+                reduce(And, [is_block, SubsetEq(block_x, family), InX(yv, block_x)]),
             ),
         ),
     )
@@ -593,12 +592,10 @@ def blockset_formula(e: RegExpr, family: str) -> Formula:
         y,
         ExistsFin(
             block_x,
-            reduce(And, [
-                block_formula(e, block_x), SubsetEq(block_x, family), MinGreater(block_x, yv)
-            ]),
+            reduce(And, [is_block, SubsetEq(block_x, family), MinGreater(block_x, yv)]),
         ),
     )
-    sizes_bounded = Bounding(block_x, And(SubsetEq(block_x, family), block_formula(e, block_x)))
+    sizes_bounded = Bounding(block_x, And(SubsetEq(block_x, family), is_block))
     return reduce(And, [covered, unboundedly_many, sizes_bounded])
 
 

@@ -150,6 +150,27 @@ CATALOGUE = (
         ("tests/test_emptiness.py::test_structure_nfa_state_count_matches_the_built_nfa",),
     ),
     Mutant(
+        "the candidate filter drops a component whose check-k states are not lettered",
+        "src/countercheck/emptiness.py",
+        "holders(part.check[k])",
+        "holders(part.check[k] & part.lettered)",
+        (
+            "tests/test_emptiness.py::test_layered_search_matches_product_reference",
+            "tests/test_emptiness.py::test_random_witnesses_are_pinned",
+            "tests/test_emptiness.py::test_a_component_short_of_an_ingredient_decides_empty_without_a_spread",
+        ),
+    ),
+    Mutant(
+        "the reachability check counts only lettered states as reached ingredients",
+        "src/countercheck/emptiness.py",
+        "dist.keys().isdisjoint(states)",
+        "dist.keys().isdisjoint(states & part.lettered)",
+        (
+            "tests/test_emptiness.py::test_layered_search_matches_product_reference",
+            "tests/test_emptiness.py::test_random_witnesses_are_pinned",
+        ),
+    ),
+    Mutant(
         "adjacency is derived again on every call",
         "src/countercheck/cca.py",
         'kept = self.__dict__.get("_adjacency")',
@@ -312,6 +333,13 @@ CATALOGUE = (
         "todo += (g.second, g.first)",
         "todo += (g.first,)",
         ("tests/test_exponents.py::test_classify_interleaved_single_recurring_size",),
+    ),
+    Mutant(
+        "an interleave's operands split at its first top-level comma",
+        "src/countercheck/exponents.py",
+        "refusal = err\n                    continue\n",
+        "raise\n",
+        ("tests/test_acceptance.py::test_generator_specs_parse_back",),
     ),
     Mutant(
         "is_bounded ignores a staircase leaf",

@@ -173,6 +173,29 @@ def test_criterion_7_prefix_decomposition():
     )
 
 
+def _spec(gen) -> str:
+    """The spec ``parse_generator`` reads back as ``gen``."""
+    if isinstance(gen, xp.Interleave):
+        return f"interleave({_spec(gen.first)},{_spec(gen.second)})"
+    if isinstance(gen, xp.Constant):
+        return f"const:{gen.value}"
+    if isinstance(gen, xp.Ramp):
+        return f"ramp:{gen.start}:{gen.step}"
+    if isinstance(gen, xp.PeriodicList):
+        return "periodic:" + ",".join(map(str, gen.values))
+    assert isinstance(gen, xp.Staircase)
+    return "staircase"
+
+
+def test_generator_specs_parse_back():
+    # a periodic list of two sizes holds a top-level comma wherever it
+    # stands in an interleave
+    generators = _generators_to_depth_3()
+    for gen in generators:
+        assert xp.parse_generator(_spec(gen)) == gen, _spec(gen)
+    print(f"generator specs: PASS — {len(generators)} specs parse back")
+
+
 def test_exponent_classes_are_pinned():
     # the flags, which of the sizes 1-40 recur or vanish, and the labels of
     # a 60-index prefix, for every generator of depth at most 3

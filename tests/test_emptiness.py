@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import time
 from pathlib import Path
@@ -14,6 +15,7 @@ from countercheck.cca import (
     NO_OP,
     Transition,
     hat,
+    import_json,
     is_simple,
     partition,
     simplify,
@@ -111,8 +113,6 @@ def test_witness_requires_simple_automaton():
 
 def test_witness_json_round_trip():
     _, w = hand_witness()
-    import json
-
     assert witness_from_json(json.dumps(w.to_json_dict())) == w
 
 
@@ -598,6 +598,66 @@ def test_decide_by_product_never_calls_intersect(monkeypatch):
     assert decide_by_product(closed_atom()) == expected
     assert expected is not None
     assert decide_by_product(hat(atom_empty())) is None
+
+
+# --------------------------------------------------------------------------
+# the candidate filter: a witness lies in one strongly connected component
+# that holds every ingredient, so without one the answer comes before any
+# spread
+
+def refuse_spreads(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a spread ran")
+
+    monkeypatch.setattr(emptiness, "_spread", refuse)
+
+
+def two_counter_cycle(check_2_on_cycle: bool) -> CCA:
+    """A JSON automaton: from ``p``, a check-2 state, into a cycle through
+    the lettered ``s0`` whose silent hub ``h`` pumps counters 1 and 2
+    without passing a check and leaves through the check-1 state ``c1``,
+    back to ``s0`` directly or through the check-2 state ``c2``."""
+    rows = [
+        ("p", "eps", "s0", 2, "check"),
+        ("s0", "a", "h", 1, "no_op"),
+        ("h", "eps", "i1", 1, "no_op"),
+        ("h", "eps", "i2", 1, "no_op"),
+        ("h", "eps", "c1", 1, "no_op"),
+        ("i1", "eps", "h", 1, "inc"),
+        ("i2", "eps", "h", 2, "inc"),
+    ]
+    if check_2_on_cycle:
+        rows += [("c1", "eps", "c2", 1, "check"), ("c2", "eps", "s0", 2, "check")]
+    else:
+        rows += [("c1", "eps", "s0", 1, "check")]
+    keys = ("from", "label", "to", "counter", "op")
+    data = {
+        "states": sorted({row[0] for row in rows}),
+        "alphabet": ["a"],
+        "initial": "p",
+        "final": None,
+        "counters": 2,
+        "transitions": [dict(zip(keys, row)) for row in rows],
+    }
+    return import_json(json.dumps(data))
+
+
+def test_an_unreachable_ingredient_decides_empty_without_a_spread(monkeypatch):
+    # no transition enters the check-3 state of (a 0)^w
+    a = compile_expression(parse_omega_t("(a 0)^w", "ab"), "ab")
+    refuse_spreads(monkeypatch)
+    assert decide(a).empty
+
+
+def test_a_component_short_of_an_ingredient_decides_empty_without_a_spread(monkeypatch):
+    # the cycle holds every ingredient but a check-2 state: p, on the way
+    # in, is the only one; with c2 on the cycle the language is nonempty
+    short = two_counter_cycle(check_2_on_cycle=False)
+    assert partition(short).check[1] == {"p"}
+    assert not decide(two_counter_cycle(check_2_on_cycle=True)).empty
+    assert brute_force_witness(short) is None
+    refuse_spreads(monkeypatch)
+    assert decide(short).empty
 
 
 # the two largest rungs, with their shortest witness lengths; the benchmark
