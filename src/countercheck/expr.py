@@ -492,4 +492,5 @@ def t_subexpressions(e: OmegaTExpr) -> list[TExpr]:
                 walk(value)
 
     walk(e)
+    del walk  # the closure refers to itself; unbinding it leaves no cycle to collect
     return found

@@ -405,6 +405,34 @@ def _term_text(t: Term) -> str:
     return f"s({_term_text(t.arg)})"
 
 
+def _show(g: Formula, table: dict, memo: dict) -> str:
+    """``g``'s text.  ``memo`` holds the text of every connective and binder
+    already shown, keyed by identity, so a node shared by several parents
+    is rendered once; it lives for one ``pretty_formula`` call, whose
+    formula keeps every node, and so every key, alive.  Atoms are left
+    out: an atom's text is one f-string, cheaper to make again than to
+    look up."""
+    try:
+        shape, glyph = table[type(g)]
+    except KeyError:
+        raise TypeError(f"not a formula: {g!r}") from None
+    if shape == ATOM:
+        return glyph(g)
+    key = id(g)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    if shape == BINARY:
+        text = f"({_show(g.left, table, memo)} {glyph} {_show(g.right, table, memo)})"
+    else:
+        body = _show(g.body, table, memo)
+        if not body.startswith("("):
+            body = f"({body})"
+        text = f"{glyph}{body}" if shape == NEGATION else f"{glyph}{g.var}.{body}"
+    memo[key] = text
+    return text
+
+
 def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = False) -> str:
     """Deterministic rendering; ``style`` is ``unicode`` or ``ascii``."""
     if style not in _STYLES:
@@ -444,25 +472,7 @@ def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = Fal
         ExistsOmega: glyph["existsomega"],
     }
     table = {cls: (shape, texts[cls]) for cls, shape in SHAPES.items()}
-
-    def show(g) -> str:
-        try:
-            shape, text = table[type(g)]
-        except KeyError:
-            raise TypeError(f"not a formula: {g!r}") from None
-        if shape == ATOM:
-            return text(g)
-        if shape == BINARY:
-            return f"({show(g.left)} {text} {show(g.right)})"
-        if shape == NEGATION:
-            return f"{text}{wrap(g.body)}"
-        return f"{text}{g.var}.{wrap(g.body)}"
-
-    def wrap(g) -> str:
-        text = show(g)
-        return text if text.startswith("(") else f"({text})"
-
-    return show(f)
+    return _show(f, table, {})
 
 
 # --------------------------------------------------------------------------
@@ -569,14 +579,16 @@ def block_formula(e: RegExpr, block: str) -> Formula:
     )
 
 
-def blockset_formula(e: RegExpr, family: str) -> Formula:
-    """``family`` consists of ``e``-blocks only, contains infinitely many,
-    and their sizes are bounded."""
+def _blockset(e: RegExpr, family: str, blocks: dict[str, Formula]) -> Formula:
+    """``blockset_formula(e, family)``, taking its block formula from
+    ``blocks`` by the block's name, and adding it there when missing."""
     supply = NameSupply({family})
     y = supply.fresh("y")
     yv = Var(y)
     block_x = supply.fresh("X")
-    is_block = block_formula(e, block_x)  # one node, shared by the three conjuncts
+    is_block = blocks.get(block_x)
+    if is_block is None:
+        is_block = blocks[block_x] = block_formula(e, block_x)
 
     covered = ForAllFO(
         y,
@@ -599,6 +611,12 @@ def blockset_formula(e: RegExpr, family: str) -> Formula:
     return reduce(And, [covered, unboundedly_many, sizes_bounded])
 
 
+def blockset_formula(e: RegExpr, family: str) -> Formula:
+    """``family`` consists of ``e``-blocks only, contains infinitely many,
+    and their sizes are bounded."""
+    return _blockset(e, family, {})
+
+
 def t_condition(e: RegExpr) -> Formula:
     """Infinitely many block sizes occur infinitely often among the
     ``e``-blocks of the word."""
@@ -606,15 +624,16 @@ def t_condition(e: RegExpr) -> Formula:
     family = supply.fresh("Y")
     bigger = supply.fresh("Z")
     x = supply.fresh("x")
+    blocks: dict[str, Formula] = {}  # both block sets share one block formula
     grow = ExistsSO(
         bigger,
         reduce(And, [
-            blockset_formula(e, bigger),
+            _blockset(e, bigger, blocks),
             ProperSubset(family, bigger),
             ExistsOmega(x, InDifference(Var(x), bigger, family)),
         ]),
     )
-    return ForAllSO(family, Implies(blockset_formula(e, family), grow))
+    return ForAllSO(family, Implies(_blockset(e, family, blocks), grow))
 
 
 # --------------------------------------------------------------------------

@@ -103,6 +103,7 @@ def thompson(regex: RegExpr, alphabet: frozenset, fresh: Callable[[], str]) -> N
         return start, end
 
     initial, final = build(regex)
+    del build  # the closure refers to itself; unbinding it leaves no cycle to collect
     return NFA(
         states=frozenset(states),
         alphabet=alphabet,

@@ -115,6 +115,26 @@ CATALOGUE = (
         ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
     ),
     Mutant(
+        "the formula printer keys its memo by a node's class, not its identity",
+        "src/countercheck/logic.py",
+        "key = id(g)",
+        "key = type(g)",
+        (
+            "tests/test_logic.py::test_golden_t_condition",
+            "tests/test_logic.py::test_printing_of_random_formulas_is_pinned",
+        ),
+    ),
+    Mutant(
+        "the shared block formula is drawn under another name than its block set binds",
+        "src/countercheck/logic.py",
+        "blocks[block_x] = block_formula(e, block_x)",
+        'blocks[block_x] = block_formula(e, block_x + "1")',
+        (
+            "tests/test_logic.py::test_golden_t_condition",
+            "tests/test_logic.py::test_t_condition_builds_its_block_formula_once",
+        ),
+    ),
+    Mutant(
         "the shape table files the infinite quantifier as a set binder",
         "src/countercheck/logic.py",
         "ExistsOmega: FO_BINDER",
@@ -193,6 +213,16 @@ CATALOGUE = (
         "part = _classification(a)",
         "part = _classify(a)",
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
+    ),
+    Mutant(
+        "classification files counter k's states in slot k, not k-1",
+        "src/countercheck/cca.py",
+        "slots[k - 1] = frozenset(states)",
+        "slots[k] = frozenset(states)",
+        (
+            "tests/test_cca.py::test_classify_check_state",
+            "tests/test_cca.py::test_untouched_partition_slots_are_the_shared_empty_slot",
+        ),
     ),
     Mutant(
         "the DOT export quotes names without escaping them",

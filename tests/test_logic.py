@@ -127,6 +127,19 @@ def test_t_condition_uses_infinite_quantifier():
     assert count_nodes(t_condition(RSym("a")), ExistsOmega) == 1
 
 
+def _block_of(blockset):
+    # the block formula under the blockset's last conjunct, the size bound
+    return blockset.right.body.right
+
+
+def test_t_condition_builds_its_block_formula_once():
+    f = t_condition(RAlt(RSym("a"), RSym("b")))
+    premise = f.body.left
+    grown = f.body.right.body.left.left
+    assert _block_of(premise) == block_formula(RAlt(RSym("a"), RSym("b")), "X")
+    assert _block_of(premise) is _block_of(grown)
+
+
 # --------------------------------------------------------------------------
 # macro unfolding
 
@@ -242,6 +255,20 @@ def test_ascii_glyphs_cover_macros():
     text = pretty_formula(f, style="ascii")
     assert "E^w" in text and "psub" in text and "\\" in text
     assert all(ord(c) < 128 for c in text)
+
+
+def test_a_shared_subformula_is_rendered_once(monkeypatch):
+    calls = []
+    term_text = lg._term_text
+
+    def counted(t):
+        calls.append(t)
+        return term_text(t)
+
+    monkeypatch.setattr(lg, "_term_text", counted)
+    g = Or(InP(Var("x"), "a"), InX(Var("y"), "X"))
+    assert pretty_formula(And(g, g)) == "((x ∈ P_a ∨ y ∈ X) ∧ (x ∈ P_a ∨ y ∈ X))"
+    assert len(calls) == 2
 
 
 def test_unknown_style_rejected():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -578,15 +579,19 @@ def test_compile_refuses_more_members_than_the_limit():
 SUM_SHAPES = tuple(f"(({'(a+b)' * k}))^w" for k in range(2, 6)) + ("(((a+b)+(a+b))^T b)^w",)
 
 
+def _pinned_trees() -> list:
+    """The sum shapes and 200 random trees."""
+    rng = random.Random(1313)
+    trees = [ex.parse_omega_t(text, "ab") for text in SUM_SHAPES]
+    return trees + [random_omega_expr(rng, 4) for _ in range(200)]
+
+
 def test_compile_exports_and_formulas_are_pinned():
     # the compiled and the simplified automaton's JSON and both styles of
     # the formula, byte for byte, over the sum shapes and 200 random trees
-    rng = random.Random(1313)
-    trees = [ex.parse_omega_t(text, "ab") for text in SUM_SHAPES]
-    trees += [random_omega_expr(rng, 4) for _ in range(200)]
     digest = hashlib.sha256()
     transitions = 0
-    for e in trees:
+    for e in _pinned_trees():
         a = compile_expression(e, "ab")
         transitions += len(a.transitions)
         phi = emit_phi(e)
@@ -599,3 +604,28 @@ def test_compile_exports_and_formulas_are_pinned():
             digest.update(text.encode() + b"\n")
     assert transitions > 30000
     assert digest.hexdigest() == "42c2f57c468f889f5dd189fd240009af984bba44bb11634a559045c2c3f42f92"
+
+
+def test_formulas_with_macros_unfolded_are_pinned():
+    # both styles of each pinned tree's formula with its macros unfolded,
+    # byte for byte
+    digest = hashlib.sha256()
+    for e in _pinned_trees():
+        phi = emit_phi(e)
+        for style in ("unicode", "ascii"):
+            digest.update(pretty_formula(phi, style, expand_macros=True).encode() + b"\n")
+    assert digest.hexdigest() == "b10b8eb2bc769d6a79cacada0998fbc24e39bf9cc49f8ee116d9d8d81deee988"
+
+
+def test_compiling_and_printing_leave_no_cyclic_garbage():
+    # nothing these steps build refers to itself, so reference counting
+    # frees it all and the collector finds nothing
+    e = ex.parse_omega_t("b (a^T b)^w", "ab")
+    gc.collect()
+    gc.disable()
+    try:
+        compile_expression(e, "ab")
+        pretty_formula(emit_phi(e))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
