@@ -405,32 +405,46 @@ def _term_text(t: Term) -> str:
     return f"s({_term_text(t.arg)})"
 
 
-def _show(g: Formula, table: dict, memo: dict) -> str:
-    """``g``'s text.  ``memo`` holds the text of every connective and binder
-    already shown, keyed by identity, so a node shared by several parents
-    is rendered once; it lives for one ``pretty_formula`` call, whose
-    formula keeps every node, and so every key, alive.  Atoms are left
-    out: an atom's text is one f-string, cheaper to make again than to
-    look up."""
+def _emit(g: Formula, table: dict, out: list, spans: dict) -> None:
+    """Append ``g``'s text to ``out`` in pieces.  ``spans`` maps each
+    connective and binder already shown, keyed by identity, to the slice of
+    ``out`` that holds its text, so a node shared by several parents is
+    rendered once and later copies its pieces; it lives for one
+    ``pretty_formula`` call, whose formula keeps every node, and so every
+    key, alive.  No node's text is held whole, so the peak stays linear in
+    the output, where a memo of texts would hold each node's text again in
+    every ancestor's.  Atoms are left out: an atom's text is one f-string,
+    cheaper to make again than to look up.  Only a binary connective's text
+    starts with "(", so a body of another shape is parenthesised."""
     try:
         shape, glyph = table[type(g)]
     except KeyError:
         raise TypeError(f"not a formula: {g!r}") from None
     if shape == ATOM:
-        return glyph(g)
+        out.append(glyph(g))
+        return
     key = id(g)
-    text = memo.get(key)
-    if text is not None:
-        return text
+    span = spans.get(key)
+    if span is not None:
+        out += out[span[0]:span[1]]
+        return
+    start = len(out)
     if shape == BINARY:
-        text = f"({_show(g.left, table, memo)} {glyph} {_show(g.right, table, memo)})"
+        out.append("(")
+        _emit(g.left, table, out, spans)
+        out.append(glyph)
+        _emit(g.right, table, out, spans)
+        out.append(")")
     else:
-        body = _show(g.body, table, memo)
-        if not body.startswith("("):
-            body = f"({body})"
-        text = f"{glyph}{body}" if shape == NEGATION else f"{glyph}{g.var}.{body}"
-    memo[key] = text
-    return text
+        out.append(glyph if shape == NEGATION else f"{glyph}{g.var}.")
+        body = g.body
+        if SHAPES.get(type(body)) == BINARY:
+            _emit(body, table, out, spans)
+        else:
+            out.append("(")
+            _emit(body, table, out, spans)
+            out.append(")")
+    spans[key] = (start, len(out))
 
 
 def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = False) -> str:
@@ -443,8 +457,8 @@ def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = Fal
     in_, le, subset, psubset = glyph["in"], glyph["le"], glyph["subset"], glyph["psubset"]
     dots, setminus, exists, forall = glyph["dots"], glyph["setminus"], glyph["exists"], glyph["forall"]
     term = _term_text
-    # node class -> text: an atom's text is its renderer, the other shapes'
-    # text is the glyph they print
+    # node class -> text: an atom's text is its renderer, a binary
+    # connective's its glyph between spaces, the other shapes' their glyph
     texts = {
         InP: lambda g: f"{term(g.term)} {in_} P_{g.letter}",
         InX: lambda g: f"{term(g.term)} {in_} {g.setvar}",
@@ -459,9 +473,9 @@ def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = Fal
         InDifference: lambda g: f"{term(g.term)} {in_} {g.left}{setminus}{g.right}",
         IsFirst: lambda g: f"first({term(g.term)})",
         Not: glyph["not"],
-        Or: glyph["or"],
-        And: glyph["and"],
-        Implies: glyph["implies"],
+        Or: f" {glyph['or']} ",
+        And: f" {glyph['and']} ",
+        Implies: f" {glyph['implies']} ",
         ExistsFO: exists,
         ExistsSO: exists,
         ForAllFO: forall,
@@ -472,7 +486,9 @@ def pretty_formula(f: Formula, style: str = "unicode", expand_macros: bool = Fal
         ExistsOmega: glyph["existsomega"],
     }
     table = {cls: (shape, texts[cls]) for cls, shape in SHAPES.items()}
-    return _show(f, table, {})
+    out: list[str] = []
+    _emit(f, table, out, {})
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------

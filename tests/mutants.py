@@ -215,13 +215,13 @@ CATALOGUE = (
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
     ),
     Mutant(
-        "classification files counter k's states in slot k, not k-1",
+        "classification files a check-k state in counter k-1's slot",
         "src/countercheck/cca.py",
-        "slots[k - 1] = frozenset(states)",
-        "slots[k] = frozenset(states)",
+        "check[t.counter - 1].add(s)",
+        "check[t.counter - 2].add(s)",
         (
             "tests/test_cca.py::test_classify_check_state",
-            "tests/test_cca.py::test_untouched_partition_slots_are_the_shared_empty_slot",
+            "tests/test_emptiness.py::test_partition_matches_the_state_kinds",
         ),
     ),
     Mutant(

@@ -645,27 +645,6 @@ def test_empty_partition_slots_are_one_object(rng):
     assert len(empties) == 1
 
 
-def test_untouched_partition_slots_are_the_shared_empty_slot():
-    # counters 7 and 1000 of 1000 are touched, by p and r and by q
-    a = CCA(
-        states=frozenset({"p", "q", "r"}),
-        alphabet=frozenset("a"),
-        initial="p",
-        counters=1000,
-        transitions=frozenset({
-            Transition("p", "a", "q", 7, INC),
-            Transition("r", None, "q", 7, INC),
-            Transition("q", "a", "p", 1000, CHECK),
-        }),
-    )
-    part = cca.partition(a)
-    assert part.lettered == {"p", "q"}
-    assert part.inc[6] == {"p", "r"} and part.check[999] == {"q"}
-    untouched = [*part.inc[:6], *part.inc[7:], *part.check[:999]]
-    assert len(untouched) == 1998
-    assert all(slot is cca._NO_STATES for slot in untouched)
-
-
 def test_run_prefixes_and_printing_are_pinned():
     # which run prefix the search returns, and how each expression layer
     # prints, byte for byte

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -269,6 +271,20 @@ def test_a_shared_subformula_is_rendered_once(monkeypatch):
     g = Or(InP(Var("x"), "a"), InX(Var("y"), "X"))
     assert pretty_formula(And(g, g)) == "((x ∈ P_a ∨ y ∈ X) ∧ (x ∈ P_a ∨ y ∈ X))"
     assert len(calls) == 2
+
+
+def test_printing_memory_stays_linear_in_the_output():
+    # a flat word nests one binder per letter; a memo of whole texts would
+    # hold each binder's text again inside every enclosing one, about 320
+    # times the output's size at 200 letters
+    f = emit_phi(parse_omega_t("(" + "a" * 200 + ")^w", "a"))
+    tracemalloc.start()
+    try:
+        text = pretty_formula(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * sys.getsizeof(text)
 
 
 def test_unknown_style_rejected():
