@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,54 @@ def test_compile_intermediate_dumps_sets(capsys):
     code, out, _ = run(capsys, "compile", "b (a + b^T)^w + (a* b)^w", "--intermediate")
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / "compile_intermediate_union.txt").read_text(encoding="utf-8")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# a command's whole output, byte for byte: a golden file's name, or the
+# sha256 of the output
+OUTPUT_PINS = [
+    (("compile", "(a^T b)^w"), "20cead25b3adbe5d28d688af74d5582101b1f62fb1830967544e232272dfdc38"),
+    (("compile", "((a+b)(a+b)(a+b))^w"), "bbd8ab783789917c32b5095a025fd09e4c171d34e71154c1ffa772ed67b8dfe0"),
+    (("compile", "(a^T b)^w", "--intermediate"), "compile_intermediate.txt"),
+    (("compile", "b (a + b^T)^w + (a* b)^w", "--intermediate"), "compile_intermediate_union.txt"),
+    (("dot", "(a^T b)^w"), "74159e93d1e6327959993ae8682483bb2174685194b88a74f3a173f08e59b531"),
+    (("dot", "b (a + b^T)^w + (a* b)^w"), "3a5470e42f97f66925b8f731d0a26d1a15051d3f122ce580c4f4df25100eb415"),
+    (("empty", "(a^T b)^w"), "190258d8209b0d8245c5afb297e9cd98e4dbe828b2917fd1013b33cc6d8a7471"),
+    (("empty", "b (a + b^T)^w + (a* b)^w"), "f2a41294acf8158dfdc22b39d6a37b0fe2b583b23788fbb374b7910705f2b234"),
+    (("empty", "(a 0)^w"), "a3395601ed5265fe3f97da9dcdd9e5cae777dbc2bd32e2c2c066c66613eee499"),
+]
+
+
+def _matches_pin(out: str, pin: str) -> bool:
+    if pin.endswith(".txt"):
+        return out == (GOLDEN / pin).read_text(encoding="utf-8")
+    return hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("argv, pin", OUTPUT_PINS, ids=[" ".join(argv) for argv, _ in OUTPUT_PINS])
+def test_command_output_is_pinned(capsys, argv, pin):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _matches_pin(out, pin)
+
+
+def planted_disagreement(monkeypatch) -> None:
+    """Make every fuzz case with two or more transitions fail, so that
+    shrinking stops at two."""
+    from countercheck import harness
+
+    monkeypatch.setattr(
+        harness, "_oracle_disagreement",
+        lambda a, depth, report: "planted" if len(a.transitions) >= 2 else None,
+    )
+
+
+def test_fuzz_failure_output_is_pinned(capsys, monkeypatch):
+    planted_disagreement(monkeypatch)
+    code, out, err = run(capsys, "fuzz", "--seed", "3", "--cases", "2")
+    assert (code, err) == (1, "")
+    assert _matches_pin(out, "88483ffc94911ced7c7083a2e8ec5e77e8cbcd639a74b440a311aad4a7009c04")
 
 
 def test_dot_output(capsys, tmp_path):

@@ -606,6 +606,17 @@ def test_compile_exports_and_formulas_are_pinned():
     assert digest.hexdigest() == "42c2f57c468f889f5dd189fd240009af984bba44bb11634a559045c2c3f42f92"
 
 
+def test_compile_dot_exports_are_pinned():
+    # the compiled and the simplified automaton's DOT, byte for byte, over
+    # the same trees
+    digest = hashlib.sha256()
+    for e in _pinned_trees():
+        a = compile_expression(e, "ab")
+        for text in (export(a, "dot"), export(simplify(a), "dot")):
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == "f94048555ac211b883217b43a509e22d374c8fe6e38ba3650b37e6ecca56d418"
+
+
 def test_formulas_with_macros_unfolded_are_pinned():
     # both styles of each pinned tree's formula with its macros unfolded,
     # byte for byte
