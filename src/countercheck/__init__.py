@@ -15,6 +15,7 @@ _EXPORTS = {
     "cca": (
         "CCA", "Configuration", "Transition", "export", "has_run_prefix", "hat", "import_json",
         "initial_configuration", "is_simple", "partition", "simplify", "split_by_checks", "step",
+        "write_export",
     ),
     "emptiness": (
         "AcceptingWitness", "brute_force_witness", "build_potential_witness_nfa", "build_prefix_nfa",

@@ -19,13 +19,19 @@ in bulk (renaming, simplification, JSON import) passes plain
 which makes them with ``tuple.__new__`` and skips the named tuple's
 Python-level constructor; the automaton's constructor validates every
 transition however it was made.
+
+The JSON and DOT forms are written to a text stream piece by piece
+(``write_export``), one transition's text at a time, so that the whole
+document is never held beside a list of its pieces; ``export`` gathers the
+pieces into a string, and the command line writes them straight to stdout.
 """
 from __future__ import annotations
 
+import io
 import json
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .expr import Record
 from .nfa import breadth_first_run
@@ -486,29 +492,37 @@ def _quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(a: CCA) -> str:
+def _write_dot(a: CCA, stream: TextIO) -> None:
+    """Write the DOT form of ``a`` to ``stream``, one line at a time; the
+    transitions come in ``Transition.sort_key`` order, as ``_write_json``
+    walks them."""
     start = "__start"  # the start point, named apart from every state
     while start in a.states:
         start += "_"
-    lines = ["digraph cca {", "  rankdir=LR;", f'  {start} [shape=point, label=""];']
-    for s in sorted(a.states):
-        shape = "doublecircle" if s == a.final else "circle"
-        lines.append(f"  {_quoted(s)} [shape={shape}];")
-    lines.append(f"  {start} -> {_quoted(a.initial)};")
-    for t in sorted(a.transitions, key=Transition.sort_key):
-        label = _quoted(f"{'ε' if t.label is None else t.label}/{t.counter}:{t.op}")
-        lines.append(f"  {_quoted(t.source)} -> {_quoted(t.target)} [label={label}];")
-    lines.append("}")
-    return "\n".join(lines)
+    names = {s: _quoted(s) for s in a.states}
+    states = sorted(a.states)
+    adjacency = a.adjacency()
+    write = stream.write
+    write(f'digraph cca {{\n  rankdir=LR;\n  {start} [shape=point, label=""];')
+    for s in states:
+        write(f"\n  {names[s]} [shape={'doublecircle' if s == a.final else 'circle'}];")
+    write(f"\n  {start} -> {names[a.initial]};")
+    for s in states:
+        for source, label, target, counter, op in adjacency[s]:
+            text = _quoted(f"{'ε' if label is None else label}/{counter}:{op}")
+            write(f"\n  {names[source]} -> {names[target]} [label={text}];")
+    write("\n}")
 
 
-def _to_json_text(a: CCA) -> str:
-    """``json.dumps(to_json_dict(a), indent=2)``, written directly.
+def _write_json(a: CCA, stream: TextIO) -> None:
+    """Write ``json.dumps(to_json_dict(a), indent=2)`` to ``stream``.
 
     Names are strings and counters integers, as ``from_json_dict`` and the
     compiler build them.  Each name is escaped once; the transitions come
     in ``Transition.sort_key`` order, which starts with the source, by
     walking the sorted states through the per-state sorted adjacency.
+    Each transition is written as it is formatted, so one transition's
+    text is alive at a time, never a list of them or their join.
     """
     quoted = {s: encode_basestring_ascii(s) for s in a.states}
     labels = {x: encode_basestring_ascii(x) for x in a.alphabet}
@@ -516,37 +530,51 @@ def _to_json_text(a: CCA) -> str:
     ops = {op: encode_basestring_ascii(op) for op in _OPS}
     states = sorted(a.states)
     adjacency = a.adjacency()
-    items = ",\n".join(
-        f'    {{\n      "from": {quoted[source]},\n      "label": {labels[label]},\n'
-        f'      "to": {quoted[target]},\n      "counter": {counter},\n      "op": {ops[op]}\n    }}'
-        for s in states
-        for source, label, target, counter, op in adjacency[s]
+    final = "null" if a.final is None else quoted[a.final]
+    write = stream.write
+    write('{\n  "states": [\n    ')
+    write(",\n    ".join(map(quoted.__getitem__, states)))
+    write('\n  ],\n  "alphabet": [\n    ')
+    write(",\n    ".join(map(labels.__getitem__, sorted(a.alphabet))))
+    write(
+        f'\n  ],\n  "initial": {quoted[a.initial]},\n  "final": {final},\n'
+        f'  "counters": {a.counters},\n  "transitions": ['
     )
-    return "\n".join(
-        [
-            "{",
-            '  "states": [',
-            ",\n".join(f"    {quoted[s]}" for s in states),
-            "  ],",
-            '  "alphabet": [',
-            ",\n".join(f"    {labels[x]}" for x in sorted(a.alphabet)),
-            "  ],",
-            f'  "initial": {quoted[a.initial]},',
-            f'  "final": {"null" if a.final is None else quoted[a.final]},',
-            f'  "counters": {a.counters},',
-            f'  "transitions": [\n{items}\n  ]' if items else '  "transitions": []',
-            "}",
-        ]
-    )
+    lead = "\n"  # before each transition: a line break, after the first a comma too
+    for s in states:
+        for source, label, target, counter, op in adjacency[s]:
+            write(
+                f'{lead}    {{\n      "from": {quoted[source]},\n      "label": {labels[label]},\n'
+                f'      "to": {quoted[target]},\n      "counter": {counter},\n      "op": {ops[op]}\n    }}'
+            )
+            lead = ",\n"
+    # no transition written leaves "[]", as json.dumps writes an empty list
+    write("]\n}" if lead == "\n" else "\n  ]\n}")
+
+
+_WRITERS = {"json": _write_json, "dot": _write_dot}
+
+
+def write_export(a: CCA, format: str, stream: TextIO) -> None:
+    """Write ``export(a, format)`` to the text stream ``stream`` in pieces,
+    without a final line break; an unknown ``format`` raises ``CCAError``
+    before anything is written."""
+    try:
+        writer = _WRITERS[format]
+    except KeyError:
+        raise CCAError(f"unknown export format {format!r}") from None
+    writer(a, stream)
 
 
 def export(a: CCA, format: str) -> str:
     """Deterministic textual form; ``format`` is ``json`` or ``dot``."""
-    if format == "json":
-        return _to_json_text(a)
-    if format == "dot":
-        return to_dot(a)
-    raise CCAError(f"unknown export format {format!r}")
+    stream = io.StringIO()
+    write_export(a, format, stream)
+    return stream.getvalue()
+
+
+def to_dot(a: CCA) -> str:
+    return export(a, "dot")
 
 
 def import_json(text: str) -> CCA:

@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .cca import CCA, InternalCheckError, export, has_run_prefix, import_json, simplify
+from .cca import CCA, InternalCheckError, has_run_prefix, import_json, simplify, write_export
 from .expr import OmegaTExpr, ParseError, parse_omega_t, pretty
 from .translate import Trace, compile_expression
 
@@ -62,6 +62,12 @@ def _automaton_for(args) -> CCA:
     return compile_expression(*_parse(args))
 
 
+def _print_export(a: CCA, format: str) -> None:
+    """``print(export(a, format))``, written to stdout piece by piece."""
+    write_export(a, format, sys.stdout)
+    sys.stdout.write("\n")
+
+
 def cmd_parse(args) -> int:
     print(pretty(_parse(args)[0]))
     return 0
@@ -75,8 +81,8 @@ def cmd_compile(args) -> int:
         for label, auto_set in trace:
             print(f"== {label} ({len(auto_set.automata)} automata) ==")
             for member in auto_set.automata:
-                print(export(member, "json"))
-    print(export(automaton, "json"))
+                _print_export(member, "json")
+    _print_export(automaton, "json")
     return 0
 
 
@@ -89,12 +95,13 @@ def cmd_empty(args) -> int:
         print("EMPTY")
     else:
         print("NONEMPTY")
-        print(json.dumps(report.witness.to_json_dict(), indent=2))
+        json.dump(report.witness.to_json_dict(), sys.stdout, indent=2)
+        print()
     return 0
 
 
 def cmd_dot(args) -> int:
-    print(export(_automaton_for(args), "dot"))
+    _print_export(_automaton_for(args), "dot")
     return 0
 
 
@@ -159,7 +166,7 @@ def cmd_fuzz(args) -> int:
         return 0
     for index, small, reason in report.failures:
         print(f"-- minimized failing automaton (case {index}: {reason}) --")
-        print(export(small, "json"))
+        _print_export(small, "json")
     return 1
 
 

@@ -357,7 +357,10 @@ def unfold_macros(f: Formula) -> Formula:
             return type(g)(go(g.left), go(g.right))
         return type(g)(g.var, go(g.body))
 
-    return go(f)
+    try:
+        return go(f)
+    finally:
+        del go  # the closure refers to itself; unbinding it leaves no cycle to collect
 
 
 # --------------------------------------------------------------------------
@@ -717,5 +720,11 @@ def emit_phi(e: OmegaTExpr) -> Formula:
     asserted language-equal.
     """
     core = omega_word_formula(e)
-    conditions = [t_condition(erase_to_regex(body)) for body in t_subexpressions(e)]
+    made: dict[RegExpr, Formula] = {}  # one condition per distinct body, shared by its sites
+    conditions = []
+    for body in t_subexpressions(e):
+        shape = erase_to_regex(body)
+        if shape not in made:
+            made[shape] = t_condition(shape)
+        conditions.append(made[shape])
     return reduce(And, [core, *conditions])

@@ -41,10 +41,11 @@ from .cca import CCA, CHECK, INC, NO_OP, CCAError, transitions_from
 from .nfa import thompson
 
 # The most automata one expression may compile to.  On a 2-vCPU machine
-# (Python 3.11, peak RSS of a process that also simplifies the result)
-# ``((a+b)^6)^w`` (729 members, 60,507 transitions) compiles in 0.13-0.19 s
-# and exports in 0.33-0.44 s all told at 64 MB, ``((a+b)^7)^w`` (2187,
-# 212,139 transitions) in 0.7-0.9 s and 2.1-2.2 s at 174 MB, and every
+# (Python 3.11, peak RSS of a fresh process running ``countercheck
+# compile`` with stdout at /dev/null) ``((a+b)^6)^w`` (729 members, 60,507
+# transitions) compiles in 0.12-0.18 s at 35 MB and is printed as JSON in
+# 0.27-0.32 s all told at 36 MB, ``((a+b)^7)^w`` (2187, 212,139
+# transitions) in 0.7-0.8 s at 81 MB and 1.6-1.9 s at 93 MB, and every
 # further ``+`` triples the count.
 MAX_MEMBERS = 1000
 

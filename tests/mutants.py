@@ -232,6 +232,44 @@ CATALOGUE = (
         ("tests/test_cca.py::test_export_dot_escapes_names",),
     ),
     Mutant(
+        "the JSON writer writes a comma before the first transition",
+        "src/countercheck/cca.py",
+        'lead = "\\n"  # before each transition',
+        'lead = ",\\n"  # before each transition',
+        ("tests/test_cca.py::test_json_writer_matches_json_dumps",),
+    ),
+    Mutant(
+        "the DOT writer drops the start edge",
+        "src/countercheck/cca.py",
+        '    write(f"\\n  {start} -> {names[a.initial]};")\n',
+        "",
+        (
+            "tests/test_cca.py::test_export_atom_a_dot",
+            "tests/test_cca.py::test_export_dot_escapes_names",
+        ),
+    ),
+    Mutant(
+        "empty writes its certificate without the final line break",
+        "src/countercheck/cli.py",
+        "json.dump(report.witness.to_json_dict(), sys.stdout, indent=2)\n        print()\n",
+        "json.dump(report.witness.to_json_dict(), sys.stdout, indent=2)\n",
+        ("tests/test_cli.py::test_empty_certificate_is_its_json_dumps_and_a_line_break",),
+    ),
+    Mutant(
+        "emit_phi builds a condition for every ^T site, not one per body",
+        "src/countercheck/logic.py",
+        "if shape not in made:",
+        "if True:",
+        ("tests/test_logic.py::test_emit_builds_one_condition_per_distinct_body",),
+    ),
+    Mutant(
+        "unfold_macros leaves its self-referring closure bound",
+        "src/countercheck/logic.py",
+        "        del go  # the closure refers to itself",
+        "        pass  # the closure refers to itself",
+        ("tests/test_translate.py::test_compiling_and_printing_leave_no_cyclic_garbage",),
+    ),
+    Mutant(
         "the ^T walk records a body after the ^T nodes inside it",
         "src/countercheck/expr.py",
         """        if type(x) is T:
@@ -348,7 +386,10 @@ CATALOGUE = (
         "src/countercheck/cli.py",
         "return 141",
         "return 2",
-        ("tests/test_cli.py::test_a_reader_that_leaves_early_ends_the_command_quietly",),
+        (
+            "tests/test_cli.py::test_a_reader_that_leaves_early_ends_the_command_quietly",
+            "tests/test_cli.py::test_a_reader_that_leaves_during_an_export_ends_the_command_quietly",
+        ),
     ),
     Mutant(
         "cli imports emptiness when it is imported, not when empty or verify runs",

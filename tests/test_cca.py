@@ -456,11 +456,38 @@ def test_export_empty_atom_json():
 
 
 def test_export_atom_a_dot():
-    text = cca.export(atom_a(), "dot")
-    assert text.count("[shape=circle]") == 1
-    assert text.count("[shape=doublecircle]") == 1
-    assert 'label="a/1:no_op"' in text
-    assert 'label="ε/1:inc"' in text
+    assert cca.export(atom_a(), "dot") == "\n".join([
+        "digraph cca {",
+        "  rankdir=LR;",
+        '  __start [shape=point, label=""];',
+        '  "s0" [shape=circle];',
+        '  "s1" [shape=doublecircle];',
+        '  __start -> "s0";',
+        '  "s0" -> "s1" [label="a/1:no_op"];',
+        '  "s1" -> "s1" [label="ε/1:inc"];',
+        "}",
+    ])
+
+
+class Pieces:
+    """A text stream that keeps each written piece apart."""
+
+    def __init__(self):
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("format, edge, start_edges", [("json", '"from"', 0), ("dot", " -> ", 1)])
+def test_write_export_writes_one_transition_per_piece(format, edge, start_edges):
+    a = compile_expression(parse_omega_t("((a+b)(a+b)(a+b))^w", "ab"), "ab")
+    stream = Pieces()
+    cca.write_export(a, format, stream)
+    assert "".join(stream.pieces) == cca.export(a, format)
+    assert sum(piece.count(edge) for piece in stream.pieces) == len(a.transitions) + start_edges
+    assert max(piece.count(edge) for piece in stream.pieces) == 1
 
 
 def test_export_dot_escapes_names():
@@ -547,6 +574,10 @@ def test_json_writer_matches_json_dumps():
 def test_export_unknown_format():
     with pytest.raises(cca.CCAError):
         cca.export(atom_a(), "yaml")
+    stream = Pieces()
+    with pytest.raises(cca.CCAError, match="yaml"):
+        cca.write_export(atom_a(), "yaml", stream)
+    assert stream.pieces == []  # refused before anything is written
 
 
 def test_export_is_deterministic(rng):

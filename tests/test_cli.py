@@ -49,6 +49,18 @@ def test_empty_nonempty_with_witness(capsys):
     assert len(witness["pairs"]) == len(witness["checks"])
 
 
+def test_empty_certificate_is_its_json_dumps_and_a_line_break(capsys):
+    from countercheck.emptiness import decide
+    from countercheck.expr import parse_omega_t
+    from countercheck.translate import compile_expression
+
+    text = "b (a + b^T)^w + (a* b)^w"
+    witness = decide(compile_expression(parse_omega_t(text, "ab"), "ab")).witness
+    code, out, _ = run(capsys, "empty", text)
+    assert code == 0
+    assert out == "NONEMPTY\n" + json.dumps(witness.to_json_dict(), indent=2) + "\n"
+
+
 def test_empty_answer(capsys):
     code, out, _ = run(capsys, "empty", "0^w")
     assert code == 0
@@ -438,15 +450,28 @@ def test_empty_output_independent_of_hash_seed(expression):
     assert outputs[0] == outputs[1]
 
 
-def test_a_reader_that_leaves_early_ends_the_command_quietly():
-    # 2000 letters print about 250 KB, far more than a pipe holds, so the
-    # command is still writing when its reader leaves after one line
-    command = [sys.executable, "-m", "countercheck.cli", "simulate", "((a+b)(a+b))^w", "--word", "ab" * 1000]
+def _status_and_stderr_after_one_line(argv: list[str], first: bytes) -> tuple[int, bytes]:
+    """Run the command in a child, read its first line, then close the pipe."""
+    command = [sys.executable, "-m", "countercheck.cli", *argv]
     with subprocess.Popen(
         command, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
     ) as child:
-        assert child.stdout.readline() == b"PRESENT\n"
+        assert child.stdout.readline() == first
         child.stdout.close()
         err = child.stderr.read()
         status = child.wait(timeout=60)
-    assert (status, err) == (141, b"")
+    return status, err
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly():
+    # 2000 letters print about 250 KB, far more than a pipe holds, so the
+    # command is still writing when its reader leaves after one line
+    argv = ["simulate", "((a+b)(a+b))^w", "--word", "ab" * 1000]
+    assert _status_and_stderr_after_one_line(argv, b"PRESENT\n") == (141, b"")
+
+
+def test_a_reader_that_leaves_during_an_export_ends_the_command_quietly():
+    # the five-fold sum's JSON is about 2 MB, so the export is still being
+    # written when its reader leaves
+    argv = ["compile", "((a+b)(a+b)(a+b)(a+b)(a+b))^w"]
+    assert _status_and_stderr_after_one_line(argv, b"{\n") == (141, b"")

@@ -233,6 +233,16 @@ def test_emit_counts_t_sites():
     assert len(conjuncts) == 4  # the core plus three recurrence conditions
 
 
+def test_emit_builds_one_condition_per_distinct_body():
+    # two sites of one body share one condition node; the printer and the
+    # macro unfolding treat the shared node as they treat two equal ones
+    f = emit_phi(parse_omega_t("((a)^T (a)^T)^w", "a"))
+    assert f.right is f.left.right
+    assert f.right == t_condition(RSym("a"))
+    f = emit_phi(parse_omega_t("(a^T b^T)^w", "ab"))
+    assert f.right == t_condition(RSym("b")) and f.left.right == t_condition(RSym("a"))
+
+
 def test_emit_closed_for_reference_expressions():
     for text in ("(a^T b)^w", "((a*b)* a^T b)^w", "(a* b)^w", "((a+b)^T b)^w", "0^w", "(0 a)^w"):
         assert is_closed(emit_phi(parse_omega_t(text, "ab")))

@@ -637,6 +637,7 @@ def test_compiling_and_printing_leave_no_cyclic_garbage():
     try:
         compile_expression(e, "ab")
         pretty_formula(emit_phi(e))
+        pretty_formula(emit_phi(e), expand_macros=True)
         assert gc.collect() == 0
     finally:
         gc.enable()
