@@ -17,14 +17,12 @@ _EXPORTS = {
         "initial_configuration", "is_simple", "partition", "simplify", "split_by_checks", "step",
         "write_export",
     ),
-    "emptiness": (
-        "AcceptingWitness", "brute_force_witness", "build_potential_witness_nfa", "build_prefix_nfa",
-        "decide", "is_empty", "verify_witness",
-    ),
+    "emptiness": ("AcceptingWitness", "decide", "is_empty", "verify_witness"),
     "exponents": ("ClassFlags", "classify", "decompose_prefix", "sample"),
     "expr": ("OmegaTExpr", "ParseError", "RegExpr", "TExpr", "parse_omega_t", "pretty", "substitute_t_with_star"),
     "logic": ("block_formula", "blockset_formula", "emit_phi", "is_regexp_formula", "pretty_formula", "t_condition"),
     "nfa": ("NFA", "intersect", "thompson"),
+    "reference": ("brute_force_witness", "build_potential_witness_nfa", "build_prefix_nfa"),
     "translate": ("AutomatonSet", "compile_expression", "compile_omega", "compile_t", "merge"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

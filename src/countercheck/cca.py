@@ -282,16 +282,6 @@ def hat(a: CCA) -> CCA:
     return CCA(a.states, a.alphabet, a.initial, a.counters, a.transitions | {loop}, a.final)
 
 
-def satisfies_final_contract(a: CCA) -> bool:
-    """Every transition leaving the final state is its silent counter-1
-    increment self-loop."""
-    final = a.final
-    if final is None:
-        return False
-    loop = Transition(final, None, final, 1, INC)
-    return all(t == loop for t in a.transitions if t[0] == final)
-
-
 # --------------------------------------------------------------------------
 # finite simulation
 
@@ -571,10 +561,6 @@ def export(a: CCA, format: str) -> str:
     stream = io.StringIO()
     write_export(a, format, stream)
     return stream.getvalue()
-
-
-def to_dot(a: CCA) -> str:
-    return export(a, "dot")
 
 
 def import_json(text: str) -> CCA:

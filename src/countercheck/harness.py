@@ -12,16 +12,9 @@ from typing import Callable, Optional
 
 from . import expr as ex
 from .cca import CCA, CCAError, CHECK, INC, NO_OP, InternalCheckError, Transition, is_simple
-from .emptiness import (
-    AcceptingWitness,
-    brute_force_witness,
-    decide,
-    decide_by_product,
-    verify_witness,
-    witness_nfa_state_bound,
-    witness_nfa_state_count,
-)
+from .emptiness import AcceptingWitness, decide, verify_witness
 from .logic import ATOM, BINARY, FO_BINDER, NEGATION, SHAPES, Not, Succ, Var
+from .reference import brute_force_witness, decide_by_product, witness_nfa_state_bound, witness_nfa_state_count
 
 
 # --------------------------------------------------------------------------
@@ -209,9 +202,9 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     path length L forces a bounded-search hit, also of length L, at depth
     >= L; an empty answer forbids any bounded-search hit.
 
-    Every call here is a public ``emptiness`` entry point on the same
-    automaton, which derives its adjacency and partition on the first
-    call and keeps them: a simple case derives its graph once.
+    Every call here is a public ``emptiness`` or ``reference`` entry
+    point on the same automaton, which derives its adjacency and partition
+    on the first call and keeps them: a simple case derives its graph once.
     """
     try:
         report = decide(a)
@@ -231,20 +224,18 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
 
 
 def _oracle_disagreement(a: CCA, depth: int, report) -> Optional[str]:
-    found = brute_force_witness(a, depth)
-    if found is not None and not verify_witness(a, found):
+    # a search past ``depth`` dequeues the same nodes in the same order up to
+    # the first hit within it, so one search to the witness's length serves
+    # both directions
+    found = brute_force_witness(a, depth if report.empty else max(depth, len(report.witness.path)))
+    if found is None:
+        return None if report.empty else "pipeline is nonempty but the bounded search finds nothing"
+    if not verify_witness(a, found):
         return "bounded search produced an invalid witness"
-    if found is not None and report.empty:
+    if report.empty:
         return "bounded search found a witness but the pipeline says empty"
-    if not report.empty:
-        # a deeper search dequeues the same nodes in the same order up to
-        # ``found`` and returns it again, so only a miss needs one
-        if found is None:
-            found = brute_force_witness(a, max(depth, len(report.witness.path)))
-        if found is None:
-            return "pipeline is nonempty but the bounded search finds nothing"
-        if len(found.path) != len(report.witness.path):
-            return "the bounded search finds a shortest witness of another length"
+    if len(found.path) != len(report.witness.path):
+        return "the bounded search finds a shortest witness of another length"
     return None
 
 

@@ -290,17 +290,6 @@ def omega_member_count(e: ex.OmegaTExpr) -> int:
     return member_count(e.body)
 
 
-def expected_counters(e: ex.TExpr) -> int:
-    """Counter count the rules assign, recomputed from the tree shape."""
-    if isinstance(e, (ex.Empty, ex.Sym)):
-        return 1
-    if isinstance(e, (ex.Cat, ex.Sum)):
-        return expected_counters(e.left) + expected_counters(e.right) + 1
-    if isinstance(e, ex.Star):
-        return expected_counters(e.body) + 1
-    return expected_counters(e.body) + 2
-
-
 # --------------------------------------------------------------------------
 # omega-level rules
 

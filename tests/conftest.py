@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from countercheck import expr as ex
 from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition
 from countercheck.logic import free_vars
 from countercheck.nfa import NFA, _closure, shortest_accepting_run
@@ -85,6 +86,27 @@ def nonempty_witness(n: NFA):
     """A shortest accepted word, or None when the language is empty."""
     run = shortest_accepting_run(n)
     return None if run is None else run[0]
+
+
+def satisfies_final_contract(a: CCA) -> bool:
+    """Every transition leaving the final state is its silent counter-1
+    increment self-loop."""
+    final = a.final
+    if final is None:
+        return False
+    loop = Transition(final, None, final, 1, INC)
+    return all(t == loop for t in a.transitions if t[0] == final)
+
+
+def expected_counters(e: ex.TExpr) -> int:
+    """Counter count the rules assign, recomputed from the tree shape."""
+    if isinstance(e, (ex.Empty, ex.Sym)):
+        return 1
+    if isinstance(e, (ex.Cat, ex.Sum)):
+        return expected_counters(e.left) + expected_counters(e.right) + 1
+    if isinstance(e, ex.Star):
+        return expected_counters(e.body) + 1
+    return expected_counters(e.body) + 2
 
 
 def flat_word(letters: int) -> str:

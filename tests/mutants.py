@@ -74,7 +74,7 @@ CATALOGUE = (
     ),
     Mutant(
         "the oracle searches one transition more than its depth",
-        "src/countercheck/emptiness.py",
+        "src/countercheck/reference.py",
         "if used >= depth:",
         "if used > depth:",
         ("tests/test_emptiness.py::test_brute_force_depth_bounds_the_transitions",),
@@ -164,10 +164,24 @@ CATALOGUE = (
     ),
     Mutant(
         "the structure-phase walk drops check states from the movers",
-        "src/countercheck/emptiness.py",
+        "src/countercheck/reference.py",
         "movers = part.lettered.union(*part.inc, *part.check)",
         "movers = part.lettered.union(*part.inc)",
         ("tests/test_emptiness.py::test_structure_nfa_state_count_matches_the_built_nfa",),
+    ),
+    Mutant(
+        "the decision's module imports the phase table from the references",
+        "src/countercheck/emptiness.py",
+        "def __getattr__(name: str):",
+        "from .reference import _next_phases\n\n\ndef __getattr__(name: str):",
+        ("tests/test_package.py::test_importing_emptiness_leaves_the_references_unloaded",),
+    ),
+    Mutant(
+        "the fuzz oracle searches to the depth alone, not to the witness's length",
+        "src/countercheck/harness.py",
+        "depth if report.empty else max(depth, len(report.witness.path))",
+        "depth",
+        ("tests/test_emptiness.py::test_examine_runs_the_oracle_once_past_its_depth_and_verifies_its_hit",),
     ),
     Mutant(
         "the candidate filter drops a component whose check-k states are not lettered",

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from countercheck import emptiness
+from countercheck import emptiness, reference
 from countercheck.cca import (
     CCA,
     CCAError,
@@ -21,23 +21,19 @@ from countercheck.cca import (
     simplify,
 )
 from countercheck.cli import main
-from countercheck.emptiness import (
-    AcceptingWitness,
-    brute_force_witness,
-    build_potential_witness_nfa,
-    build_prefix_nfa,
-    decide,
-    decide_by_product,
-    is_empty,
-    scan_path,
-    verify_witness,
-    witness_from_json,
-    witness_nfa_state_bound,
-    witness_nfa_state_count,
-)
+from countercheck.emptiness import AcceptingWitness, decide, is_empty, verify_witness, witness_from_json
 from countercheck.expr import parse_omega_t
 from countercheck.harness import random_simple_cca, run_fuzz
 from countercheck.nfa import accepts, intersect, shortest_accepting_run
+from countercheck.reference import (
+    brute_force_witness,
+    build_potential_witness_nfa,
+    build_prefix_nfa,
+    decide_by_product,
+    scan_path,
+    witness_nfa_state_bound,
+    witness_nfa_state_count,
+)
 from countercheck.translate import compile_expression
 
 from conftest import atom_a, atom_empty, flat_word, nonempty_witness, twin_of
@@ -54,6 +50,25 @@ def kind_state(a: CCA, kind: str, counter: int) -> str:
     if not states:
         raise AssertionError(f"no {kind} state")
     return min(states)
+
+
+# the names the cross-checks' module took over from the decision's
+MOVED = (
+    "_SCAN", "_ACCEPT", "_next_phases", "_witness", "build_potential_witness_nfa", "_structure_phases",
+    "_structure_nfa", "witness_nfa_state_bound", "witness_nfa_state_count", "build_prefix_nfa", "_decode",
+    "decide_by_product", "brute_force_witness", "scan_path", "_scan",
+)
+
+
+def test_the_references_live_in_their_own_module():
+    for name in MOVED:
+        assert name not in vars(emptiness), name
+        assert name in vars(reference), name
+    # the one alias answers from ``reference`` and keeps no copy
+    assert emptiness.brute_force_witness is reference.brute_force_witness
+    assert "brute_force_witness" not in vars(emptiness)
+    with pytest.raises(AttributeError):
+        emptiness.decide_by_product
 
 
 # --------------------------------------------------------------------------
@@ -196,7 +211,7 @@ def test_structure_nfa_size_bound(rng):
 def test_structure_nfa_state_count_matches_the_built_nfa():
     # the size-bound check counts the phases instead of building the NFA;
     # the ladder's rungs up to 43 states bring 3 to 9 counters
-    from countercheck.emptiness import _next_phases, _structure_phases  # test-only access
+    from countercheck.reference import _next_phases, _structure_phases  # test-only access
 
     rng = random.Random(20261020)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(300)]
@@ -512,7 +527,7 @@ def test_product_reference_matches_the_materialized_product():
     nonempty = 0
     for a in cases:
         run = shortest_accepting_run(intersect(build_potential_witness_nfa(a), build_prefix_nfa(a)))
-        expected = None if run is None else emptiness._decode(*run, a.counters)
+        expected = None if run is None else reference._decode(*run, a.counters)
         assert decide_by_product(a) == expected
         nonempty += expected is not None
     assert nonempty >= 30
@@ -558,7 +573,7 @@ def test_product_reference_breaks_ties_in_repr_order(build):
     a = build()
     assert is_simple(a)
     run = shortest_accepting_run(intersect(build_potential_witness_nfa(a), build_prefix_nfa(a)))
-    expected = emptiness._decode(*run, a.counters)
+    expected = reference._decode(*run, a.counters)
     assert decide_by_product(a) == expected
     assert len(decide(a).witness.path) == len(expected.path)
     if build is repr_order_automaton:
@@ -574,17 +589,17 @@ def test_product_reference_decides_non_simple_input():
 
 def refuse_the_product(monkeypatch, *names):
     """Make ``intersect``, wherever it is looked up, and the named
-    ``emptiness`` functions fail when called."""
-    import countercheck.emptiness as emptiness
+    ``reference`` functions fail when called."""
     import countercheck.nfa as nfa
+    import countercheck.reference as reference
 
     def refuse(*_):
         raise AssertionError("the product was built")
 
     monkeypatch.setattr(nfa, "intersect", refuse)
-    monkeypatch.setattr(emptiness, "intersect", refuse, raising=False)
+    monkeypatch.setattr(reference, "intersect", refuse, raising=False)
     for name in names:
-        monkeypatch.setattr(emptiness, name, refuse)
+        monkeypatch.setattr(reference, name, refuse)
 
 
 def test_decide_never_builds_the_product(monkeypatch):
@@ -821,6 +836,31 @@ def test_examine_runs_the_oracle_once_when_it_finds_the_witness(monkeypatch):
     assert outcome.failure is None and not outcome.empty
     assert len(outcome.witness.path) <= 40
     assert calls == [40]
+
+
+def test_examine_runs_the_oracle_once_past_its_depth_and_verifies_its_hit(monkeypatch):
+    from countercheck import harness
+
+    calls = []
+    verified = []
+
+    def counted(a, depth=40):
+        calls.append(depth)
+        return brute_force_witness(a, depth)
+
+    def verify(a, w):
+        verified.append(w)
+        return verify_witness(a, w)
+
+    monkeypatch.setattr(harness, "brute_force_witness", counted)
+    monkeypatch.setattr(harness, "verify_witness", verify)
+    simple = simplify(compile_expression(parse_omega_t("(a b)^w", "ab"), "ab"))
+    outcome = harness.examine(simple, 10)
+    assert outcome.failure is None and not outcome.empty
+    assert len(outcome.witness.path) == 38
+    # one search to the witness's length, not one to the depth and a retry
+    assert calls == [38]
+    assert len(verified) == 1 and len(verified[0].path) == 38
 
 
 def test_fuzz_examine_catches_a_layered_search_off_the_reference(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -58,19 +59,59 @@ def test_importing_the_package_loads_no_module():
     assert loaded == "[]\n"
 
 
-def test_an_emptiness_command_loads_only_what_it_runs():
-    loaded = json.loads(_fresh("""
+def test_an_emptiness_command_loads_only_what_it_runs(tmp_path):
+    from countercheck.cca import export
+    from countercheck.emptiness import decide
+    from countercheck.expr import parse_omega_t
+    from countercheck.translate import compile_expression
+
+    automaton = compile_expression(parse_omega_t("(a b)^w", "ab"), "ab")
+    (tmp_path / "m.json").write_text(export(automaton, "json"), encoding="utf-8")
+    (tmp_path / "w.json").write_text(json.dumps(decide(automaton).witness.to_json_dict()), encoding="utf-8")
+    loaded = json.loads(_fresh(f"""
         import contextlib, io, json, sys
         from countercheck import cli
         with contextlib.redirect_stdout(io.StringIO()) as out:
             status = cli.main(["empty", "(a 0)^w"])
-        print(json.dumps([status, out.getvalue(), sorted(sys.modules)]))
+        after_empty = sorted(sys.modules)
+        argv = ["verify", "--automaton", {str(tmp_path / "m.json")!r}, "--witness", {str(tmp_path / "w.json")!r}]
+        with contextlib.redirect_stdout(io.StringIO()) as checked:
+            verified = cli.main(argv)
+        print(json.dumps([status, out.getvalue(), after_empty, verified, checked.getvalue(), sorted(sys.modules)]))
     """))
-    status, out, modules = loaded
+    status, out, modules, verified, checked, after_verify = loaded
     assert (status, out) == (0, "EMPTY\n")
     assert "countercheck.emptiness" in modules
     for name in ("countercheck.logic", "countercheck.exponents", "countercheck.harness", "random"):
         assert name not in modules, name
+    assert (verified, checked) == (0, "WITNESS OK\n")
+    for name in ("countercheck.reference", "countercheck.harness"):
+        assert name not in modules and name not in after_verify, name
+
+
+def test_importing_emptiness_leaves_the_references_unloaded():
+    loaded = _fresh("""
+        import sys
+        import countercheck.emptiness
+        print("countercheck.reference" in sys.modules)
+    """)
+    assert loaded == "False\n"
+
+
+def test_emptiness_imports_the_references_only_in_its_alias():
+    # the decision's module may not depend on its cross-checks; the one
+    # exception is the module-level __getattr__ that answers an old name
+    tree = ast.parse((SRC / "countercheck" / "emptiness.py").read_text(encoding="utf-8"))
+    aliases = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+    inside = {id(node) for alias in aliases for node in ast.walk(alias)}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "reference" in ast.unparse(node)
+        and id(node) not in inside
+    ]
+    assert found == []
 
 
 def test_commands_without_a_decision_leave_emptiness_unloaded():

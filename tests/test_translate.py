@@ -15,14 +15,14 @@ from countercheck.cca import (
     export,
     hat,
     replay,
-    satisfies_final_contract,
     simplify,
     split_with_residue,
 )
-from countercheck.emptiness import brute_force_witness, decide, is_empty, verify_witness
+from countercheck.emptiness import decide, is_empty, verify_witness
 from countercheck.harness import random_texpr, random_omega_expr
 from countercheck.logic import emit_phi, pretty_formula
 from countercheck.nfa import accepts, thompson
+from countercheck.reference import brute_force_witness
 from countercheck.translate import (
     MAX_MEMBERS,
     AutomatonSet,
@@ -30,13 +30,12 @@ from countercheck.translate import (
     compile_expression,
     compile_omega,
     compile_t,
-    expected_counters,
     member_count,
     merge,
     omega_member_count,
 )
 
-from conftest import accepts_extension, atom_a, random_general_cca
+from conftest import accepts_extension, atom_a, expected_counters, random_general_cca, satisfies_final_contract
 
 SIGMA = frozenset("ab")
 
