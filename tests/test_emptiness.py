@@ -52,7 +52,7 @@ def kind_state(a: CCA, kind: str, counter: int) -> str:
     return min(states)
 
 
-# the names the cross-checks' module took over from the decision's
+# the names ``reference`` took over from ``emptiness``
 MOVED = (
     "_SCAN", "_ACCEPT", "_next_phases", "_witness", "build_potential_witness_nfa", "_structure_phases",
     "_structure_nfa", "witness_nfa_state_bound", "witness_nfa_state_count", "build_prefix_nfa", "_decode",
