@@ -166,6 +166,16 @@ def _verify(a: CCA, w: AcceptingWitness, part: Partition) -> bool:
 # empty.  A least bound above MAX_WITNESS states refuses the input before
 # any forward spread.
 #
+# A candidate with one state in each inc-k and check-k layer forces every
+# witness through it along the same p1..pN, c1..cN.  Its anchors' bounds
+# are then exact but for the last segment, d+(cN, any anchor) where the
+# witness needs d+(cN, t), so one forward spread from cN gives every one
+# of its anchors its exact total, and none of them is searched.  What
+# follows a spread, backward or forward, reads its costs only at the states
+# of the next layer, so every spread stops once it has marked the last of
+# them.  The winner's exact length is refused when it exceeds MAX_WITNESS,
+# before its path is built.
+#
 # One breadth-first pass from the initial state, successors in adjacency
 # order, finds the reachable states with their distances and parents.  They
 # are then numbered in name order: succ[i] lists the numbers of i's
@@ -174,9 +184,10 @@ def _verify(a: CCA, w: AcceptingWitness, part: Partition) -> bool:
 # back only when the witness is built.  No table outlives the call.
 
 # the longest certificate, in states, that a decision may return: n = 100
-# letters of the flat word (a b a b ...)^w need 99,900, decided in about
-# 3 s at 42 MB on a 2-vCPU machine; a shortest witness grows about as
-# 10·n², so longer ones soon take minutes
+# letters of the flat word (a b a b ...)^w need 99,900, and `countercheck
+# empty` prints them in about 0.25 s at 19 MB on a 2-vCPU machine; a
+# shortest witness grows about as 10·n², so the certificate, not the
+# search, is what the limit bounds
 MAX_WITNESS = 100_000
 
 
@@ -265,7 +276,7 @@ def _walk(succ: list, source: int, target: int, avoid=frozenset()) -> Optional[l
     return walk
 
 
-def _spread(succ: list, seeds: list, limit: float = math.inf) -> tuple[list, list]:
+def _spread(succ: list, seeds: list, targets, limit: float = math.inf) -> tuple[list, list]:
     """Least ``c + d+(u, v)`` over the seeds ``(c, u)`` for every state v,
     and the seed u that attains it (None where v is not reached); costs
     above ``limit`` are not explored.
@@ -273,7 +284,10 @@ def _spread(succ: list, seeds: list, limit: float = math.inf) -> tuple[list, lis
     A breadth-first search by cost level that marks a state when it is
     first pushed.  Level l + 1 takes the seeds of cost l first, in the order
     given, then the growth of level l in order, successors in adjacency
-    order, so of equal costs the first to reach v wins.
+    order, so of equal costs the first to reach v wins.  A mark is final,
+    so the search returns as soon as the last of ``targets``, distinct
+    states, is marked: its cost and seed at every target are those of the
+    full spread, and the states it has not reached yet stay None.
     """
     cost: list = [None] * len(succ)
     origin: list = [None] * len(succ)
@@ -281,6 +295,10 @@ def _spread(succ: list, seeds: list, limit: float = math.inf) -> tuple[list, lis
     for c, u in seeds:
         if c < limit:
             injections.setdefault(c + 1, []).append(u)
+    wanted = bytearray(len(succ))
+    for v in targets:
+        wanted[v] = 1
+    left = len(targets)
     frontier: list[int] = []
     level = 0
     while injections or frontier:
@@ -295,6 +313,10 @@ def _spread(succ: list, seeds: list, limit: float = math.inf) -> tuple[list, lis
                     cost[v] = level
                     origin[v] = u
                     grown.append(v)
+                    if wanted[v]:
+                        left -= 1
+                        if not left:
+                            return cost, origin
         for here in frontier:
             u = origin[here]
             for v in succ[here]:
@@ -302,6 +324,10 @@ def _spread(succ: list, seeds: list, limit: float = math.inf) -> tuple[list, lis
                     cost[v] = level
                     origin[v] = u
                     grown.append(v)
+                    if wanted[v]:
+                        left -= 1
+                        if not left:
+                            return cost, origin
         frontier = grown
         level += 1
     return cost, origin
@@ -319,8 +345,10 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     Tie-breaks: of the anchors with the least total the smallest name wins.
     Its chain of inc and check states is traced back from the anchor
     through the seed each spread recorded, every layer's seeds in name
-    order; each segment between them is the walk :func:`_walk` finds.
-    Raises ``CCAError`` when no witness has at most ``MAX_WITNESS`` states.
+    order, or is its component's one chain when that is forced; each
+    segment between them is the walk :func:`_walk` finds.  Raises
+    ``CCAError`` when a shortest witness has more than ``MAX_WITNESS``
+    states.
     """
     adjacency = a.adjacency()
     parent, dist = _breadth_first(adjacency, a.initial)
@@ -386,17 +414,40 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     def checked(cost: list, k: int, checks: list) -> list[tuple[int, int]]:
         return [(cost[c], c) for c in checks[k] if cost[c] is not None]
 
-    # backward: the least closed walk from each anchor to any anchor
-    cost = _spread(back, [(0, t) for t in anchors])[0]
+    # backward: the least closed walk from each anchor to any anchor; each
+    # spread stops at the last state of the layer the next one reads
+    reads = (*check[::-1], *inc[::-1], anchors)
+    cost = _spread(back, [(0, t) for t in anchors], reads[0])[0]
     for k in reversed(range(n)):
-        cost = _spread(back, checked(cost, k, check))[0]
+        cost = _spread(back, checked(cost, k, check), reads[n - k])[0]
     for k in reversed(range(n)):
-        cost = _spread(back, pumped(cost, k, inc, range(len(succ))))[0]
+        cost = _spread(back, pumped(cost, k, inc, range(len(succ))), reads[2 * n - k])[0]
     bounds = sorted((dist[names[t]] + cost[t], t) for t in anchors if cost[t] is not None)
-    if bounds and bounds[0][0] + 1 > MAX_WITNESS:
+    if not bounds:
+        return None
+    if bounds[0][0] + 1 > MAX_WITNESS:
         raise CCAError(
             f"a shortest witness has at least {bounds[0][0] + 1} states, more than {MAX_WITNESS}"
         )
+
+    # a component with one state in each inc-k and check-k layer forces
+    # every witness in it through that one chain p1..pN, c1..cN
+    layers = (*inc, *check)
+    tally = dict.fromkeys(members_of, 0)
+    for layer in layers:
+        for s in layer:
+            tally[component[s]] += 1
+    forced: dict[int, list[int]] = {root: [] for root, count in tally.items() if count == 2 * n}
+    if forced:
+        for layer in layers:
+            for s in layer:
+                if component[s] in forced:
+                    forced[component[s]].append(s)
+        # the bounded anchors of each forced component not yet measured
+        waiting: dict[int, list[int]] = {root: [] for root in forced}
+        for _, t in bounds:
+            if component[t] in waiting:
+                waiting[component[t]].append(t)
 
     # forward, anchor by anchor, while the bound can still win; each
     # anchor's spreads run on its component's block alone: the members, their
@@ -414,33 +465,49 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
             )
         return blocks[root]
 
-    best = None  # (total, anchor, the anchor's 2N+1 spreads, its block's members)
+    best = None  # (total, anchor, its chain t, p1..pN, c1..cN, t)
     for bound, t in bounds:
         if best is not None and (bound, t) > best[:2]:
             break  # neither this anchor nor a later one can beat the best
-        # a later name has to be strictly shorter to win
+        root = component[t]
+        if root in forced:
+            # each anchor's backward bound is exact but for its last segment:
+            # it ends with d+(cN, t') for the nearest anchor t' where the
+            # witness needs d+(cN, u); every anchor of the component has a
+            # bound, so one spread from cN gives both
+            if root in waiting:
+                them = waiting.pop(root)
+                chain = forced[root]
+                reach = _spread(local, [(0, chain[-1])], them)[0]
+                nearest = min(reach[u] for u in them)
+                for u in them:
+                    total = dist[names[u]] + cost[u] - nearest + reach[u]
+                    if best is None or (total, u) < best[:2]:
+                        best = (total, u, [u, *chain, u])
+            continue
+        members, sub, incs, checks = block(root)
         depth = dist[names[t]]
+        # a later name has to be strictly shorter to win
         limit = math.inf if best is None else best[0] - depth - (1 if t > best[1] else 0)
-        members, sub, incs, checks = block(component[t])
         start = at[t]
-        spreads = [_spread(sub, [(0, start)], limit)]
+        reads = (*incs, *checks, (start,))
+        spreads = [_spread(sub, [(0, start)], reads[0], limit)]
         for k in range(n):
-            spreads.append(_spread(sub, pumped(spreads[-1][0], k, incs, members), limit))
+            spreads.append(_spread(sub, pumped(spreads[-1][0], k, incs, members), reads[k + 1], limit))
         for k in range(n):
-            spreads.append(_spread(sub, checked(spreads[-1][0], k, checks), limit))
+            spreads.append(_spread(sub, checked(spreads[-1][0], k, checks), reads[n + k + 1], limit))
         closing = spreads[-1][0][start]
         if closing is not None:
             total = depth + closing
             if best is None or (total, t) < best[:2]:
-                best = (total, t, spreads, members)
-    if best is None:
-        return None
+                chain = [start]
+                for _, origin in reversed(spreads):
+                    chain.append(origin[chain[-1]])
+                best = (total, t, [members[j] for j in reversed(chain)])
 
-    total, t, spreads, members = best
-    chain = [at[t]]
-    for _, origin in reversed(spreads):
-        chain.append(origin[chain[-1]])
-    chain = [members[j] for j in reversed(chain)]  # t, p1..pN, c1..cN, t
+    total, t, chain = best
+    if total + 1 > MAX_WITNESS:
+        raise CCAError(f"a shortest witness has {total + 1} states, more than {MAX_WITNESS}")
     prefix = [names[t]]
     while parent[prefix[-1]] is not None:
         prefix.append(parent[prefix[-1]])

@@ -205,6 +205,57 @@ CATALOGUE = (
         ),
     ),
     Mutant(
+        "forced-chain detection accepts a component with two states in one layer",
+        "src/countercheck/emptiness.py",
+        "if count == 2 * n}",
+        "if count <= 2 * n + 1}",
+        (
+            "tests/test_emptiness.py::test_random_witnesses_are_pinned",
+            "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
+        ),
+    ),
+    Mutant(
+        "forced-chain detection never fires",
+        "src/countercheck/emptiness.py",
+        "if count == 2 * n}",
+        "if count == -1}",
+        ("tests/test_emptiness.py::test_spreads_per_decision",),
+    ),
+    Mutant(
+        "a forced anchor's total keeps the backward bound's last segment",
+        "src/countercheck/emptiness.py",
+        "cost[u] - nearest + reach[u]",
+        "cost[u] + reach[u]",
+        (
+            "tests/test_emptiness.py::test_ladder_certificates_are_pinned",
+            "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
+        ),
+    ),
+    Mutant(
+        "a spread stops at the first of its targets, not the last",
+        "src/countercheck/emptiness.py",
+        "left = len(targets)",
+        "left = min(len(targets), 1)",
+        (
+            "tests/test_emptiness.py::test_ladder_certificates_are_pinned",
+            "tests/test_emptiness.py::test_random_witnesses_are_pinned",
+        ),
+    ),
+    Mutant(
+        "a spread walks its whole component past its last target",
+        "src/countercheck/emptiness.py",
+        "left = len(targets)",
+        "left = -1",
+        ("tests/test_emptiness.py::test_states_settled_per_decision_stay_below_twice_the_certificate",),
+    ),
+    Mutant(
+        "the witness limit is checked on the least backward bound alone",
+        "src/countercheck/emptiness.py",
+        "    if total + 1 > MAX_WITNESS:\n",
+        "    if False:\n",
+        ("tests/test_emptiness.py::test_a_witness_over_the_limit_is_refused_at_its_exact_length",),
+    ),
+    Mutant(
         "adjacency is derived again on every call",
         "src/countercheck/cca.py",
         'kept = self.__dict__.get("_adjacency")',

@@ -158,6 +158,21 @@ def test_command_output_is_pinned(capsys, argv, pin):
     assert _matches_pin(out, pin)
 
 
+# the longest certificates among the pins, 15,960 and 8,420 states: one
+# component of each holds one inc-k and one check-k state for every k
+LONG_PINS = [
+    (flat_word(40), "16fa82509dfaaa2a9d7a98fad846c17e1bb7814b46c46b07e88643a071cf1be5"),
+    ("(" + " ".join(["a^T b"] * 10) + ")^w", "df5e4ecd05591743f1a7ead2df07c3f97d22b11563ba7d3007e5205005d0be30"),
+]
+
+
+@pytest.mark.parametrize("text, pin", LONG_PINS, ids=["flat_word(40)", "ten (a^T b)"])
+def test_long_certificates_are_pinned(capsys, text, pin):
+    code, out, err = run(capsys, "empty", text)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
 def planted_disagreement(monkeypatch) -> None:
     """Make every fuzz case with two or more transitions fail, so that
     shrinking stops at two."""

@@ -23,7 +23,7 @@ from countercheck.cca import (
 from countercheck.cli import main
 from countercheck.emptiness import AcceptingWitness, decide, is_empty, verify_witness, witness_from_json
 from countercheck.expr import parse_omega_t
-from countercheck.harness import random_simple_cca, run_fuzz
+from countercheck.harness import random_omega_expr, random_simple_cca, run_fuzz
 from countercheck.nfa import accepts, intersect, shortest_accepting_run
 from countercheck.reference import (
     brute_force_witness,
@@ -673,6 +673,128 @@ def test_a_component_short_of_an_ingredient_decides_empty_without_a_spread(monke
     assert brute_force_witness(short) is None
     refuse_spreads(monkeypatch)
     assert decide(short).empty
+
+
+# --------------------------------------------------------------------------
+# the work of a decision: spreads, and the states they settle
+
+def counted_spreads(monkeypatch) -> list:
+    """The number of states each later ``_spread`` call settles, one entry
+    per call."""
+    spread = emptiness._spread
+    settled: list = []
+
+    def counted(*args):
+        cost, origin = spread(*args)
+        settled.append(sum(c is not None for c in cost))
+        return cost, origin
+
+    monkeypatch.setattr(emptiness, "_spread", counted)
+    return settled
+
+
+@pytest.mark.parametrize(
+    "text, counters, spreads",
+    [(flat_word(20), 39, 80), ("(a^T b)^w", 5, 12), ("(a + b)^w", 3, 14)],
+    ids=["flat_word(20)", "(a^T b)^w", "(a + b)^w"],
+)
+def test_spreads_per_decision(monkeypatch, text, counters, spreads):
+    # a component with one inc-k and one check-k state for every k takes
+    # the 2N+1 backward spreads and one forward spread from its check-N
+    # state; (a + b)^w has two check states for one counter, so the one
+    # anchor its bounds leave takes 2N+1 forward spreads of its own
+    a = decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple
+    assert a.counters == counters
+    settled = counted_spreads(monkeypatch)
+    decide(a)
+    assert len(settled) == spreads
+
+
+def test_states_settled_per_decision_stay_below_twice_the_certificate(monkeypatch):
+    # every spread stops at the last state of the layer the next one reads,
+    # so a flat word settles about 1.4 states per certificate state; spreads
+    # that walk their whole component would settle about 2.8
+    settled = counted_spreads(monkeypatch)
+    for letters in (2, 3, 4, 8, 12, 16, 20):
+        settled.clear()
+        report = decide(compile_expression(parse_omega_t(flat_word(letters), "ab"), "ab"))
+        assert sum(settled) < 2 * len(report.witness.path), letters
+
+
+def test_a_witness_over_the_limit_is_refused_at_its_exact_length(monkeypatch):
+    # the backward bound admits this case under a limit of 10 states; its
+    # shortest witness has 13
+    a = random_simple_cca(random.Random(337), max_counters=3)
+    assert len(decide(a).witness.path) == 13
+    for limit in (10, 12):
+        with monkeypatch.context() as patched:
+            patched.setattr(emptiness, "MAX_WITNESS", limit)
+            with pytest.raises(CCAError, match=f"^a shortest witness has 13 states, more than {limit}$"):
+                decide(a)
+    monkeypatch.setattr(emptiness, "MAX_WITNESS", 13)
+    assert len(decide(a).witness.path) == 13
+
+
+def anchored_in_a_forced_component(report) -> bool:
+    """True when the witness's anchor lies in a strongly connected
+    component with one inc-k and one check-k state for every counter k, so
+    that every witness through it runs through the same chain."""
+    a, w = report.simple, report.witness
+    forward: dict = {s: [] for s in a.states}
+    backward: dict = {s: [] for s in a.states}
+    for t in a.transitions:
+        forward[t.source].append(t.target)
+        backward[t.target].append(t.source)
+
+    def reached(graph: dict, start: str) -> set:
+        seen, stack = {start}, [start]
+        while stack:
+            for there in graph[stack.pop()]:
+                if there not in seen:
+                    seen.add(there)
+                    stack.append(there)
+        return seen
+
+    anchor = w.path[w.begin]
+    component = reached(forward, anchor) & reached(backward, anchor)
+    part = partition(a)
+    return all(len(component & layer) == 1 for layer in (*part.inc, *part.check))
+
+
+def test_layered_search_matches_product_reference_on_4000_automata():
+    rng = random.Random(20261020)
+    nonempty = forced = 0
+    for _ in range(4000):
+        a = random_simple_cca(
+            rng, max_states=rng.randint(5, 12), max_counters=3, max_transitions=rng.randint(8, 20)
+        )
+        report = decide(a)
+        expected = decide_by_product(a)
+        assert report.empty == (expected is None)
+        if expected is not None:
+            nonempty += 1
+            assert len(report.witness.path) == len(expected.path)
+            forced += anchored_in_a_forced_component(report)
+    assert nonempty >= 300 and forced >= 100
+
+
+def test_layered_search_matches_product_reference_on_1000_compiled_trees():
+    # the product search takes seconds on each of the few automata above
+    # 1000 simple states; decide still re-verifies their certificates
+    rng = random.Random(20261021)
+    compared = nonempty = forced = 0
+    for _ in range(1000):
+        report = decide(compile_expression(random_omega_expr(rng, 4), "ab"))
+        if len(report.simple.states) > 1000:
+            continue
+        compared += 1
+        expected = decide_by_product(report.simple)
+        assert report.empty == (expected is None)
+        if expected is not None:
+            nonempty += 1
+            assert len(report.witness.path) == len(expected.path)
+            forced += anchored_in_a_forced_component(report)
+    assert compared >= 970 and nonempty >= 800 and forced >= 600
 
 
 # the two largest rungs, with their shortest witness lengths; the benchmark
