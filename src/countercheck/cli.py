@@ -48,7 +48,11 @@ def _infer_alphabet(text: str) -> str:
 
 def _parse(args) -> tuple[OmegaTExpr, str]:
     """(tree, alphabet) of the expression argument; the alphabet is the
-    one given or else the expression's own letters."""
+    one given, every character of it a lowercase letter, or else the
+    expression's own letters."""
+    for c in args.alphabet or "":
+        if not c.islower():
+            raise ValueError(f"--alphabet: {c!r} is not a lowercase letter")
     alphabet = args.alphabet or _infer_alphabet(args.expression)
     return parse_omega_t(args.expression, alphabet), alphabet
 

@@ -154,34 +154,40 @@ def _verify(a: CCA, w: AcceptingWitness, part: Partition) -> bool:
 # breadth-first distance over walks of length >= 0, d+ over walks of length
 # >= 1, and Lk(p) the shortest closed walk at p that avoids the check-k
 # states.  Everything after d0 is a closed walk through t, so it stays in
-# t's strongly connected component, and only a *candidate* component, one
-# holding a lettered state and an inc-k and a check-k state for every k,
-# can hold a witness.  Without a candidate the language is empty, decided
-# before any spread; the search then covers the candidates alone.  For one
-# anchor the least closed walk takes 2N+1 breadth-first spreads, each
-# seeded with the costs of the previous layer: O(N·(|S|+|E|)).  One
-# backward pass of the same spreads over the candidates, ending at any
-# anchor instead of at t, bounds every anchor from below, so only anchors
-# whose bound can still win are searched, and none when the language is
-# empty.  A least bound above MAX_WITNESS states refuses the input before
-# any forward spread.
+# t's strongly connected component.  One filing pass gives every component
+# with an anchor its row of the layer table: its anchors, its inc-1..inc-N
+# and its check-1..check-N states, each layer in name order.  Only a
+# *candidate*, a component with no empty layer, can hold a witness; without
+# one the language is empty, decided before any spread, and the search
+# then covers the candidates alone.
 #
-# A candidate with one state in each inc-k and check-k layer forces every
-# witness through it along the same p1..pN, c1..cN.  Its anchors' bounds
-# are then exact but for the last segment, d+(cN, any anchor) where the
-# witness needs d+(cN, t), so one forward spread from cN gives every one
-# of its anchors its exact total, and none of them is searched.  What
-# follows a spread, backward or forward, reads its costs only at the states
-# of the next layer, so every spread stops once it has marked the last of
-# them.  The winner's exact length is refused when it exceeds MAX_WITNESS,
-# before its path is built.
+# Every closed walk is one sweep: 2N+1 breadth-first spreads through the
+# layers in witness order, each seeded with the costs at the layer the one
+# before reached, plus Lk at an inc-k layer: O(N·(|S|+|E|)).  Swept
+# backward over every candidate's layers at once, from every anchor back to
+# any anchor, the sweep bounds every anchor from below, so only anchors
+# whose bound can still win are swept forward, and none when the language
+# is empty.  A least bound above MAX_WITNESS states refuses the input
+# before any forward spread.  A forward sweep runs on its component's
+# block: its members, their successors inside it and its row, renumbered.
+#
+# A candidate whose inc and check layers hold one state each forces every
+# witness through it along the same p1..pN, c1..cN, read off its row.  Its
+# anchors' bounds are then exact but for the last segment, d+(cN, any
+# anchor) where the witness needs d+(cN, t), so one forward spread from cN
+# gives every one of its anchors its exact total, and none of them is
+# swept.  What follows a spread reads its costs only at the states of the
+# next layer, so every spread stops once it has marked the last of them.
+# The winner's exact length is refused when it exceeds MAX_WITNESS, before
+# its path is built.
 #
 # One breadth-first pass from the initial state, successors in adjacency
 # order, finds the reachable states with their distances and parents.  They
 # are then numbered in name order: succ[i] lists the numbers of i's
-# successors in adjacency order, and every table is a list indexed by state
-# number, so "smallest name" and "name order" are index order.  Names come
-# back only when the witness is built.  No table outlives the call.
+# successors in adjacency order, every layer lists state numbers and every
+# per-state array is indexed by them, so "smallest name" and "name order"
+# are index order.  Names come back only when the witness is built.  No
+# table outlives the call.
 
 # the longest certificate, in states, that a decision may return: n = 100
 # letters of the flat word (a b a b ...)^w need 99,900, and `countercheck
@@ -345,17 +351,18 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     Tie-breaks: of the anchors with the least total the smallest name wins.
     Its chain of inc and check states is traced back from the anchor
     through the seed each spread recorded, every layer's seeds in name
-    order, or is its component's one chain when that is forced; each
-    segment between them is the walk :func:`_walk` finds.  Raises
-    ``CCAError`` when a shortest witness has more than ``MAX_WITNESS``
-    states.
+    order, or is read off its component's table when every layer there
+    holds one state; each segment between them is the walk :func:`_walk`
+    finds.  Raises ``CCAError`` when a shortest witness has more than
+    ``MAX_WITNESS`` states.
     """
     adjacency = a.adjacency()
     parent, dist = _breadth_first(adjacency, a.initial)
     # a witness visits a lettered state and, for every k, an inc-k and a
     # check-k state, all in one strongly connected component: first each
     # must be reachable, then one component must hold them all
-    if any(dist.keys().isdisjoint(states) for states in (part.lettered, *part.inc, *part.check)):
+    kinds = (part.lettered, *part.inc, *part.check)
+    if any(dist.keys().isdisjoint(states) for states in kinds):
         return None
     names = sorted(dist)
     number = {s: i for i, s in enumerate(names)}
@@ -363,19 +370,23 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     n = a.counters
     component = _components(succ, number[a.initial])
 
-    def holders(states: frozenset[str]) -> set[int]:
-        return {component[number[s]] for s in states if s in number}
-
-    candidates = holders(part.lettered)
-    for k in range(n):
-        if not candidates:
-            break
-        candidates &= holders(part.inc[k]) & holders(part.check[k])
+    # the layer table: one row per component with an anchor, its layers
+    # of anchors, inc-1..inc-N and check-1..check-N states, each in name
+    # order; a candidate is a component with no empty layer
+    table: dict[int, list[list[int]]] = {}
+    for i, states in enumerate(kinds):
+        for s in sorted(number[s] for s in states if s in number):
+            row = table.get(component[s])
+            if row is None and not i:
+                row = table[component[s]] = [[] for _ in kinds]
+            if row is not None:
+                row[i].append(s)
+    candidates = {root: row for root, row in table.items() if all(row)}
     if not candidates:
         return None
 
     # closed walks only need the edges inside the candidates; the pass that
-    # takes them also numbers each candidate's members in name order
+    # takes them also lists each candidate's members in name order
     local: list[tuple[int, ...]] = [()] * len(succ)
     back: list[list[int]] = [[] for _ in succ]
     members_of: dict[int, list[int]] = {root: [] for root in candidates}
@@ -389,14 +400,9 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
             at[here] = len(members)
             members.append(here)
 
-    def numbers(states: frozenset[str]) -> list[int]:
-        found = (number[s] for s in states if s in number)
-        return sorted(s for s in found if component[s] in members_of)
-
-    anchors = numbers(part.lettered)
-    inc = [numbers(part.inc[k]) for k in range(n)]
-    check = [numbers(part.check[k]) for k in range(n)]
-    avoid = [frozenset(c) for c in check]
+    # every candidate's layers at once, for the backward pass
+    joined = [[s for row in candidates.values() for s in row[i]] for i in range(len(kinds))]
+    avoid = [frozenset(checks) for checks in joined[n + 1 :]]
     loops: dict[tuple[int, int], Optional[list[int]]] = {}
 
     def loop(k: int, p: int) -> Optional[list[int]]:
@@ -404,24 +410,30 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
             loops[k, p] = _walk(local, p, p, avoid[k])
         return loops[k, p]
 
-    def pumped(cost: list, k: int, incs: list, members) -> list[tuple[int, int]]:
-        return [
-            (cost[p] + len(loop(k, members[p])) - 1, p)
-            for p in incs[k]
-            if cost[p] is not None and loop(k, members[p]) is not None
-        ]
+    def sweep(
+        graph: list, members, row: list, ends, backward: bool = False, limit: float = math.inf
+    ) -> list:
+        # the spreads over ``graph`` of the least closed walks from ``ends``
+        # back to them through ``row``'s layers in witness order, inc-1..inc-N
+        # then check-1..check-N, or in reverse over reversed edges; each
+        # spread stops at the last state of its layer, whose costs, plus the
+        # loop free of check-k at an inc-k layer, seed the next spread;
+        # ``members`` maps a state of ``graph`` to its index in ``succ``
+        seeds = [(0, e) for e in ends]
+        spreads = []
+        for i in range(2 * n, 0, -1) if backward else range(1, 2 * n + 1):
+            spreads.append(_spread(graph, seeds, row[i], limit))
+            cost = spreads[-1][0]
+            seeds = [(cost[s], s) for s in row[i] if cost[s] is not None]
+            if i <= n:
+                walks = [loop(i - 1, members[s]) for _, s in seeds]
+                seeds = [(c + len(w) - 1, s) for (c, s), w in zip(seeds, walks) if w is not None]
+        spreads.append(_spread(graph, seeds, ends, limit))
+        return spreads
 
-    def checked(cost: list, k: int, checks: list) -> list[tuple[int, int]]:
-        return [(cost[c], c) for c in checks[k] if cost[c] is not None]
-
-    # backward: the least closed walk from each anchor to any anchor; each
-    # spread stops at the last state of the layer the next one reads
-    reads = (*check[::-1], *inc[::-1], anchors)
-    cost = _spread(back, [(0, t) for t in anchors], reads[0])[0]
-    for k in reversed(range(n)):
-        cost = _spread(back, checked(cost, k, check), reads[n - k])[0]
-    for k in reversed(range(n)):
-        cost = _spread(back, pumped(cost, k, inc, range(len(succ))), reads[2 * n - k])[0]
+    # backward: the least closed walk from each anchor to any anchor
+    anchors = joined[0]
+    cost = sweep(back, range(len(succ)), joined, anchors, backward=True)[-1][0]
     bounds = sorted((dist[names[t]] + cost[t], t) for t in anchors if cost[t] is not None)
     if not bounds:
         return None
@@ -430,28 +442,9 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
             f"a shortest witness has at least {bounds[0][0] + 1} states, more than {MAX_WITNESS}"
         )
 
-    # a component with one state in each inc-k and check-k layer forces
-    # every witness in it through that one chain p1..pN, c1..cN
-    layers = (*inc, *check)
-    tally = dict.fromkeys(members_of, 0)
-    for layer in layers:
-        for s in layer:
-            tally[component[s]] += 1
-    forced: dict[int, list[int]] = {root: [] for root, count in tally.items() if count == 2 * n}
-    if forced:
-        for layer in layers:
-            for s in layer:
-                if component[s] in forced:
-                    forced[component[s]].append(s)
-        # the bounded anchors of each forced component not yet measured
-        waiting: dict[int, list[int]] = {root: [] for root in forced}
-        for _, t in bounds:
-            if component[t] in waiting:
-                waiting[component[t]].append(t)
-
     # forward, anchor by anchor, while the bound can still win; each
     # anchor's spreads run on its component's block alone: the members, their
-    # successors inside it and its inc-k and check-k members, all renumbered
+    # successors inside it and its layers, all renumbered
     blocks: dict[int, tuple] = {}
 
     def block(root: int) -> tuple:
@@ -460,42 +453,40 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
             blocks[root] = (
                 members,
                 [tuple(at[there] for there in local[s]) for s in members],
-                [[at[p] for p in ps if component[p] == root] for ps in inc],
-                [[at[c] for c in cs if component[c] == root] for cs in check],
+                [[at[s] for s in layer] for layer in candidates[root]],
             )
         return blocks[root]
 
+    measured: set[int] = set()  # components whose anchors all have exact totals
     best = None  # (total, anchor, its chain t, p1..pN, c1..cN, t)
     for bound, t in bounds:
         if best is not None and (bound, t) > best[:2]:
             break  # neither this anchor nor a later one can beat the best
         root = component[t]
-        if root in forced:
-            # each anchor's backward bound is exact but for its last segment:
-            # it ends with d+(cN, t') for the nearest anchor t' where the
-            # witness needs d+(cN, u); every anchor of the component has a
-            # bound, so one spread from cN gives both
-            if root in waiting:
-                them = waiting.pop(root)
-                chain = forced[root]
-                reach = _spread(local, [(0, chain[-1])], them)[0]
-                nearest = min(reach[u] for u in them)
-                for u in them:
+        row = candidates[root]
+        if all(len(layer) == 1 for layer in row[1:]):
+            # one state in every inc and check layer: every witness here runs
+            # through the chain p1..pN, c1..cN, so each anchor's backward
+            # bound is exact but for its last segment: it ends with
+            # d+(cN, t') for the nearest anchor t' where the witness needs
+            # d+(cN, u); every anchor of the component has a bound, so one
+            # spread from cN gives both
+            if root not in measured:
+                measured.add(root)
+                chain = [layer[0] for layer in row[1:]]
+                reach = _spread(local, [(0, chain[-1])], row[0])[0]
+                nearest = min(reach[u] for u in row[0])
+                for u in row[0]:
                     total = dist[names[u]] + cost[u] - nearest + reach[u]
                     if best is None or (total, u) < best[:2]:
                         best = (total, u, [u, *chain, u])
             continue
-        members, sub, incs, checks = block(root)
+        members, sub, layers = block(root)
         depth = dist[names[t]]
         # a later name has to be strictly shorter to win
         limit = math.inf if best is None else best[0] - depth - (1 if t > best[1] else 0)
         start = at[t]
-        reads = (*incs, *checks, (start,))
-        spreads = [_spread(sub, [(0, start)], reads[0], limit)]
-        for k in range(n):
-            spreads.append(_spread(sub, pumped(spreads[-1][0], k, incs, members), reads[k + 1], limit))
-        for k in range(n):
-            spreads.append(_spread(sub, checked(spreads[-1][0], k, checks), reads[n + k + 1], limit))
+        spreads = sweep(sub, members, layers, (start,), limit=limit)
         closing = spreads[-1][0][start]
         if closing is not None:
             total = depth + closing

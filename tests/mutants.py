@@ -186,8 +186,8 @@ CATALOGUE = (
     Mutant(
         "the candidate filter drops a component whose check-k states are not lettered",
         "src/countercheck/emptiness.py",
-        "holders(part.check[k])",
-        "holders(part.check[k] & part.lettered)",
+        "if all(row)}",
+        "if all(row) and all(any(names[c] in part.lettered for c in layer) for layer in row[n + 1 :])}",
         (
             "tests/test_emptiness.py::test_layered_search_matches_product_reference",
             "tests/test_emptiness.py::test_random_witnesses_are_pinned",
@@ -207,8 +207,8 @@ CATALOGUE = (
     Mutant(
         "forced-chain detection accepts a component with two states in one layer",
         "src/countercheck/emptiness.py",
-        "if count == 2 * n}",
-        "if count <= 2 * n + 1}",
+        "if all(len(layer) == 1 for layer in row[1:]):",
+        "if sum(map(len, row[1:])) <= 2 * n + 1:",
         (
             "tests/test_emptiness.py::test_random_witnesses_are_pinned",
             "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
@@ -217,8 +217,8 @@ CATALOGUE = (
     Mutant(
         "forced-chain detection never fires",
         "src/countercheck/emptiness.py",
-        "if count == 2 * n}",
-        "if count == -1}",
+        "if all(len(layer) == 1 for layer in row[1:]):",
+        "if all(len(layer) == -1 for layer in row[1:]):",
         ("tests/test_emptiness.py::test_spreads_per_decision",),
     ),
     Mutant(

@@ -39,6 +39,11 @@ def test_parse_alphabet_enforced(capsys):
     assert "c" in err
 
 
+@pytest.mark.parametrize("alphabet, bad", [("a ^", " "), ("a^", "^"), ("aB", "B"), ("a1", "1")])
+def test_an_alphabet_character_the_parser_cannot_read_is_refused(capsys, alphabet, bad):
+    code, out, err = run(capsys, "compile", "a^w", "--alphabet", alphabet)
+    assert (code, out) == (2, "")
+    assert err == f"error: --alphabet: {bad!r} is not a lowercase letter\n"
 def test_empty_nonempty_with_witness(capsys):
     code, out, _ = run(capsys, "empty", "(a^T b)^w")
     assert code == 0

@@ -645,13 +645,20 @@ def two_counter_cycle(check_2_on_cycle: bool) -> CCA:
         rows += [("c1", "eps", "c2", 1, "check"), ("c2", "eps", "s0", 2, "check")]
     else:
         rows += [("c1", "eps", "s0", 1, "check")]
+    return automaton_of_rows(rows, "p", 2)
+
+
+def automaton_of_rows(rows: list, initial: str, counters: int) -> CCA:
+    """The JSON automaton over the alphabet {a} whose transitions are
+    ``rows`` of (from, label, to, counter, op) and whose states are their
+    sources."""
     keys = ("from", "label", "to", "counter", "op")
     data = {
         "states": sorted({row[0] for row in rows}),
         "alphabet": ["a"],
-        "initial": "p",
+        "initial": initial,
         "final": None,
-        "counters": 2,
+        "counters": counters,
         "transitions": [dict(zip(keys, row)) for row in rows],
     }
     return import_json(json.dumps(data))
@@ -795,6 +802,46 @@ def test_layered_search_matches_product_reference_on_1000_compiled_trees():
             assert len(report.witness.path) == len(expected.path)
             forced += anchored_in_a_forced_component(report)
     assert compared >= 970 and nonempty >= 800 and forced >= 600
+
+
+def tied_components(single: str, double: str, entered: tuple[str, ...]) -> CCA:
+    """A JSON automaton: the silent initial state ``i`` enters the cycles
+    of the lettered anchors in ``entered``.  Each cycle pumps counter 1 at
+    a silent hub and closes in 8 steps.  ``single``'s passes one check-1
+    state, ``c``, and then the lettered ``z``, which is nearer to ``c`` than
+    ``single`` is and so gives ``single`` a backward bound of 7;
+    ``double``'s passes either of two check-1 states."""
+    rows = [("i", "eps", anchor, 1, "no_op") for anchor in entered]
+    for anchor in (single, double):
+        rows += [
+            (anchor, "a", anchor + "p", 1, "no_op"),
+            (anchor + "p", "eps", anchor + "x", 1, "inc"),
+            (anchor + "x", "eps", anchor + "p", 1, "no_op"),
+        ]
+    rows += [
+        (single + "x", "eps", "c", 1, "no_op"),
+        ("c", "eps", "z", 1, "check"),
+        ("z", "a", single, 1, "no_op"),
+        (double + "x", "eps", "c1", 1, "no_op"),
+        (double + "x", "eps", "c2", 1, "no_op"),
+        ("c1", "eps", "y", 1, "check"),
+        ("c2", "eps", "y", 1, "check"),
+        ("y", "eps", double, 1, "no_op"),
+    ]
+    return automaton_of_rows(rows, "i", 1)
+
+
+@pytest.mark.parametrize("single, double", [("a1", "a2"), ("a2", "a1")])
+def test_of_two_tied_components_the_smaller_anchor_name_wins(single, double):
+    # single's component has one inc-1 and one check-1 state, so its chain
+    # is read off its row and its anchors' totals come from one spread;
+    # double's anchor is searched after them, bounded by the best so far
+    for anchor in (single, double):
+        alone = decide(tied_components(single, double, (anchor,))).witness
+        assert (alone.path[alone.begin], len(alone.path)) == (anchor, 9)
+    report = decide(tied_components(single, double, (single, double)))
+    assert (report.witness.path[report.witness.begin], len(report.witness.path)) == ("a1", 9)
+    assert anchored_in_a_forced_component(report) == (single == "a1")
 
 
 # the two largest rungs, with their shortest witness lengths; the benchmark
