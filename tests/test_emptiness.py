@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import random
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -531,6 +533,44 @@ def test_product_reference_matches_the_materialized_product():
         assert decide_by_product(a) == expected
         nonempty += expected is not None
     assert nonempty >= 30
+
+
+def reference_answers(a: CCA) -> tuple:
+    return decide_by_product(a), brute_force_witness(a, 40), witness_nfa_state_count(a)
+
+
+def test_reference_answers_are_pinned():
+    # both references' tie-breaks and the structure count, byte for byte;
+    # the ladder's rungs bring 3 to 9 counters, where the oracle is too slow
+    rng = random.Random(20261021)
+    digest = hashlib.sha256()
+    nonempty = 0
+    for _ in range(2000):
+        answers = reference_answers(random_simple_cca(rng, max_states=12, max_counters=3))
+        nonempty += answers[0] is not None
+        digest.update(repr(answers).encode())
+    for text, _ in LADDER[:-2]:
+        a = decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple
+        digest.update(repr((decide_by_product(a), witness_nfa_state_count(a))).encode())
+    assert nonempty == 203
+    assert digest.hexdigest() == "97b472910e4ad989cbd42c275b5fc596e3c647fd06aac18a551c60ef6bdff8fd"
+
+
+def test_the_phase_table_serves_only_its_own_automaton():
+    # the references share one numbered phase table per automaton; it must
+    # answer for no other automaton, even one with as many counters, stay
+    # off the automaton and die with it
+    first, second = closed_atom(), simplify(hat(atom_empty()))
+    assert first.counters == second.counters
+    expected = {id(a): reference_answers(twin_of(a)) for a in (first, second)}
+    assert expected[id(first)] != expected[id(second)]
+    for a in (first, second, first):
+        assert reference_answers(a) == expected[id(a)]
+        assert set(vars(a)) - set(vars(twin_of(a))) == {"_adjacency", "_partition"}
+    gone = weakref.ref(first)
+    del a, first
+    gc.collect()
+    assert gone() is None
 
 
 def repr_order_automaton() -> CCA:
