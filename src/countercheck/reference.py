@@ -7,23 +7,27 @@
   ``build_prefix_nfa`` exactly the realizable state paths, and their product
   is empty iff the language of the automaton is.  The reference builds
   neither NFA: it searches their product breadth-first, reading the
-  structure side from the phase table and the path side from the graph,
+  structure side from the phase rows and the path side from the graph,
   and hands the search each node's edges already in the product's
   tie-break order.  ``witness_nfa_state_count`` counts the structure NFA's
-  states by walking the same table, for the size-bound check, without
+  states by walking the same rows, for the size-bound check, without
   building it.
 * ``brute_force_witness`` gives the same answer by a direct search over
   paths and serves as the independent oracle; ``scan_path`` marks a
   witness on one path.
 
-All of them follow one table of witness phases (see the comment above
-``_next_phases``).  Imports run one way: this module takes the witness
-record and its checker from ``emptiness``, which imports nothing from here.
+All of them follow one table of witness phases, kept as one row per phase
+(see the comment above ``_row``).  The phases of one automaton are numbered
+once, as the readers first meet them, and the rows are built over those
+numbers; the calls a fuzz case makes in turn on one automaton share that
+numbered table through a one-entry memo, and none of them builds a row per
+state.  Imports run one way: this module takes the witness record and its
+checker from ``emptiness``, which imports nothing from here.
 """
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from itertools import chain
 from typing import Optional
 
 from .cca import CCA, CCAError, InternalCheckError, Partition, partition
@@ -51,35 +55,125 @@ from .nfa import NFA, accepts, breadth_first_run
 # open1, close1, ..., openN, closeN, check1, ..., checkN, end.  Neither
 # ``verify_witness`` nor ``decide`` reads this table, so a wrong move shows
 # up as a disagreement with them.
+#
+# The table is kept as one *row* per phase (``_row``): the states that do
+# more than keep the phase, each with the phases it leads to, move-on
+# before stay.  Every other state keeps the phase; accept has no move.
+# The readers share one numbered copy per automaton, a ``_Table``: phases
+# get ids as they are first met (scan 0, accept 1), and each phase's row
+# is built over those ids on first use.  The copy sits in a one-entry
+# memo, keyed by a weak reference to the automaton and not kept on it, so
+# the calls a fuzz case makes in turn share it and it dies with its
+# automaton.
 
 _SCAN = ("scan",)
 _ACCEPT = ("accept",)
+_SCAN_ID, _ACCEPT_ID = 0, 1
+
+
+def _row(phase: tuple, part: Partition, n: int) -> dict[str, tuple[tuple, ...]]:
+    """The states that do more than keep ``phase``, each with the phases it
+    leads to, a move-on listed before a stay."""
+    role = phase[0]
+    if role == "scan":
+        return {s: (("seek_inc", 1, s), phase) for s in part.lettered}
+    if role == "seek_inc":
+        _, k, t = phase
+        return {s: (("in_loop", k, t, s), phase) for s in part.inc[k - 1]}
+    if role == "in_loop":
+        _, k, t, p = phase
+        after = ("seek_inc", k + 1, t) if k < n else ("seek_check", 1, t)
+        return {p: (after, phase), **dict.fromkeys(part.check[k - 1], ())}
+    if role == "seek_check":
+        _, k, t = phase
+        after = ("seek_check", k + 1, t) if k < n else ("await_anchor", t)
+        return dict.fromkeys(part.check[k - 1], (after, phase))
+    if role == "await_anchor":
+        return {phase[1]: (_ACCEPT,)}
+    return {}
 
 
 def _next_phases(phase: tuple, s: str, part: Partition, n: int) -> tuple[tuple, ...]:
-    """The phases reached from ``phase`` by reading state ``s``, a move-on
-    listed before a stay."""
-    role = phase[0]
-    if role == "scan":
-        return (("seek_inc", 1, s), phase) if s in part.lettered else (phase,)
-    if role == "seek_inc":
-        _, k, t = phase
-        return (("in_loop", k, t, s), phase) if s in part.inc[k - 1] else (phase,)
-    if role == "in_loop":
-        _, k, t, p = phase
-        if s in part.check[k - 1]:
-            return ()
-        if s != p:
-            return (phase,)
-        return (("seek_inc", k + 1, t) if k < n else ("seek_check", 1, t), phase)
-    if role == "seek_check":
-        _, k, t = phase
-        if s not in part.check[k - 1]:
-            return (phase,)
-        return (("seek_check", k + 1, t) if k < n else ("await_anchor", t), phase)
-    if role == "await_anchor":
-        return (_ACCEPT,) if s == phase[1] else (phase,)
-    return ()
+    """The phases reached from ``phase`` by reading state ``s``: its row's
+    entry for ``s``, a stay for any state the row does not list, and none
+    at accept."""
+    return () if phase == _ACCEPT else _row(phase, part, n).get(s, (phase,))
+
+
+class _Table:
+    """The witness phases of one simple automaton, numbered as they are
+    met, with the rows built so far over their ids."""
+
+    __slots__ = ("part", "n", "phases", "ids", "rows")
+
+    def __init__(self, part: Partition, n: int):
+        self.part, self.n = part, n
+        self.phases = [_SCAN, _ACCEPT]  # id -> phase
+        self.ids = {_SCAN: _SCAN_ID, _ACCEPT: _ACCEPT_ID}  # phase -> id
+        self.rows: list = [None, {}]  # id -> row over ids, None until used
+
+    def row(self, i: int) -> dict[str, tuple[int, ...]]:
+        """The row of phase ``i`` over ids, built on the first call.  An
+        entry of ``_row`` is empty or a move-on, then the stay if the phase
+        also stays, so only the move-on needs a number."""
+        rows = self.rows
+        row = rows[i]
+        if row is None:
+            phases, ids = self.phases, self.ids
+            row = {}
+            for s, afters in _row(phases[i], self.part, self.n).items():
+                if afters:
+                    on = afters[0]
+                    j = ids.get(on)
+                    if j is None:
+                        j = ids[on] = len(phases)
+                        phases.append(on)
+                        rows.append(None)
+                    row[s] = (j, i) if len(afters) == 2 else (j,)
+                else:
+                    row[s] = ()
+            rows[i] = row
+        return row
+
+
+# a weak reference to the last automaton ``_table`` numbered, and its table;
+# rebound whole, so a reader never pairs one automaton with another's table
+_memo: tuple = (None, None)
+
+
+def _table(a: CCA, part: Partition) -> _Table:
+    """The numbered phase table of the simple automaton ``a``, shared by the
+    calls on ``a`` until another automaton's table replaces it."""
+    global _memo
+    ref, table = _memo
+    if ref is None or ref() is not a:
+        table = _Table(part, a.counters)
+        _memo = (weakref.ref(a, _forget), table)
+    return table
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the memo with its automaton, so that no table outlives it."""
+    global _memo
+    if _memo[0] is ref:
+        _memo = (None, None)
+
+
+def _structure_ids(table: _Table) -> set[int]:
+    """The ids of the structure NFA's states, the phases ``("scan",)``
+    reaches plus ``("accept",)``, with their rows built: a walk over the
+    rows' entries, O(sum of row sizes)."""
+    seen = {_SCAN_ID, _ACCEPT_ID}
+    todo = [_SCAN_ID]
+    rows, row = table.rows, table.row
+    while todo:
+        i = todo.pop()
+        for afters in (rows[i] or row(i)).values():
+            for j in afters:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return seen
 
 
 def _witness(path, marks: list[int]) -> AcceptingWitness:
@@ -108,36 +202,24 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
 
 def _structure_phases(a: CCA, part: Partition) -> set:
     """The phases ``("scan",)`` reaches, plus ``("accept",)``: the states of
-    the witness-structure NFA.
-
-    By the table, a state that is neither lettered, inc nor check only
-    keeps a phase or ends it, so the walk reads the other states alone.
-    """
-    n = a.counters
-    movers = part.lettered.union(*part.inc, *part.check)
-    phases = {_SCAN, _ACCEPT}
-    todo = [_SCAN]
-    while todo:
-        phase = todo.pop()
-        for s in movers:
-            for after in _next_phases(phase, s, part, n):
-                if after not in phases:
-                    phases.add(after)
-                    todo.append(after)
-    return phases
+    the witness-structure NFA."""
+    table = _table(a, part)
+    return {table.phases[i] for i in _structure_ids(table)}
 
 
 def _structure_nfa(a: CCA, part: Partition) -> NFA:
-    n = a.counters
-    phases = _structure_phases(a, part)
+    table = _table(a, part)
+    reached = _structure_ids(table)
+    phases, rows = table.phases, table.rows
     return NFA(
-        states=frozenset(phases),
+        states=frozenset(phases[i] for i in reached),
         alphabet=frozenset(a.states),
         transitions=frozenset(
-            (phase, s, after)
-            for phase in phases
+            (phases[i], s, phases[j])
+            for i in reached
+            if i != _ACCEPT_ID
             for s in a.states
-            for after in _next_phases(phase, s, part, n)
+            for j in rows[i].get(s, (i,))
         ),
         initial=_SCAN,
         finals=frozenset({_ACCEPT}),
@@ -153,7 +235,7 @@ def witness_nfa_state_count(a: CCA) -> int:
     """The number of states of ``build_potential_witness_nfa(a)``, counted
     by walking the phase table without building the NFA."""
     part = _partition(a, "the witness-structure NFA")
-    return len(_structure_phases(a, part))
+    return len(_structure_ids(_table(a, part)))
 
 
 def build_prefix_nfa(a: CCA) -> NFA:
@@ -194,9 +276,9 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     with the path NFA and decode a shortest accepting run.
 
     Neither NFA is built.  A breadth-first search runs over the product's
-    nodes ``(phase, ("path", s))``, reading each state ``u`` the graph
-    leads to from ``s`` with the phase table, and creates only the nodes it
-    reaches.  The nodes, letters and tie-break are those of
+    nodes, a phase id with a path state ``s``, reading each state ``u`` the
+    graph leads to from ``s`` off the phase's row, and creates only the
+    nodes it reaches.  The nodes, letters and tie-break are those of
     ``intersect(build_potential_witness_nfa(a), build_prefix_nfa(a))``, so
     the run is the one a search of that product finds: each node's edges
     come out ordered by the repr of their letter, then of their phase,
@@ -207,28 +289,33 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     """
     simple = _simple(a)
     adjacency, part = simple.adjacency(), partition(simple)
-    n = simple.counters
+    table = _table(simple, part)
+    phases, rows, row = table.phases, table.rows, table.row
     letters_of: dict = {}  # the letters leaving each state, in repr order
 
     def successors(node: tuple):
-        phase, (_, s) = node
+        i, s = node
         if s not in letters_of:
             targets = {simple.initial} if s is None else {t.target for t in adjacency[s]}
             letters_of[s] = sorted(targets, key=repr)
+        entries = rows[i] or row(i)
         for u in letters_of[s]:
-            # every target of letter u ends in ("path", u), and no tuple's
+            afters = entries.get(u)
+            if afters is None:
+                yield u, (i, u)
+                continue
+            # every target of letter u ends in path state u, and no tuple's
             # repr is a prefix of another's, so ordering the phases by repr
             # orders the targets as ``_edge_key`` does
-            afters = _next_phases(phase, u, part, n)
-            if len(afters) == 2 and repr(afters[1]) < repr(afters[0]):
+            if len(afters) == 2 and repr(phases[afters[1]]) < repr(phases[afters[0]]):
                 afters = afters[::-1]
-            for after in afters:
-                yield u, (after, ("path", u))
+            for j in afters:
+                yield u, (j, u)
 
-    run = breadth_first_run((_SCAN, ("path", None)), lambda node: node[0] == _ACCEPT, successors)
+    run = breadth_first_run((_SCAN_ID, None), lambda node: node[0] == _ACCEPT_ID, successors)
     if run is None:
         return None
-    witness = _decode(*run, n)
+    witness = _decode(*run, simple.counters)
     if not _verify(simple, witness, part):
         raise InternalCheckError("decoded witness failed verification")
     if not accepts(build_prefix_nfa(simple), witness.path):
@@ -244,30 +331,53 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     embedded witness.
 
     Exhaustive path enumeration is folded into a breadth-first search over
-    (state, phase set) pairs, where a path's phase set holds every phase of
-    the witness-phase table its states can reach: two paths reaching the
-    same pair admit exactly the same witness completions, so deduplicating
-    them discards no answers, and the first path whose set holds
-    ``("accept",)`` is a shortest one.  ``scan_path`` then marks it.
+    (state, phase set) pairs, where a path's phase set holds the id of every
+    phase of the witness-phase table its states can reach: two paths
+    reaching the same pair admit exactly the same witness completions, so
+    deduplicating them discards no answers, and the first path whose set
+    holds ``("accept",)`` is a shortest one.  ``scan_path`` then marks it.
     """
     part = _partition(a, "the brute-force search")
     adjacency = a.adjacency()
     if depth < 0:
         raise CCAError("depth must be nonnegative")
-    n = a.counters
-    # one table entry recurs in many phase sets, so each is computed once
-    moves: dict[str, dict] = {s: {} for s in a.states}
+    table = _table(a, part)
+    rows = table.rows
+    none: frozenset = frozenset()
+    # a phase set changes only at the ids whose row lists the state read:
+    # ``moving[s]`` holds those ids among the phases met so far.  The same
+    # such ids recur with one state in many sets, so each (state, ids)
+    # pair's change is computed once: the ids that leave the set and the
+    # ids that join it, which are met then
+    moving: dict = {}
+    met: set = set()
+    changes: dict = {}
+
+    def meet(i: int) -> None:
+        met.add(i)
+        for s in table.row(i):
+            moving.setdefault(s, set()).add(i)
 
     def step(phases: frozenset, s: str) -> frozenset:
-        row = moves[s]
-        for phase in phases.difference(row):
-            row[phase] = _next_phases(phase, s, part, n)
-        return frozenset(chain.from_iterable(map(row.__getitem__, phases)))
+        hit = phases.intersection(moving.get(s, none))
+        if not hit:
+            return phases
+        change = changes.get((s, hit))
+        if change is None:
+            after = none.union(*[rows[i][s] for i in hit])
+            for j in after.difference(met):
+                meet(j)
+            change = changes[s, hit] = (hit - after, after - hit)
+        leave, join = change
+        if leave:
+            phases = phases - leave
+        return phases | join if join else phases
 
-    start = (a.initial, step(frozenset({_SCAN}), a.initial))
+    meet(_SCAN_ID)
+    start = (a.initial, step(frozenset({_SCAN_ID}), a.initial))
     parents: dict = {start: None}
     queue = deque([(start, 0)])
-    goal = start if _ACCEPT in start[1] else None
+    goal = start if _ACCEPT_ID in start[1] else None
     while queue and goal is None:
         (node, used) = queue.popleft()
         if used >= depth:
@@ -278,7 +388,7 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
             if node2 in parents:
                 continue
             parents[node2] = node
-            if _ACCEPT in node2[1]:
+            if _ACCEPT_ID in node2[1]:
                 goal = node2
                 break
             queue.append((node2, used + 1))
@@ -291,7 +401,7 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
         path.append(node[0])
         node = parents[node]
     path.reverse()
-    witness = _scan(path, part, n)
+    witness = _scan(path, table)
     if witness is None:
         raise InternalCheckError("path search found an embedding the scan cannot recover")
     return witness
@@ -305,20 +415,21 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
     dead ends; usable on paths from any source.
     """
     part = _partition(a, "the path scan")
-    return _scan(path, part, a.counters)
+    return _scan(path, _table(a, part))
 
 
-def _scan(path, part: Partition, n: int) -> Optional[AcceptingWitness]:
+def _scan(path, table: _Table) -> Optional[AcceptingWitness]:
     # an explicit stack, one frame per path state, since a path may be
     # longer than the interpreter's recursion limit; a frame holds the
-    # successors of its (phase, i) not yet tried, and a frame whose
+    # successors of its (phase id, i) not yet tried, and a frame whose
     # successors all fail marks its pair dead
+    row = table.row
     dead: set = set()
     stack: list = []
-    phase, i, marks = _SCAN, 0, []
-    while phase != _ACCEPT:
+    phase, i, marks = _SCAN_ID, 0, []
+    while phase != _ACCEPT_ID:
         if i < len(path) and (phase, i) not in dead:
-            stack.append((phase, i, marks, iter(_next_phases(phase, path[i], part, n))))
+            stack.append((phase, i, marks, iter(row(phase).get(path[i], (phase,)))))
         while stack:
             here, j, upto, untried = stack[-1]
             after = next(untried, None)

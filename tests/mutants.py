@@ -163,11 +163,21 @@ CATALOGUE = (
         ("tests/test_logic.py::test_printing_of_random_formulas_is_pinned",),
     ),
     Mutant(
-        "the structure-phase walk drops check states from the movers",
+        "an in_loop row drops the check-k kill, so a pump loop may pass a check",
         "src/countercheck/reference.py",
-        "movers = part.lettered.union(*part.inc, *part.check)",
-        "movers = part.lettered.union(*part.inc)",
-        ("tests/test_emptiness.py::test_structure_nfa_state_count_matches_the_built_nfa",),
+        "return {p: (after, phase), **dict.fromkeys(part.check[k - 1], ())}",
+        "return {p: (after, phase)}",
+        (
+            "tests/test_emptiness.py::test_layered_search_matches_product_reference",
+            "tests/test_emptiness.py::test_reference_answers_are_pinned",
+        ),
+    ),
+    Mutant(
+        "the phase-table memo matches an automaton by its counters, not its identity",
+        "src/countercheck/reference.py",
+        "if ref is None or ref() is not a:",
+        "if ref is None or table.n != a.counters:",
+        ("tests/test_emptiness.py::test_the_phase_table_serves_only_its_own_automaton",),
     ),
     Mutant(
         "the decision's module imports the phase table from the references",

@@ -221,8 +221,8 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
         cases.append(decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple)
     for a in cases:
         assert witness_nfa_state_count(a) == len(build_potential_witness_nfa(a).states)
-        # the walk reads lettered, inc and check states alone; it must
-        # reach what a closure over every state reaches
+        # the walk reads the phases' rows alone; it must reach what a
+        # closure over every state reaches
         part = partition(a)
         phases, todo = {("scan",), ("accept",)}, [("scan",)]
         while todo:
