@@ -256,6 +256,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         print("error: input too deep to process: a long operator chain or deep nesting", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large to process", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -29,7 +29,7 @@ layer's class; the stratifier, the ``^T`` relaxation, the erasure, the
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple, Union as TUnion
+from typing import Iterable, NamedTuple, Optional, Union as TUnion
 
 
 class ParseError(ValueError):
@@ -385,16 +385,27 @@ def _to_omega(raw: _Raw, alphabet: frozenset[str]) -> OmegaTExpr:
     raise ParseError("missing omega closure: every branch needs '^w'", raw.pos)
 
 
+def refused_letter(alphabet: Iterable[str]) -> Optional[str]:
+    """The smallest character of ``alphabet`` that ``str.islower`` rejects,
+    or None.  The lexer reads no such character as a letter, so no
+    expression could use it."""
+    return min((c for c in alphabet if not c.islower()), default=None)
+
+
 def parse_omega_t(text: str, alphabet: frozenset[str] | set[str] | str) -> OmegaTExpr:
     """Parse ``text`` into a top-level omega expression.
 
     ``alphabet`` may be given as a string of letters.  Raises ParseError on
+    an alphabet character that is not a lowercase letter (at position 0),
     syntax errors, letters outside the alphabet, misplaced ``^T`` (legal only
     underneath ``^w``), misplaced or missing ``^w``, parentheses nested more
     than ``MAX_NESTING`` deep, and operator chains longer than the parser's
     stack allows.
     """
     sigma = frozenset(alphabet)
+    bad = refused_letter(sigma)
+    if bad is not None:
+        raise ParseError(f"alphabet character {bad!r} is not a lowercase letter", 0)
     lexer = _Lexer(text)
     raw = _parse_raw(lexer)
     trailing, tpos = lexer.peek()

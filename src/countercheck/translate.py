@@ -407,12 +407,16 @@ def compile_expression(
 ) -> CCA:
     """Compile a top-level omega expression into a single automaton.
 
-    Raises ``CCAError`` before building anything when the expression would
+    Raises ``CCAError`` before building anything when the alphabet holds a
+    character that is not a lowercase letter, or when the expression would
     compile to more than ``MAX_MEMBERS`` automata.
     """
+    sigma = frozenset(alphabet)
+    bad = ex.refused_letter(sigma)
+    if bad is not None:
+        raise CCAError(f"alphabet character {bad!r} is not a lowercase letter")
     members = omega_member_count(e)
     if members > MAX_MEMBERS:
         raise CCAError(f"expression compiles to {members} automata, more than {MAX_MEMBERS}")
-    sigma = frozenset(alphabet)
     names = FreshNames()
     return _merged(_omega_members(e, sigma, names, trace), sigma, names)

@@ -336,6 +336,19 @@ def test_deep_nesting_exits_with_one_line_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_running_out_of_memory_exits_with_one_line_error(capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "cmd_parse", exhaust)
+    code, out, err = run(capsys, "parse", "(a b)^w")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: the input is too large to process\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["parse", "compile", "empty", "formula"])
 def test_long_flat_word_is_refused_as_an_operator_chain(capsys, command):
     # 1000 letters and no parentheses: the parser names the chain

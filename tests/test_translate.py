@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -572,6 +573,16 @@ def test_compile_refuses_more_members_than_the_limit():
     assert omega_member_count(over) == 2188 > MAX_MEMBERS
     with pytest.raises(CCAError, match="2188 automata"):
         compile_expression(over, "ab")
+
+
+@pytest.mark.parametrize("alphabet, bad", [("a ^", " "), ("a^", "^"), ("aB", "B"), ("a1", "1"), ({"a", "\0"}, "\0")])
+def test_the_library_refuses_an_alphabet_character_that_is_not_a_letter(alphabet, bad):
+    # no expression can use such a letter, and an export would write it
+    message = re.escape(f"alphabet character {bad!r} is not a lowercase letter")
+    with pytest.raises(ex.ParseError, match=message):
+        ex.parse_omega_t("a^w", alphabet)
+    with pytest.raises(CCAError, match=message):
+        compile_expression(ex.parse_omega_t("a^w", "a"), alphabet)
 
 
 # (((a+b) repeated k times))^w for k = 2..5, and a mix under ^T
