@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__
 from .cca import CCA, InternalCheckError, has_run_prefix, import_json, simplify, write_export
-from .expr import OmegaTExpr, ParseError, parse_omega_t, pretty
+from .expr import OmegaTExpr, ParseError, parse_omega_t, pretty, refused_letter
 from .translate import Trace, compile_expression
 
 
@@ -50,9 +50,9 @@ def _parse(args) -> tuple[OmegaTExpr, str]:
     """(tree, alphabet) of the expression argument; the alphabet is the
     one given, every character of it a lowercase letter, or else the
     expression's own letters."""
-    for c in args.alphabet or "":
-        if not c.islower():
-            raise ValueError(f"--alphabet: {c!r} is not a lowercase letter")
+    bad = refused_letter(args.alphabet or "")
+    if bad is not None:
+        raise ValueError(f"--alphabet: {bad!r} is not a lowercase letter")
     alphabet = args.alphabet or _infer_alphabet(args.expression)
     return parse_omega_t(args.expression, alphabet), alphabet
 
