@@ -168,8 +168,12 @@ def _verify(a: CCA, w: AcceptingWitness, part: Partition) -> bool:
 # any anchor, the sweep bounds every anchor from below, so only anchors
 # whose bound can still win are swept forward, and none when the language
 # is empty.  A least bound above MAX_WITNESS states refuses the input
-# before any forward spread.  A forward sweep runs on its component's
-# block: its members, their successors inside it and its row, renumbered.
+# before any forward spread.  A sweep keeps only the spread it is seeding
+# from and, per layer, the seed of each state it reached there, which is
+# all that tracing the winner's chain back reads; the loop memo keeps
+# lengths, and the winner's loops are walked again when its path is built.
+# Every state is in at most two layers, so besides the certificate a
+# decision holds O(|S|+|E|), whatever N is.
 #
 # A candidate whose inc and check layers hold one state each forces every
 # witness through it along the same p1..pN, c1..cN, read off its row.  Its
@@ -186,12 +190,13 @@ def _verify(a: CCA, w: AcceptingWitness, part: Partition) -> bool:
 # are then numbered in name order: succ[i] lists the numbers of i's
 # successors in adjacency order, every layer lists state numbers and every
 # per-state array is indexed by them, so "smallest name" and "name order"
-# are index order.  Names come back only when the witness is built.  No
-# table outlives the call.
+# are index order.  Names come back only when the witness is built.  A
+# forward sweep runs on the same numbering, over the edges inside the
+# candidates alone, so it never leaves its anchor's component.
 
 # the longest certificate, in states, that a decision may return: n = 100
 # letters of the flat word (a b a b ...)^w need 99,900, and `countercheck
-# empty` prints them in about 0.25 s at 19 MB on a 2-vCPU machine; a
+# empty` prints them in 0.22-0.33 s at 18.7 MB on a 2-vCPU machine; a
 # shortest witness grows about as 10·n², so the certificate, not the
 # search, is what the limit bounds
 MAX_WITNESS = 100_000
@@ -339,6 +344,32 @@ def _spread(succ: list, seeds: list, targets, limit: float = math.inf) -> tuple[
     return cost, origin
 
 
+def _sweep(
+    graph: list, row: list, ends, loop, backward: bool = False, limit: float = math.inf
+) -> tuple[list, list, list[dict]]:
+    """The least closed walks over ``graph`` from ``ends`` back to them
+    through ``row``'s layers in witness order, inc-1..inc-N then
+    check-1..check-N, or in reverse over reversed edges.
+
+    Each spread stops at the last state of its layer; its costs there,
+    plus ``loop(k, p)`` at an inc-k layer (None: p has no loop free of
+    check-k), seed the next.  Returns the last spread's costs and seeds,
+    and per layer, in sweep order, a dict from its reached states to their
+    seeds.
+    """
+    n = (len(row) - 1) // 2
+    seeds = [(0, e) for e in ends]
+    origins = []
+    for i in range(2 * n, 0, -1) if backward else range(1, 2 * n + 1):
+        cost, origin = _spread(graph, seeds, row[i], limit)
+        seeds = [(cost[s], s) for s in row[i] if cost[s] is not None]
+        origins.append({s: origin[s] for _, s in seeds})
+        if i <= n:
+            lengths = [loop(i - 1, s) for _, s in seeds]
+            seeds = [(c + m, s) for (c, s), m in zip(seeds, lengths) if m is not None]
+    return (*_spread(graph, seeds, ends, limit), origins)
+
+
 class EmptinessReport(Record):
     empty: bool
     witness: Optional[AcceptingWitness]
@@ -385,55 +416,29 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     if not candidates:
         return None
 
-    # closed walks only need the edges inside the candidates; the pass that
-    # takes them also lists each candidate's members in name order
+    # closed walks only need the edges inside the candidates
     local: list[tuple[int, ...]] = [()] * len(succ)
     back: list[list[int]] = [[] for _ in succ]
-    members_of: dict[int, list[int]] = {root: [] for root in candidates}
-    at: dict[int, int] = {}
     for here, root in enumerate(component):
-        if root in members_of:
+        if root in candidates:
             local[here] = out = tuple(there for there in succ[here] if component[there] == root)
             for there in out:
                 back[there].append(here)
-            members = members_of[root]
-            at[here] = len(members)
-            members.append(here)
 
     # every candidate's layers at once, for the backward pass
     joined = [[s for row in candidates.values() for s in row[i]] for i in range(len(kinds))]
     avoid = [frozenset(checks) for checks in joined[n + 1 :]]
-    loops: dict[tuple[int, int], Optional[list[int]]] = {}
+    loops: dict[tuple[int, int], Optional[int]] = {}  # lengths only
 
-    def loop(k: int, p: int) -> Optional[list[int]]:
+    def loop(k: int, p: int) -> Optional[int]:
         if (k, p) not in loops:
-            loops[k, p] = _walk(local, p, p, avoid[k])
+            walk = _walk(local, p, p, avoid[k])
+            loops[k, p] = None if walk is None else len(walk) - 1
         return loops[k, p]
-
-    def sweep(
-        graph: list, members, row: list, ends, backward: bool = False, limit: float = math.inf
-    ) -> list:
-        # the spreads over ``graph`` of the least closed walks from ``ends``
-        # back to them through ``row``'s layers in witness order, inc-1..inc-N
-        # then check-1..check-N, or in reverse over reversed edges; each
-        # spread stops at the last state of its layer, whose costs, plus the
-        # loop free of check-k at an inc-k layer, seed the next spread;
-        # ``members`` maps a state of ``graph`` to its index in ``succ``
-        seeds = [(0, e) for e in ends]
-        spreads = []
-        for i in range(2 * n, 0, -1) if backward else range(1, 2 * n + 1):
-            spreads.append(_spread(graph, seeds, row[i], limit))
-            cost = spreads[-1][0]
-            seeds = [(cost[s], s) for s in row[i] if cost[s] is not None]
-            if i <= n:
-                walks = [loop(i - 1, members[s]) for _, s in seeds]
-                seeds = [(c + len(w) - 1, s) for (c, s), w in zip(seeds, walks) if w is not None]
-        spreads.append(_spread(graph, seeds, ends, limit))
-        return spreads
 
     # backward: the least closed walk from each anchor to any anchor
     anchors = joined[0]
-    cost = sweep(back, range(len(succ)), joined, anchors, backward=True)[-1][0]
+    cost = _sweep(back, joined, anchors, loop, backward=True)[0]
     bounds = sorted((dist[names[t]] + cost[t], t) for t in anchors if cost[t] is not None)
     if not bounds:
         return None
@@ -442,21 +447,7 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
             f"a shortest witness has at least {bounds[0][0] + 1} states, more than {MAX_WITNESS}"
         )
 
-    # forward, anchor by anchor, while the bound can still win; each
-    # anchor's spreads run on its component's block alone: the members, their
-    # successors inside it and its layers, all renumbered
-    blocks: dict[int, tuple] = {}
-
-    def block(root: int) -> tuple:
-        if root not in blocks:
-            members = members_of[root]
-            blocks[root] = (
-                members,
-                [tuple(at[there] for there in local[s]) for s in members],
-                [[at[s] for s in layer] for layer in candidates[root]],
-            )
-        return blocks[root]
-
+    # forward, anchor by anchor, while the bound can still win
     measured: set[int] = set()  # components whose anchors all have exact totals
     best = None  # (total, anchor, its chain t, p1..pN, c1..cN, t)
     for bound, t in bounds:
@@ -481,20 +472,17 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
                     if best is None or (total, u) < best[:2]:
                         best = (total, u, [u, *chain, u])
             continue
-        members, sub, layers = block(root)
         depth = dist[names[t]]
         # a later name has to be strictly shorter to win
         limit = math.inf if best is None else best[0] - depth - (1 if t > best[1] else 0)
-        start = at[t]
-        spreads = sweep(sub, members, layers, (start,), limit=limit)
-        closing = spreads[-1][0][start]
-        if closing is not None:
-            total = depth + closing
+        closing, origin, origins = _sweep(local, row, (t,), loop, limit=limit)
+        if closing[t] is not None:
+            total = depth + closing[t]
             if best is None or (total, t) < best[:2]:
-                chain = [start]
-                for _, origin in reversed(spreads):
-                    chain.append(origin[chain[-1]])
-                best = (total, t, [members[j] for j in reversed(chain)])
+                chain = [t, origin[t]]
+                for seeds in reversed(origins):
+                    chain.append(seeds[chain[-1]])
+                best = (total, t, chain[::-1])
 
     total, t, chain = best
     if total + 1 > MAX_WITNESS:
@@ -508,7 +496,7 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     for k, (here, pump) in enumerate(zip(chain, chain[1 : n + 1])):
         path += _walk(local, here, pump)[1:]
         opened = len(path) - 1
-        path += loop(k, pump)[1:]
+        path += _walk(local, pump, pump, avoid[k])[1:]
         pairs.append((opened, len(path) - 1))
     checks = []
     for here, there in zip(chain[n:], chain[n + 1 :]):

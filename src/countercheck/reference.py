@@ -93,13 +93,6 @@ def _row(phase: tuple, part: Partition, n: int) -> dict[str, tuple[tuple, ...]]:
     return {}
 
 
-def _next_phases(phase: tuple, s: str, part: Partition, n: int) -> tuple[tuple, ...]:
-    """The phases reached from ``phase`` by reading state ``s``: its row's
-    entry for ``s``, a stay for any state the row does not list, and none
-    at accept."""
-    return () if phase == _ACCEPT else _row(phase, part, n).get(s, (phase,))
-
-
 class _Table:
     """The witness phases of one simple automaton, numbered as they are
     met, with the rows built so far over their ids."""
@@ -198,13 +191,6 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
     """
     part = _partition(a, "the witness-structure NFA")
     return _structure_nfa(a, part)
-
-
-def _structure_phases(a: CCA, part: Partition) -> set:
-    """The phases ``("scan",)`` reaches, plus ``("accept",)``: the states of
-    the witness-structure NFA."""
-    table = _table(a, part)
-    return {table.phases[i] for i in _structure_ids(table)}
 
 
 def _structure_nfa(a: CCA, part: Partition) -> NFA:

@@ -183,7 +183,7 @@ CATALOGUE = (
         "the decision's module imports the phase table from the references",
         "src/countercheck/emptiness.py",
         "def __getattr__(name: str):",
-        "from .reference import _next_phases\n\n\ndef __getattr__(name: str):",
+        "from .reference import _row\n\n\ndef __getattr__(name: str):",
         ("tests/test_package.py::test_importing_emptiness_leaves_the_references_unloaded",),
     ),
     Mutant(
@@ -257,6 +257,13 @@ CATALOGUE = (
         "left = len(targets)",
         "left = -1",
         ("tests/test_emptiness.py::test_states_settled_per_decision_stay_below_twice_the_certificate",),
+    ),
+    Mutant(
+        "a sweep keeps every layer's full table of seeds",
+        "src/countercheck/emptiness.py",
+        "origins.append({s: origin[s] for _, s in seeds})",
+        "origins.append(origin)",
+        ("tests/test_emptiness.py::test_a_refused_decision_holds_memory_linear_in_the_automaton",),
     ),
     Mutant(
         "the witness limit is checked on the least backward bound alone",

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -56,8 +57,8 @@ def kind_state(a: CCA, kind: str, counter: int) -> str:
 
 # the names ``reference`` took over from ``emptiness``
 MOVED = (
-    "_SCAN", "_ACCEPT", "_next_phases", "_witness", "build_potential_witness_nfa", "_structure_phases",
-    "_structure_nfa", "witness_nfa_state_bound", "witness_nfa_state_count", "build_prefix_nfa", "_decode",
+    "_SCAN", "_ACCEPT", "_witness", "build_potential_witness_nfa", "_structure_nfa",
+    "witness_nfa_state_bound", "witness_nfa_state_count", "build_prefix_nfa", "_decode",
     "decide_by_product", "brute_force_witness", "scan_path", "_scan",
 )
 
@@ -213,7 +214,7 @@ def test_structure_nfa_size_bound(rng):
 def test_structure_nfa_state_count_matches_the_built_nfa():
     # the size-bound check counts the phases instead of building the NFA;
     # the ladder's rungs up to 43 states bring 3 to 9 counters
-    from countercheck.reference import _next_phases, _structure_phases  # test-only access
+    from countercheck.reference import _row, _structure_ids, _table  # test-only access
 
     rng = random.Random(20261020)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(300)]
@@ -227,12 +228,14 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
         phases, todo = {("scan",), ("accept",)}, [("scan",)]
         while todo:
             phase = todo.pop()
+            row = _row(phase, part, a.counters)
             for s in a.states:
-                for after in _next_phases(phase, s, part, a.counters):
+                for after in row.get(s, (phase,)):
                     if after not in phases:
                         phases.add(after)
                         todo.append(after)
-        assert _structure_phases(a, part) == phases
+        table = _table(a, part)
+        assert {table.phases[i] for i in _structure_ids(table)} == phases
 
 
 def test_partition_matches_the_state_kinds(rng):
@@ -766,6 +769,27 @@ def test_states_settled_per_decision_stay_below_twice_the_certificate(monkeypatc
         settled.clear()
         report = decide(compile_expression(parse_omega_t(flat_word(letters), "ab"), "ab"))
         assert sum(settled) < 2 * len(report.witness.path), letters
+
+
+def test_a_refused_decision_holds_memory_linear_in_the_automaton(monkeypatch):
+    # an (a^T b) chain of m factors simplifies to about 19m states with
+    # N = 6m - 1, so a search that kept every spread of a sweep would hold
+    # about 4x the memory for 2x the factors (3.7x read); the graph is
+    # derived before the peak is read, so the peak is the search's alone
+    monkeypatch.setattr(emptiness, "MAX_WITNESS", 1000)
+    peaks = []
+    for factors in (10, 20):
+        text = "(" + " ".join(["a^T b"] * factors) + ")^w"
+        a = simplify(compile_expression(parse_omega_t(text, "ab"), "ab"))
+        partition(a)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CCAError, match="^a shortest witness has at least "):
+                decide(a)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 2.5, peaks
 
 
 def test_a_witness_over_the_limit_is_refused_at_its_exact_length(monkeypatch):
