@@ -200,7 +200,10 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     Against the bounded search, in both directions: a bounded-search
     witness forces a nonempty answer; a nonempty answer with a witness of
     path length L forces a bounded-search hit, also of length L, at depth
-    >= L; an empty answer forbids any bounded-search hit.
+    >= L; an empty answer forbids any bounded-search hit.  The bounded
+    search answers at once, without a search, on an automaton whose phase
+    table cannot accept; the product reference and the structure count
+    still walk the table on every case.
 
     Every call here is a public ``emptiness`` or ``reference`` entry
     point on the same automaton, which derives its adjacency and partition

@@ -312,58 +312,85 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
 # --------------------------------------------------------------------------
 # brute-force oracle
 
+def _cannot_accept(part: Partition) -> bool:
+    """Whether no phase that ``("scan",)`` reaches is ``("accept",)``: the
+    automaton has no lettered state, or some counter k has no inc-k or no
+    check-k state.
+
+    The test is exact.  Every route from scan to accept reads a lettered
+    anchor (scan's only move-on), then for each k an inc-k state (seek_inc
+    k's only move-on) and a check-k state (seek_check k's only move-on), so
+    a missing kind leaves accept out of reach.  When all of them exist,
+    every reached phase can still reach accept: scan moves on at a lettered
+    t; seek_inc k at an inc-k p; in_loop k at p itself, which fires one
+    transition and so is no check-k state; seek_check k at a check-k state;
+    await_anchor at t.  The table reads states as letters, so the graph
+    does not matter.
+    """
+    return not part.lettered or not all(part.inc) or not all(part.check)
+
+
 def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     """Search all state paths of at most ``depth`` transitions for an
     embedded witness.
 
     Exhaustive path enumeration is folded into a breadth-first search over
-    (state, phase set) pairs, where a path's phase set holds the id of every
-    phase of the witness-phase table its states can reach: two paths
-    reaching the same pair admit exactly the same witness completions, so
-    deduplicating them discards no answers, and the first path whose set
-    holds ``("accept",)`` is a shortest one.  ``scan_path`` then marks it.
+    (state, phase set) pairs, where a path's phase set is a bit vector whose
+    bit i is set when its states can reach phase i of the witness-phase
+    table: two paths reaching the same pair admit exactly the same witness
+    completions, so deduplicating them discards no answers, and the first
+    path whose set holds ``("accept",)`` is a shortest one.  ``scan_path``
+    then marks it.  On a table that cannot accept (``_cannot_accept``) the
+    answer is None without a search, and without a table.
     """
     part = _partition(a, "the brute-force search")
-    adjacency = a.adjacency()
     if depth < 0:
         raise CCAError("depth must be nonnegative")
+    if _cannot_accept(part):
+        return None
+    adjacency = a.adjacency()
     table = _table(a, part)
     rows = table.rows
-    none: frozenset = frozenset()
     # a phase set changes only at the ids whose row lists the state read:
-    # ``moving[s]`` holds those ids among the phases met so far.  The same
+    # ``moving[s]`` masks those ids among the phases met so far.  The same
     # such ids recur with one state in many sets, so each (state, ids)
     # pair's change is computed once: the ids that leave the set and the
     # ids that join it, which are met then
     moving: dict = {}
-    met: set = set()
+    met = 0
     changes: dict = {}
 
     def meet(i: int) -> None:
-        met.add(i)
+        nonlocal met
+        bit = 1 << i
+        met |= bit
         for s in table.row(i):
-            moving.setdefault(s, set()).add(i)
+            moving[s] = moving.get(s, 0) | bit
 
-    def step(phases: frozenset, s: str) -> frozenset:
-        hit = phases.intersection(moving.get(s, none))
+    def step(phases: int, s: str) -> int:
+        hit = phases & moving.get(s, 0)
         if not hit:
             return phases
         change = changes.get((s, hit))
         if change is None:
-            after = none.union(*[rows[i][s] for i in hit])
-            for j in after.difference(met):
-                meet(j)
-            change = changes[s, hit] = (hit - after, after - hit)
+            after, rest = 0, hit
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                for j in rows[low.bit_length() - 1][s]:
+                    after |= 1 << j
+                    if not met >> j & 1:
+                        meet(j)
+            change = changes[s, hit] = (hit & ~after, after & ~hit)
         leave, join = change
-        if leave:
-            phases = phases - leave
-        return phases | join if join else phases
+        return phases & ~leave | join
 
+    accept = 1 << _ACCEPT_ID
     meet(_SCAN_ID)
-    start = (a.initial, step(frozenset({_SCAN_ID}), a.initial))
+    start = (a.initial, step(1 << _SCAN_ID, a.initial))
     parents: dict = {start: None}
     queue = deque([(start, 0)])
-    goal = start if _ACCEPT_ID in start[1] else None
+    goal = start if start[1] & accept else None
     while queue and goal is None:
         (node, used) = queue.popleft()
         if used >= depth:
@@ -374,7 +401,7 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
             if node2 in parents:
                 continue
             parents[node2] = node
-            if _ACCEPT_ID in node2[1]:
+            if node2[1] & accept:
                 goal = node2
                 break
             queue.append((node2, used + 1))

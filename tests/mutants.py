@@ -173,6 +173,33 @@ CATALOGUE = (
         ),
     ),
     Mutant(
+        "the oracle's dead-table exit ignores the check layers",
+        "src/countercheck/reference.py",
+        "return not part.lettered or not all(part.inc) or not all(part.check)",
+        "return not part.lettered or not all(part.inc)",
+        ("tests/test_emptiness.py::test_the_dead_table_exit_is_exact",),
+    ),
+    Mutant(
+        "the oracle's dead-table exit also fires on a live table with one lettered state",
+        "src/countercheck/reference.py",
+        "return not part.lettered or",
+        "return len(part.lettered) < 2 or",
+        (
+            "tests/test_emptiness.py::test_the_dead_table_exit_is_exact",
+            "tests/test_emptiness.py::test_reference_answers_are_pinned",
+        ),
+    ),
+    Mutant(
+        "an oracle phase set keeps the ids it should leave",
+        "src/countercheck/reference.py",
+        "return phases & ~leave | join",
+        "return phases | join",
+        (
+            "tests/test_emptiness.py::test_reference_answers_are_pinned",
+            "tests/test_emptiness.py::test_brute_force_equals_naive_enumeration",
+        ),
+    ),
+    Mutant(
         "the phase-table memo matches an automaton by its counters, not its identity",
         "src/countercheck/reference.py",
         "if ref is None or ref() is not a:",

@@ -192,6 +192,58 @@ def test_brute_force_depth_bounds_the_transitions():
     assert brute_force_witness(closed_atom(), 6) is None
 
 
+def dead_tables() -> list[CCA]:
+    """Three simple two-counter automata whose phase table cannot accept:
+    no lettered state, no inc-2 state, no check-2 state."""
+    def ring(ops: list[tuple[str | None, int, str]]) -> CCA:
+        names = [f"r{i}" for i in range(len(ops))]
+        transitions = frozenset(
+            Transition(names[i], label, names[(i + 1) % len(names)], k, op)
+            for i, (label, k, op) in enumerate(ops)
+        )
+        return CCA(frozenset(names), frozenset("a"), "r0", 2, transitions)
+
+    return [
+        ring([(None, 1, INC), (None, 2, INC), (None, 1, CHECK), (None, 2, CHECK)]),
+        ring([("a", 1, NO_OP), (None, 1, INC), (None, 1, CHECK), (None, 2, CHECK)]),
+        ring([("a", 1, NO_OP), (None, 1, INC), (None, 2, INC), (None, 1, CHECK)]),
+    ]
+
+
+def test_the_dead_table_exit_is_exact():
+    # the oracle's O(N) test against the table itself: dead iff no row the
+    # structure walk reaches leads to accept
+    from countercheck.reference import _ACCEPT_ID, _cannot_accept, _structure_ids, _table  # test-only access
+
+    rng = random.Random(20261022)
+    cases = [random_simple_cca(rng, max_counters=3) for _ in range(2000)]
+    cases += [decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple for text, _ in LADDER]
+    cases += dead_tables()
+    dead = 0
+    for a in cases:
+        part = partition(a)
+        table = _table(a, part)
+        reached = _structure_ids(table)
+        accepting = any(_ACCEPT_ID in afters for i in reached for afters in table.rows[i].values())
+        assert _cannot_accept(part) == (not accepting)
+        dead += not accepting
+    assert all(_cannot_accept(partition(a)) for a in dead_tables())
+    assert 200 <= dead <= len(cases) - 200
+
+
+def test_a_dead_table_builds_nothing(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a phase table was built")
+
+    monkeypatch.setattr(reference, "_table", refused)
+    for a in dead_tables():
+        assert brute_force_witness(a, 40) is None
+        with pytest.raises(CCAError):
+            brute_force_witness(a, -1)
+    with pytest.raises(AssertionError, match="phase table"):
+        brute_force_witness(closed_atom(), 40)
+
+
 # --------------------------------------------------------------------------
 # the witness-structure NFA
 
