@@ -81,6 +81,11 @@ class CCA(Record):
         states, alphabet, n = self.states, self.alphabet, self.counters
         if not alphabet:
             raise CCAError("alphabet must be nonempty")
+        # a word is read one character at a time, and the JSON form spells
+        # a silent label "eps", so a letter is one character
+        long = sorted(repr(x) for x in alphabet if not isinstance(x, str) or len(x) != 1)
+        if long:
+            raise CCAError(f"alphabet entry {long[0]} is not one character")
         if n < 1:
             raise CCAError("need at least one counter")
         if self.initial not in states:

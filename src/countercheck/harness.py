@@ -11,10 +11,10 @@ import random
 from typing import Callable, Optional
 
 from . import expr as ex
-from .cca import CCA, CCAError, CHECK, INC, NO_OP, InternalCheckError, Transition, is_simple
+from .cca import CCA, CCAError, CHECK, INC, NO_OP, InternalCheckError, Transition, is_simple, partition
 from .emptiness import AcceptingWitness, decide, verify_witness
 from .logic import ATOM, BINARY, FO_BINDER, NEGATION, SHAPES, Not, Succ, Var
-from .reference import brute_force_witness, decide_by_product, witness_nfa_state_bound, witness_nfa_state_count
+from .reference import _Table, _brute_force, _product, _structure_ids, witness_nfa_state_bound
 
 
 # --------------------------------------------------------------------------
@@ -193,28 +193,31 @@ class CaseOutcome(ex.Record):
 def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     """Decide one simple automaton three ways and compare.
 
-    The layered search (``decide``) must match the product reference
-    (``decide_by_product``) in verdict and shortest witness length, and the
-    paper's witness-structure NFA must stay within its size bound; its
-    states are counted by ``witness_nfa_state_count``, not built.
-    Against the bounded search, in both directions: a bounded-search
-    witness forces a nonempty answer; a nonempty answer with a witness of
-    path length L forces a bounded-search hit, also of length L, at depth
-    >= L; an empty answer forbids any bounded-search hit.  The bounded
-    search answers at once, without a search, on an automaton whose phase
-    table cannot accept; the product reference and the structure count
-    still walk the table on every case.
+    The layered search (``decide``) must match the product reference in
+    verdict and shortest witness length, and the paper's witness-structure
+    NFA must stay within its size bound; its states are counted, not
+    built.  Against the bounded search, in both directions: a
+    bounded-search witness forces a nonempty answer; a nonempty answer with
+    a witness of path length L forces a bounded-search hit, also of length
+    L, at depth >= L; an empty answer forbids any bounded-search hit.  The
+    bounded search answers at once, without a search, on an automaton whose
+    phase table cannot accept; the product reference and the structure
+    count still walk the table on every case.  An ``InternalCheckError``
+    from any of the three searches is the case's failure.
 
-    Every call here is a public ``emptiness`` or ``reference`` entry
-    point on the same automaton, which derives its adjacency and partition
-    on the first call and keeps them: a simple case derives its graph once.
+    The three references read one phase table, which this call builds for
+    the case and drops on return, so each reuses the rows the ones before
+    it built.  Every call here works on the same automaton, which derives its
+    adjacency and partition on the first call and keeps them: a simple case
+    derives its graph once.
     """
     try:
         report = decide(a)
-        reference = decide_by_product(a)
+        table = _Table(report.simple, partition(report.simple))
+        reference = _product(table)
     except InternalCheckError as err:
         return CaseOutcome(False, None, False, f"internal check failed: {err}")
-    bound_ok = witness_nfa_state_count(report.simple) <= witness_nfa_state_bound(report.simple)
+    bound_ok = len(_structure_ids(table)) <= witness_nfa_state_bound(report.simple)
     if not bound_ok:
         failure = "structure NFA exceeded its size bound"
     elif report.empty != (reference is None):
@@ -222,18 +225,21 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     elif not report.empty and len(report.witness.path) != len(reference.path):
         failure = "the layered search and the product reference disagree on the shortest length"
     else:
-        failure = _oracle_disagreement(a, depth, report)
+        failure = _oracle_disagreement(table, depth, report)
     return CaseOutcome(report.empty, report.witness, bound_ok, failure, report.simple)
 
 
-def _oracle_disagreement(a: CCA, depth: int, report) -> Optional[str]:
+def _oracle_disagreement(table: _Table, depth: int, report) -> Optional[str]:
     # a search past ``depth`` dequeues the same nodes in the same order up to
     # the first hit within it, so one search to the witness's length serves
     # both directions
-    found = brute_force_witness(a, depth if report.empty else max(depth, len(report.witness.path)))
+    try:
+        found = _brute_force(table, depth if report.empty else max(depth, len(report.witness.path)))
+    except InternalCheckError as err:
+        return f"internal check failed: {err}"
     if found is None:
         return None if report.empty else "pipeline is nonempty but the bounded search finds nothing"
-    if not verify_witness(a, found):
+    if not verify_witness(table.a, found):
         return "bounded search produced an invalid witness"
     if report.empty:
         return "bounded search found a witness but the pipeline says empty"

@@ -18,15 +18,15 @@
 
 All of them follow one table of witness phases, kept as one row per phase
 (see the comment above ``_row``).  The phases of one automaton are numbered
-once, as the readers first meet them, and the rows are built over those
-numbers; the calls a fuzz case makes in turn on one automaton share that
-numbered table through a one-entry memo, and none of them builds a row per
-state.  Imports run one way: this module takes the witness record and its
-checker from ``emptiness``, which imports nothing from here.
+as the readers first meet them, and the rows are built over those numbers.
+A table belongs to the call that builds it: each function here builds its
+own, and ``harness.examine`` builds one per fuzz case and hands it to the
+readers it calls.  The module keeps no state between calls.  Imports run
+one way: this module takes the witness record and its checker from
+``emptiness``, which imports nothing from here.
 """
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from typing import Optional
 
@@ -59,12 +59,11 @@ from .nfa import NFA, accepts, breadth_first_run
 # The table is kept as one *row* per phase (``_row``): the states that do
 # more than keep the phase, each with the phases it leads to, move-on
 # before stay.  Every other state keeps the phase; accept has no move.
-# The readers share one numbered copy per automaton, a ``_Table``: phases
-# get ids as they are first met (scan 0, accept 1), and each phase's row
-# is built over those ids on first use.  The copy sits in a one-entry
-# memo, keyed by a weak reference to the automaton and not kept on it, so
-# the calls a fuzz case makes in turn share it and it dies with its
-# automaton.
+# The readers follow one numbered copy, a ``_Table``: phases get ids as
+# they are first met (scan 0, accept 1), and each phase's row is built
+# over those ids on first use.  The call that builds a copy owns it and
+# drops it on return; ``harness.examine`` builds one per case and passes
+# it to the product search, the structure count and the oracle in turn.
 
 _SCAN = ("scan",)
 _ACCEPT = ("accept",)
@@ -94,13 +93,13 @@ def _row(phase: tuple, part: Partition, n: int) -> dict[str, tuple[tuple, ...]]:
 
 
 class _Table:
-    """The witness phases of one simple automaton, numbered as they are
-    met, with the rows built so far over their ids."""
+    """The witness phases of the simple automaton ``a``, numbered as they
+    are met, with the rows built so far over their ids."""
 
-    __slots__ = ("part", "n", "phases", "ids", "rows")
+    __slots__ = ("a", "part", "phases", "ids", "rows")
 
-    def __init__(self, part: Partition, n: int):
-        self.part, self.n = part, n
+    def __init__(self, a: CCA, part: Partition):
+        self.a, self.part = a, part
         self.phases = [_SCAN, _ACCEPT]  # id -> phase
         self.ids = {_SCAN: _SCAN_ID, _ACCEPT: _ACCEPT_ID}  # phase -> id
         self.rows: list = [None, {}]  # id -> row over ids, None until used
@@ -114,7 +113,7 @@ class _Table:
         if row is None:
             phases, ids = self.phases, self.ids
             row = {}
-            for s, afters in _row(phases[i], self.part, self.n).items():
+            for s, afters in _row(phases[i], self.part, self.a.counters).items():
                 if afters:
                     on = afters[0]
                     j = ids.get(on)
@@ -127,29 +126,6 @@ class _Table:
                     row[s] = ()
             rows[i] = row
         return row
-
-
-# a weak reference to the last automaton ``_table`` numbered, and its table;
-# rebound whole, so a reader never pairs one automaton with another's table
-_memo: tuple = (None, None)
-
-
-def _table(a: CCA, part: Partition) -> _Table:
-    """The numbered phase table of the simple automaton ``a``, shared by the
-    calls on ``a`` until another automaton's table replaces it."""
-    global _memo
-    ref, table = _memo
-    if ref is None or ref() is not a:
-        table = _Table(part, a.counters)
-        _memo = (weakref.ref(a, _forget), table)
-    return table
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Drop the memo with its automaton, so that no table outlives it."""
-    global _memo
-    if _memo[0] is ref:
-        _memo = (None, None)
 
 
 def _structure_ids(table: _Table) -> set[int]:
@@ -189,12 +165,11 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
     even when no phase reaches it.  The state count is bounded by
     2 + 2*N*|S| + N*|S|^2 + |S|.
     """
-    part = _partition(a, "the witness-structure NFA")
-    return _structure_nfa(a, part)
+    return _structure_nfa(_Table(a, _partition(a, "the witness-structure NFA")))
 
 
-def _structure_nfa(a: CCA, part: Partition) -> NFA:
-    table = _table(a, part)
+def _structure_nfa(table: _Table) -> NFA:
+    a = table.a
     reached = _structure_ids(table)
     phases, rows = table.phases, table.rows
     return NFA(
@@ -220,8 +195,7 @@ def witness_nfa_state_bound(a: CCA) -> int:
 def witness_nfa_state_count(a: CCA) -> int:
     """The number of states of ``build_potential_witness_nfa(a)``, counted
     by walking the phase table without building the NFA."""
-    part = _partition(a, "the witness-structure NFA")
-    return len(_structure_ids(_table(a, part)))
+    return len(_structure_ids(_Table(a, _partition(a, "the witness-structure NFA"))))
 
 
 def build_prefix_nfa(a: CCA) -> NFA:
@@ -274,8 +248,12 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     against, not the production path.
     """
     simple = _simple(a)
-    adjacency, part = simple.adjacency(), partition(simple)
-    table = _table(simple, part)
+    return _product(_Table(simple, partition(simple)))
+
+
+def _product(table: _Table) -> Optional[AcceptingWitness]:
+    simple, part = table.a, table.part
+    adjacency = simple.adjacency()
     phases, rows, row = table.phases, table.rows, table.row
     letters_of: dict = {}  # the letters leaving each state, in repr order
 
@@ -341,16 +319,19 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     completions, so deduplicating them discards no answers, and the first
     path whose set holds ``("accept",)`` is a shortest one.  ``scan_path``
     then marks it.  On a table that cannot accept (``_cannot_accept``) the
-    answer is None without a search, and without a table.
+    answer is None without a search, and without a row.
     """
     part = _partition(a, "the brute-force search")
     if depth < 0:
         raise CCAError("depth must be nonnegative")
-    if _cannot_accept(part):
+    return _brute_force(_Table(a, part), depth)
+
+
+def _brute_force(table: _Table, depth: int) -> Optional[AcceptingWitness]:
+    if _cannot_accept(table.part):
         return None
+    a, rows = table.a, table.rows
     adjacency = a.adjacency()
-    table = _table(a, part)
-    rows = table.rows
     # a phase set changes only at the ids whose row lists the state read:
     # ``moving[s]`` masks those ids among the phases met so far.  The same
     # such ids recur with one state in many sets, so each (state, ids)
@@ -427,8 +408,7 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
     of the path per step, trying a move-on before a stay and remembering
     dead ends; usable on paths from any source.
     """
-    part = _partition(a, "the path scan")
-    return _scan(path, _table(a, part))
+    return _scan(path, _Table(a, _partition(a, "the path scan")))
 
 
 def _scan(path, table: _Table) -> Optional[AcceptingWitness]:

@@ -109,6 +109,27 @@ def expected_counters(e: ex.TExpr) -> int:
     return expected_counters(e.body) + 2
 
 
+# the hand-written ladder, smallest to largest, with its shortest witness
+# lengths (None: empty); it reaches 15 counters and 183 simple states
+LADDER = (
+    ("(a 0)^w", None),
+    ("(a^T)^w", 36),
+    ("(a b)^w", 38),
+    ("(a* b)^w", 68),
+    ("(a^T b)^w", 86),
+    ("b (a^T b)^w", 88),
+    ("((a^T 0)^T b)^w", None),
+    ("(a (b 0)^T)^w", None),
+    ("(a^T b)^w + (b^T a)^w", 86),
+    ("(a + b)^w", 35),
+    ("((a^T b)^T)^w", 148),
+    ("((a b^T)* a)^w", 180),
+    ("((a^T b)^T a)^w", 212),
+    ("(a^T b + a b^T)^w", 132),
+    ("((a^T b + a b^T)^T a)^w", 279),
+)
+
+
 def flat_word(letters: int) -> str:
     """The expression ``(a b a b ...)^w`` with ``letters`` letters; its
     shortest witness has about 10 * letters**2 states."""

@@ -200,11 +200,18 @@ CATALOGUE = (
         ),
     ),
     Mutant(
-        "the phase-table memo matches an automaton by its counters, not its identity",
+        "the product reference shares one phase table across automata in a module global",
         "src/countercheck/reference.py",
-        "if ref is None or ref() is not a:",
-        "if ref is None or table.n != a.counters:",
-        ("tests/test_emptiness.py::test_the_phase_table_serves_only_its_own_automaton",),
+        "    return _product(_Table(simple, partition(simple)))\n",
+        """    global _shared
+    if "_shared" not in globals() or _shared.a.counters != simple.counters:
+        _shared = _Table(simple, partition(simple))
+    return _product(_shared)
+""",
+        (
+            "tests/test_emptiness.py::test_the_references_keep_no_state_between_calls",
+            "tests/test_emptiness.py::test_the_phase_table_serves_only_its_own_automaton",
+        ),
     ),
     Mutant(
         "the decision's module imports the phase table from the references",
@@ -212,6 +219,13 @@ CATALOGUE = (
         "def __getattr__(name: str):",
         "from .reference import _row\n\n\ndef __getattr__(name: str):",
         ("tests/test_package.py::test_importing_emptiness_leaves_the_references_unloaded",),
+    ),
+    Mutant(
+        "the anchor loop stops two short of the best total, not at its (total, anchor)",
+        "src/countercheck/emptiness.py",
+        "if best is not None and (bound, t) > best[:2]:",
+        "if best is not None and bound + 2 > best[0]:",
+        ("tests/test_relations.py::test_subdividing_every_transition_doubles_a_shortest_witness",),
     ),
     Mutant(
         "the fuzz oracle searches to the depth alone, not to the witness's length",

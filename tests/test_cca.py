@@ -86,6 +86,19 @@ def test_constructor_validates_no_op_counter():
         two_counter_host(Transition("s", "a", "t", 2, NO_OP))
 
 
+@pytest.mark.parametrize(
+    "alphabet, shown",
+    [(["eps"], "'eps'"), (["a", "bc"], "'bc'"), ([""], "''"), (["a", 1], "1"), (["ab", "eps"], "'ab'")],
+)
+def test_an_alphabet_entry_is_one_character(alphabet, shown):
+    # "eps" is the JSON form's silent label, and words are read one
+    # character at a time, so no letter is longer
+    with pytest.raises(cca.CCAError, match=f"^alphabet entry {shown} is not one character$"):
+        CCA(frozenset({"s"}), frozenset(alphabet), "s", 1, frozenset())
+    for letter in ('"', "ß", "e"):
+        CCA(frozenset({"s"}), frozenset({letter}), "s", 1, frozenset())
+
+
 def test_constructor_validates_counter_range():
     with pytest.raises(cca.CCAError):
         two_counter_host(Transition("s", "a", "t", 3, INC))

@@ -185,7 +185,7 @@ def planted_disagreement(monkeypatch) -> None:
 
     monkeypatch.setattr(
         harness, "_oracle_disagreement",
-        lambda a, depth, report: "planted" if len(a.transitions) >= 2 else None,
+        lambda table, depth, report: "planted" if len(table.a.transitions) >= 2 else None,
     )
 
 
@@ -424,6 +424,17 @@ def test_automaton_json_with_string_states_exits_cleanly(capsys, tmp_path):
     assert code == 2
     assert "malformed automaton JSON" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_automaton_json_with_a_longer_letter_exits_cleanly(capsys, tmp_path):
+    # a letter named "eps" would come back from the JSON form as a silent label
+    data = json.loads(export(hat(atom_a()), "json"))
+    data["alphabet"] = ["eps"]
+    bad = tmp_path / "eps.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "empty", "--automaton", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: alphabet entry 'eps' is not one character\n"
 
 
 def test_automaton_json_with_an_overflowing_counter_exits_cleanly(capsys, tmp_path):

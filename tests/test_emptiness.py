@@ -16,6 +16,7 @@ from countercheck.cca import (
     CHECK,
     INC,
     NO_OP,
+    InternalCheckError,
     Transition,
     hat,
     import_json,
@@ -39,7 +40,7 @@ from countercheck.reference import (
 )
 from countercheck.translate import compile_expression
 
-from conftest import atom_a, atom_empty, flat_word, nonempty_witness, twin_of
+from conftest import LADDER, atom_a, atom_empty, flat_word, nonempty_witness, twin_of
 
 
 def closed_atom() -> CCA:
@@ -213,7 +214,7 @@ def dead_tables() -> list[CCA]:
 def test_the_dead_table_exit_is_exact():
     # the oracle's O(N) test against the table itself: dead iff no row the
     # structure walk reaches leads to accept
-    from countercheck.reference import _ACCEPT_ID, _cannot_accept, _structure_ids, _table  # test-only access
+    from countercheck.reference import _ACCEPT_ID, _Table, _cannot_accept, _structure_ids  # test-only access
 
     rng = random.Random(20261022)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(2000)]
@@ -222,7 +223,7 @@ def test_the_dead_table_exit_is_exact():
     dead = 0
     for a in cases:
         part = partition(a)
-        table = _table(a, part)
+        table = _Table(a, part)
         reached = _structure_ids(table)
         accepting = any(_ACCEPT_ID in afters for i in reached for afters in table.rows[i].values())
         assert _cannot_accept(part) == (not accepting)
@@ -232,10 +233,12 @@ def test_the_dead_table_exit_is_exact():
 
 
 def test_a_dead_table_builds_nothing(monkeypatch):
+    # every reader builds the scan phase's row first, so a table that
+    # builds no row is walked by nothing
     def refused(*args):
         raise AssertionError("a phase table was built")
 
-    monkeypatch.setattr(reference, "_table", refused)
+    monkeypatch.setattr(reference._Table, "row", refused)
     for a in dead_tables():
         assert brute_force_witness(a, 40) is None
         with pytest.raises(CCAError):
@@ -266,7 +269,7 @@ def test_structure_nfa_size_bound(rng):
 def test_structure_nfa_state_count_matches_the_built_nfa():
     # the size-bound check counts the phases instead of building the NFA;
     # the ladder's rungs up to 43 states bring 3 to 9 counters
-    from countercheck.reference import _row, _structure_ids, _table  # test-only access
+    from countercheck.reference import _Table, _row, _structure_ids  # test-only access
 
     rng = random.Random(20261020)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(300)]
@@ -286,7 +289,7 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
                     if after not in phases:
                         phases.add(after)
                         todo.append(after)
-        table = _table(a, part)
+        table = _Table(a, part)
         assert {table.phases[i] for i in _structure_ids(table)} == phases
 
 
@@ -626,6 +629,51 @@ def test_the_phase_table_serves_only_its_own_automaton():
     del a, first
     gc.collect()
     assert gone() is None
+
+
+def test_the_references_keep_no_state_between_calls():
+    # every call builds its own phase table and drops it on return, so no
+    # name of the module is added or rebound
+    from countercheck import harness
+
+    names = dict(vars(reference))
+    for a in (closed_atom(), simplify(hat(atom_empty()))):
+        reference_answers(a)
+        build_potential_witness_nfa(a)
+        harness.examine(a)
+    assert vars(reference).keys() == names.keys()
+    assert [name for name, value in vars(reference).items() if value is not names[name]] == []
+
+
+def test_the_references_under_threads():
+    # three threads put the three references to the same automata in the
+    # same order while the interpreter switches between them as often as it
+    # can; every answer must be the one a lone call gives
+    import sys
+    import threading
+
+    rng = random.Random(20261025)
+    autos = [random_simple_cca(rng, max_states=12, max_counters=3) for _ in range(300)]
+    calls = (decide_by_product, lambda a: brute_force_witness(a, 40), witness_nfa_state_count)
+    expected = [[call(a) for a in autos] for call in calls]
+    assert 0 < sum(w is not None for w in expected[0]) < len(autos)
+    results: dict = {}
+
+    def work(k: int) -> None:
+        results[k] = all([calls[k](a) for a in autos] == expected[k] for _ in range(15))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {0: True, 1: True, 2: True}
 
 
 def repr_order_automaton() -> CCA:
@@ -978,27 +1026,6 @@ def test_large_compiled_rungs_decided_quickly(text, length):
     assert verify_witness(report.simple, scan_path(report.simple, report.witness.path))
 
 
-# the hand-written ladder, smallest to largest, with its shortest witness
-# lengths (None: empty); it reaches 15 counters and 183 simple states
-LADDER = (
-    ("(a 0)^w", None),
-    ("(a^T)^w", 36),
-    ("(a b)^w", 38),
-    ("(a* b)^w", 68),
-    ("(a^T b)^w", 86),
-    ("b (a^T b)^w", 88),
-    ("((a^T 0)^T b)^w", None),
-    ("(a (b 0)^T)^w", None),
-    ("(a^T b)^w + (b^T a)^w", 86),
-    ("(a + b)^w", 35),
-    ("((a^T b)^T)^w", 148),
-    ("((a b^T)* a)^w", 180),
-    ("((a^T b)^T a)^w", 212),
-    ("(a^T b + a b^T)^w", 132),
-    ("((a^T b + a b^T)^T a)^w", 279),
-)
-
-
 def test_product_reference_agrees_on_the_ladder():
     # the random automata are rarely nonempty with more than two counters;
     # these rungs have 3 to 15
@@ -1112,11 +1139,11 @@ def test_examine_runs_the_oracle_once_when_it_finds_the_witness(monkeypatch):
 
     calls = []
 
-    def counted(a, depth=40):
+    def counted(table, depth):
         calls.append(depth)
-        return brute_force_witness(a, depth)
+        return reference._brute_force(table, depth)
 
-    monkeypatch.setattr(harness, "brute_force_witness", counted)
+    monkeypatch.setattr(harness, "_brute_force", counted)
     outcome = harness.examine(closed_atom(), 40)
     assert outcome.failure is None and not outcome.empty
     assert len(outcome.witness.path) <= 40
@@ -1129,15 +1156,15 @@ def test_examine_runs_the_oracle_once_past_its_depth_and_verifies_its_hit(monkey
     calls = []
     verified = []
 
-    def counted(a, depth=40):
+    def counted(table, depth):
         calls.append(depth)
-        return brute_force_witness(a, depth)
+        return reference._brute_force(table, depth)
 
     def verify(a, w):
         verified.append(w)
         return verify_witness(a, w)
 
-    monkeypatch.setattr(harness, "brute_force_witness", counted)
+    monkeypatch.setattr(harness, "_brute_force", counted)
     monkeypatch.setattr(harness, "verify_witness", verify)
     simple = simplify(compile_expression(parse_omega_t("(a b)^w", "ab"), "ab"))
     outcome = harness.examine(simple, 10)
@@ -1169,10 +1196,50 @@ def test_examine_reports_a_structure_nfa_over_its_size_bound(monkeypatch):
     auto = closed_atom()
     outcome = harness.examine(auto)
     assert outcome.bound_ok and outcome.failure is None
-    monkeypatch.setattr(harness, "witness_nfa_state_count", lambda a: witness_nfa_state_bound(a) + 1)
+    monkeypatch.setattr(harness, "witness_nfa_state_bound", lambda a: witness_nfa_state_count(a) - 1)
     outcome = harness.examine(auto)
     assert not outcome.bound_ok
     assert outcome.failure == "structure NFA exceeded its size bound"
+
+
+@pytest.mark.parametrize("name", ["decide", "_product", "_brute_force"])
+def test_examine_reports_an_internal_check_error_as_the_case_failure(capsys, monkeypatch, name):
+    # from the layered search, the product reference or the oracle alike:
+    # the case fails, and fuzz goes on to shrink and summarise
+    from countercheck import harness
+
+    def broken(*args):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr(harness, name, broken)
+    assert harness.examine(closed_atom()).failure == "internal check failed: planted"
+    assert main(["fuzz", "--seed", "1", "--cases", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"case {i}: internal check failed: planted" for i in range(2)]
+    assert lines[2].startswith("fuzz: 0/2 cases agree")
+    assert lines[3] == "-- minimized failing automaton (case 0: internal check failed: planted) --"
+
+
+def test_examine_builds_one_phase_table_per_case(monkeypatch):
+    # the product reference, the structure count and the oracle share it
+    from countercheck import harness
+
+    built = []
+
+    class Counted(reference._Table):
+        __slots__ = ()
+
+        def __init__(self, a, part):
+            built.append(a)
+            super().__init__(a, part)
+
+    monkeypatch.setattr(reference, "_Table", Counted)
+    monkeypatch.setattr(harness, "_Table", Counted)
+    rng = random.Random(20261026)
+    for a in [closed_atom(), *(random_simple_cca(rng, max_counters=3) for _ in range(200))]:
+        built.clear()
+        assert harness.examine(a).failure is None
+        assert built == [a]
 
 
 def counted_graphs(monkeypatch) -> list:
