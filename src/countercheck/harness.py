@@ -200,10 +200,11 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     bounded-search witness forces a nonempty answer; a nonempty answer with
     a witness of path length L forces a bounded-search hit, also of length
     L, at depth >= L; an empty answer forbids any bounded-search hit.  The
-    bounded search answers at once, without a search, on an automaton whose
-    phase table cannot accept; the product reference and the structure
-    count still walk the table on every case.  An ``InternalCheckError``
-    from any of the three searches is the case's failure.
+    product reference and the bounded search answer at once, without a
+    search, on an automaton whose phase table cannot accept; the structure
+    count alone still walks the table on every case.  An
+    ``InternalCheckError`` from any of the three searches is the case's
+    failure.
 
     The three references read one phase table, which this call builds for
     the case and drops on return, so each reuses the rows the ones before

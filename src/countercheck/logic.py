@@ -717,7 +717,10 @@ def emit_phi(e: OmegaTExpr) -> Formula:
 
     The conjunction is a schema: the block conditions are not relativized
     to their sites, so the result is documented as an approximation, not
-    asserted language-equal.
+    asserted language-equal.  The star-relaxed core reads a block-level
+    ``*`` as zero or more iterations, as ``erase_to_regex`` does, where the
+    compiler reads it as one or more per block: the core of ``(a* b)^w``
+    admits ``bbb...``, on which the compiled automaton has no run prefix.
     """
     core = omega_word_formula(e)
     made: dict[RegExpr, Formula] = {}  # one condition per distinct body, shared by its sites

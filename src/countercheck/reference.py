@@ -145,6 +145,27 @@ def _structure_ids(table: _Table) -> set[int]:
     return seen
 
 
+def _cannot_accept(part: Partition) -> bool:
+    """Whether no phase that ``("scan",)`` reaches is ``("accept",)``: the
+    automaton has no lettered state, or some counter k has no inc-k or no
+    check-k state.
+
+    The test is exact.  Every route from scan to accept reads a lettered
+    anchor (scan's only move-on), then for each k an inc-k state (seek_inc
+    k's only move-on) and a check-k state (seek_check k's only move-on), so
+    a missing kind leaves accept out of reach.  When all of them exist,
+    every reached phase can still reach accept: scan moves on at a lettered
+    t; seek_inc k at an inc-k p; in_loop k at p itself, which fires one
+    transition and so is no check-k state; seek_check k at a check-k state;
+    await_anchor at t.  The table reads states as letters, so the graph
+    does not matter.  The product reference and the brute-force oracle
+    answer None on such a table without a search and without a row, since
+    None is what their exhaustive searches return; the structure count
+    still walks it.
+    """
+    return not part.lettered or not all(part.inc) or not all(part.check)
+
+
 def _witness(path, marks: list[int]) -> AcceptingWitness:
     """The witness on ``path`` whose marks, in table order, are ``marks``."""
     n = (len(marks) - 2) // 3
@@ -244,7 +265,9 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     come out ordered by the repr of their letter, then of their phase,
     which is ``nfa._edge_key``'s order, with each state's letters sorted
     once per call.  Returns the re-verified shortest witness, or None when
-    the language is empty.  This is the reference ``decide`` is fuzzed
+    the language is empty.  On a table that cannot accept
+    (``_cannot_accept``) the answer is None without a search, and without
+    a row.  This is the reference ``decide`` is fuzzed
     against, not the production path.
     """
     simple = _simple(a)
@@ -253,6 +276,8 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
 
 def _product(table: _Table) -> Optional[AcceptingWitness]:
     simple, part = table.a, table.part
+    if _cannot_accept(part):
+        return None
     adjacency = simple.adjacency()
     phases, rows, row = table.phases, table.rows, table.row
     letters_of: dict = {}  # the letters leaving each state, in repr order
@@ -289,24 +314,6 @@ def _product(table: _Table) -> Optional[AcceptingWitness]:
 
 # --------------------------------------------------------------------------
 # brute-force oracle
-
-def _cannot_accept(part: Partition) -> bool:
-    """Whether no phase that ``("scan",)`` reaches is ``("accept",)``: the
-    automaton has no lettered state, or some counter k has no inc-k or no
-    check-k state.
-
-    The test is exact.  Every route from scan to accept reads a lettered
-    anchor (scan's only move-on), then for each k an inc-k state (seek_inc
-    k's only move-on) and a check-k state (seek_check k's only move-on), so
-    a missing kind leaves accept out of reach.  When all of them exist,
-    every reached phase can still reach accept: scan moves on at a lettered
-    t; seek_inc k at an inc-k p; in_loop k at p itself, which fires one
-    transition and so is no check-k state; seek_check k at a check-k state;
-    await_anchor at t.  The table reads states as letters, so the graph
-    does not matter.
-    """
-    return not part.lettered or not all(part.inc) or not all(part.check)
-
 
 def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     """Search all state paths of at most ``depth`` transitions for an

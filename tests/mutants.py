@@ -190,6 +190,23 @@ CATALOGUE = (
         ),
     ),
     Mutant(
+        "the product reference has no dead-table exit",
+        "src/countercheck/reference.py",
+        "    simple, part = table.a, table.part\n    if _cannot_accept(part):\n        return None\n",
+        "    simple, part = table.a, table.part\n",
+        ("tests/test_emptiness.py::test_a_dead_table_builds_nothing",),
+    ),
+    Mutant(
+        "the product reference's dead-table exit also fires on a live table with one lettered state",
+        "src/countercheck/reference.py",
+        "if _cannot_accept(part):",
+        "if _cannot_accept(part) or len(part.lettered) < 2:",
+        (
+            "tests/test_emptiness.py::test_layered_search_matches_product_reference",
+            "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
+        ),
+    ),
+    Mutant(
         "an oracle phase set keeps the ids it should leave",
         "src/countercheck/reference.py",
         "return phases & ~leave | join",
@@ -340,8 +357,8 @@ CATALOGUE = (
     Mutant(
         "classification files a check-k state in counter k-1's slot",
         "src/countercheck/cca.py",
+        "check[t.counter].add(s)",
         "check[t.counter - 1].add(s)",
-        "check[t.counter - 2].add(s)",
         (
             "tests/test_cca.py::test_classify_check_state",
             "tests/test_emptiness.py::test_partition_matches_the_state_kinds",

@@ -15,6 +15,7 @@ from countercheck.cca import (
     CCAError,
     CHECK,
     INC,
+    MAX_COUNTERS,
     NO_OP,
     InternalCheckError,
     Transition,
@@ -212,7 +213,7 @@ def dead_tables() -> list[CCA]:
 
 
 def test_the_dead_table_exit_is_exact():
-    # the oracle's O(N) test against the table itself: dead iff no row the
+    # the references' O(N) test against the table itself: dead iff no row the
     # structure walk reaches leads to accept
     from countercheck.reference import _ACCEPT_ID, _Table, _cannot_accept, _structure_ids  # test-only access
 
@@ -241,10 +242,13 @@ def test_a_dead_table_builds_nothing(monkeypatch):
     monkeypatch.setattr(reference._Table, "row", refused)
     for a in dead_tables():
         assert brute_force_witness(a, 40) is None
+        assert decide_by_product(a) is None
         with pytest.raises(CCAError):
             brute_force_witness(a, -1)
     with pytest.raises(AssertionError, match="phase table"):
         brute_force_witness(closed_atom(), 40)
+    with pytest.raises(AssertionError, match="phase table"):
+        decide_by_product(closed_atom())
 
 
 # --------------------------------------------------------------------------
@@ -890,6 +894,22 @@ def test_a_refused_decision_holds_memory_linear_in_the_automaton(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] / peaks[0] <= 2.5, peaks
+
+
+def test_counters_without_states_cost_no_memory_of_their_own():
+    # the closed atom with MAX_COUNTERS counters, of which only counter 1
+    # has inc and check states: the partition files states by counter, so
+    # the other counters share one empty slot (a set per counter peaked at
+    # 4.5 MB here)
+    h = hat(atom_a())
+    a = CCA(h.states, h.alphabet, h.initial, MAX_COUNTERS, h.transitions, h.final)
+    tracemalloc.start()
+    try:
+        assert decide(a).empty
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_a_witness_over_the_limit_is_refused_at_its_exact_length(monkeypatch):

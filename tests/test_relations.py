@@ -6,9 +6,15 @@ whose effect on the answer is known without deciding it again.
   language empty.
 * Adding states that nothing reaches, with edges among them and into the
   reachable part, leaves the certificate as it was.
+* Entering through a chain of k fresh silent states puts the chain before
+  the certificate and shifts every mark by k; an empty language stays
+  empty.
+* Putting one prefix before every name, which keeps the names' order,
+  renames the certificate and changes nothing else.
 
 Each relation runs on 2000 seeded random automata, the smaller rungs of the
-ladder and the flat words of up to 20 letters.
+ladder and the flat words of up to 20 letters; the new states of the second
+and third relations are named before every old name and after it.
 """
 import random
 
@@ -46,17 +52,35 @@ def subdivided(a: CCA) -> CCA:
     return CCA(a.states | middles, a.alphabet, a.initial, a.counters, frozenset(transitions), a.final)
 
 
+def renamed(a: CCA, prefix: str) -> CCA:
+    """``a`` with ``prefix`` before every state's name, which keeps the
+    order of the names."""
+    name = {s: prefix + s for s in a.states}
+    transitions = {Transition(name[t.source], t.label, name[t.target], t.counter, t.op) for t in a.transitions}
+    return CCA(
+        frozenset(name.values()), a.alphabet, name[a.initial], a.counters, frozenset(transitions), name.get(a.final)
+    )
+
+
 def with_unreachable_copy(a: CCA, prefix: str) -> CCA:
     """``a`` beside a renamed copy of itself that nothing reaches, and a
     silent hub, reached by nothing either, into the copy's states and into
     ``a``'s own."""
-    name = {s: prefix + s for s in a.states}
+    copy = renamed(a, prefix)
     hub = prefix + "hub"
-    copy = {Transition(name[t.source], t.label, name[t.target], t.counter, t.op) for t in a.transitions}
-    entries = {Transition(hub, None, s, 1, NO_OP) for s in [*name.values(), *sorted(a.states)[:3]]}
-    states = a.states | set(name.values()) | {hub}
+    entries = {Transition(hub, None, s, 1, NO_OP) for s in [*sorted(copy.states), *sorted(a.states)[:3]]}
+    states = a.states | copy.states | {hub}
     assert len(states) == 2 * len(a.states) + 1
-    return CCA(frozenset(states), a.alphabet, a.initial, a.counters, a.transitions | copy | entries, a.final)
+    return CCA(frozenset(states), a.alphabet, a.initial, a.counters, a.transitions | copy.transitions | entries, a.final)
+
+
+def with_silent_entry(a: CCA, chain: list[str]) -> CCA:
+    """``a`` entered through the fresh states ``chain``, the first of them
+    initial, each a silent no-op into the next and the last into ``a``'s
+    initial state."""
+    assert not a.states & set(chain)
+    entry = {Transition(s, None, t, 1, NO_OP) for s, t in zip(chain, [*chain[1:], a.initial])}
+    return CCA(a.states | set(chain), a.alphabet, chain[0], a.counters, a.transitions | entry, a.final)
 
 
 def test_the_corpus_is_simple_and_mixed(corpus):
@@ -96,3 +120,33 @@ def test_unreachable_states_leave_the_certificate_alone(corpus, prefix):
         assert is_simple(b)
         before, after = decide(a), decide(b)
         assert (after.empty, after.witness) == (before.empty, before.witness)
+
+
+@pytest.mark.parametrize("prefix", ["!", "~"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_silent_entry_chain_comes_before_the_certificate(corpus, prefix, k):
+    chain = [f"{prefix}{i}" for i in range(k)]
+    for a in corpus:
+        before, after = decide(a), decide(with_silent_entry(a, chain))
+        assert after.empty == before.empty
+        if before.empty:
+            continue
+        w = before.witness
+        assert after.witness == AcceptingWitness(
+            (*chain, *w.path),
+            w.begin + k,
+            tuple((i + k, j + k) for i, j in w.pairs),
+            tuple(i + k for i in w.checks),
+            w.end + k,
+        )
+
+
+def test_an_order_preserving_renaming_renames_the_certificate(corpus):
+    for a in corpus:
+        before, after = decide(a), decide(renamed(a, "x"))
+        assert after.empty == before.empty
+        if before.empty:
+            continue
+        w = before.witness
+        renamed_path = tuple("x" + s for s in w.path)
+        assert after.witness == AcceptingWitness(renamed_path, w.begin, w.pairs, w.checks, w.end)
