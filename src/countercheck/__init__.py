@@ -14,15 +14,21 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cca": (
         "CCA", "Configuration", "Transition", "export", "has_run_prefix", "hat", "import_json",
-        "initial_configuration", "is_simple", "partition", "simplify", "split_by_checks", "step",
-        "write_export",
+        "initial_configuration", "is_simple", "partition", "replay", "simplify", "split_by_checks",
+        "step", "write_export",
     ),
     "emptiness": ("AcceptingWitness", "decide", "is_empty", "verify_witness"),
     "exponents": ("ClassFlags", "classify", "decompose_prefix", "sample"),
     "expr": ("OmegaTExpr", "ParseError", "RegExpr", "TExpr", "parse_omega_t", "pretty", "substitute_t_with_star"),
-    "logic": ("block_formula", "blockset_formula", "emit_phi", "is_regexp_formula", "pretty_formula", "t_condition"),
-    "nfa": ("NFA", "intersect", "thompson"),
-    "reference": ("brute_force_witness", "build_potential_witness_nfa", "build_prefix_nfa"),
+    "logic": (
+        "block_formula", "blockset_formula", "emit_phi", "free_vars", "is_regexp_formula", "pretty_formula",
+        "t_condition",
+    ),
+    "nfa": ("NFA", "intersect", "shortest_accepting_run", "thompson"),
+    "reference": (
+        "brute_force_witness", "build_potential_witness_nfa", "build_prefix_nfa", "decide_by_product",
+        "scan_path", "witness_nfa_state_count",
+    ),
     "translate": ("AutomatonSet", "compile_expression", "compile_omega", "compile_t", "merge"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -239,14 +239,16 @@ def partition(a: CCA) -> Partition:
 
 def simplify(a: CCA) -> CCA:
     """Split every offending state into a silent choice over one fresh
-    carrier state per original transition; returns ``a`` itself when no
-    state offends.  Adds at most one state per transition and preserves
-    which words admit a run prefix.
+    carrier state per original transition; returns ``a`` itself when the
+    kept classification finds it simple.  Adds at most one state per
+    transition and preserves which words admit a run prefix.
 
     The carriers of ``s`` are named ``s.0``, ``s.1``, ... in the order of
     its out-transitions, skipping names ``a`` already has.  A carrier name
     ends in its index, so carriers of different states never collide.
     """
+    if is_simple(a):
+        return a
     kept: list[Transition] = []
     offending: list[tuple[str, tuple[Transition, ...]]] = []
     for s, out in a.adjacency().items():
@@ -254,8 +256,6 @@ def simplify(a: CCA) -> CCA:
             kept += out
         else:
             offending.append((s, out))
-    if not offending:
-        return a
     taken = a.states
     carriers: list[str] = []
 

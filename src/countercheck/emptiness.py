@@ -11,10 +11,11 @@ returns a shortest witness (see the comment above ``_shortest_witness``).
 Every nonempty answer is an :class:`AcceptingWitness` that is re-verified
 before it is returned.
 
-Every entry point reads the automaton's adjacency and state partition
-(lettered, inc-k and check-k states) from ``cca``, which derives both once
-per automaton and keeps them on it, so the entry points a fuzz case calls
-in turn on one automaton share one graph.
+Every entry point takes the automaton alone and reads its adjacency and
+state partition (lettered, inc-k and check-k states) from ``cca``, which
+derives both once per automaton and keeps them on it, so the entry points
+a fuzz case calls in turn on one automaton share one graph.  ``decide``
+starts from ``simplify``, which returns a simple automaton itself.
 
 This module holds the decision alone.  The cross-checks, the paper's
 product construction and the brute-force oracle, are in ``reference``,
@@ -28,7 +29,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from .cca import CCA, CCAError, InternalCheckError, Partition, is_simple, partition, simplify
+from .cca import CCA, CCAError, InternalCheckError, is_simple, partition, simplify
 from .expr import Record
 
 
@@ -75,24 +76,6 @@ def witness_from_json(text: str) -> AcceptingWitness:
 
 
 # --------------------------------------------------------------------------
-# the simple automaton and its partition
-
-def _partition(a: CCA, purpose: str) -> Partition:
-    """The partition of a simple automaton; a ``CCAError`` naming
-    ``purpose`` for any other automaton."""
-    if not is_simple(a):
-        raise CCAError(f"{purpose} requires a simple automaton")
-    return partition(a)
-
-
-def _simple(a: CCA) -> CCA:
-    """The simple automaton a decision works on: ``a`` itself, found by
-    the kept classification without ``simplify``'s walk, or its
-    simplification."""
-    return a if is_simple(a) else simplify(a)
-
-
-# --------------------------------------------------------------------------
 # verification
 
 def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
@@ -100,11 +83,9 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 
     Reads only the state path, never counter values.
     """
-    part = _partition(a, "witness verification")
-    return _verify(a, w, part)
-
-
-def _verify(a: CCA, w: AcceptingWitness, part: Partition) -> bool:
+    if not is_simple(a):
+        raise CCAError("witness verification requires a simple automaton")
+    part = partition(a)
     n = len(w.path) - 1
     if n < 0 or len(w.pairs) != a.counters or len(w.checks) != a.counters:
         return False
@@ -376,7 +357,7 @@ class EmptinessReport(Record):
     simple: CCA
 
 
-def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
+def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
     """The layered search on a simple automaton.
 
     Tie-breaks: of the anchors with the least total the smallest name wins.
@@ -387,6 +368,7 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
     finds.  Raises ``CCAError`` when a shortest witness has more than
     ``MAX_WITNESS`` states.
     """
+    part = partition(a)
     adjacency = a.adjacency()
     parent, dist = _breadth_first(adjacency, a.initial)
     # a witness visits a lettered state and, for every k, an inc-k and a
@@ -513,12 +495,11 @@ def _shortest_witness(a: CCA, part: Partition) -> Optional[AcceptingWitness]:
 def decide(a: CCA) -> EmptinessReport:
     """Decide emptiness; every nonempty answer carries a verified shortest
     witness."""
-    simple = _simple(a)
-    part = partition(simple)
-    witness = _shortest_witness(simple, part)
+    simple = simplify(a)
+    witness = _shortest_witness(simple)
     if witness is None:
         return EmptinessReport(True, None, simple)
-    if not _verify(simple, witness, part):
+    if not verify_witness(simple, witness):
         raise InternalCheckError("layered witness failed verification")
     return EmptinessReport(False, witness, simple)
 

@@ -11,7 +11,7 @@ import random
 from typing import Callable, Optional
 
 from . import expr as ex
-from .cca import CCA, CCAError, CHECK, INC, NO_OP, InternalCheckError, Transition, is_simple, partition
+from .cca import CCA, CCAError, CHECK, INC, NO_OP, InternalCheckError, Transition, is_simple
 from .emptiness import AcceptingWitness, decide, verify_witness
 from .logic import ATOM, BINARY, FO_BINDER, NEGATION, SHAPES, Not, Succ, Var
 from .reference import _Table, _brute_force, _product, _structure_ids, witness_nfa_state_bound
@@ -207,14 +207,15 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     failure.
 
     The three references read one phase table, which this call builds for
-    the case and drops on return, so each reuses the rows the ones before
-    it built.  Every call here works on the same automaton, which derives its
-    adjacency and partition on the first call and keeps them: a simple case
-    derives its graph once.
+    the case from the automaton alone and drops on return, so each reuses
+    the rows the ones before it built.  Every call here takes the same
+    automaton, which derives its adjacency and partition on the first call
+    and keeps them, and ``decide`` simplifies a simple case to itself: a
+    simple case derives its graph once.
     """
     try:
         report = decide(a)
-        table = _Table(report.simple, partition(report.simple))
+        table = _Table(report.simple)
         reference = _product(table)
     except InternalCheckError as err:
         return CaseOutcome(False, None, False, f"internal check failed: {err}")

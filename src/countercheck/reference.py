@@ -19,10 +19,13 @@
 All of them follow one table of witness phases, kept as one row per phase
 (see the comment above ``_row``).  The phases of one automaton are numbered
 as the readers first meet them, and the rows are built over those numbers.
-A table belongs to the call that builds it: each function here builds its
-own, and ``harness.examine`` builds one per fuzz case and hands it to the
-readers it calls.  The module keeps no state between calls.  Imports run
-one way: this module takes the witness record and its checker from
+Every reader takes the automaton alone, and a table reads the state
+partition the automaton keeps (``cca.partition``), so any automaton that
+is not simple is refused there.  A table belongs to the call that builds
+it: each function here builds its own, and ``harness.examine`` builds one
+per fuzz case and hands it to the readers it calls.  The module keeps no
+state between calls.  Imports run one way: this module takes only the
+public witness record and its checker, ``verify_witness``, from
 ``emptiness``, which imports nothing from here.
 """
 from __future__ import annotations
@@ -30,8 +33,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .cca import CCA, CCAError, InternalCheckError, Partition, partition
-from .emptiness import AcceptingWitness, _partition, _simple, _verify
+from .cca import CCA, CCAError, InternalCheckError, Partition, partition, simplify
+from .emptiness import AcceptingWitness, verify_witness
 from .nfa import NFA, accepts, breadth_first_run
 
 
@@ -94,12 +97,13 @@ def _row(phase: tuple, part: Partition, n: int) -> dict[str, tuple[tuple, ...]]:
 
 class _Table:
     """The witness phases of the simple automaton ``a``, numbered as they
-    are met, with the rows built so far over their ids."""
+    are met, with the rows built so far over their ids; ``part`` is the
+    partition ``a`` keeps, and any other automaton is refused."""
 
     __slots__ = ("a", "part", "phases", "ids", "rows")
 
-    def __init__(self, a: CCA, part: Partition):
-        self.a, self.part = a, part
+    def __init__(self, a: CCA):
+        self.a, self.part = a, partition(a)
         self.phases = [_SCAN, _ACCEPT]  # id -> phase
         self.ids = {_SCAN: _SCAN_ID, _ACCEPT: _ACCEPT_ID}  # phase -> id
         self.rows: list = [None, {}]  # id -> row over ids, None until used
@@ -186,7 +190,7 @@ def build_potential_witness_nfa(a: CCA) -> NFA:
     even when no phase reaches it.  The state count is bounded by
     2 + 2*N*|S| + N*|S|^2 + |S|.
     """
-    return _structure_nfa(_Table(a, _partition(a, "the witness-structure NFA")))
+    return _structure_nfa(_Table(a))
 
 
 def _structure_nfa(table: _Table) -> NFA:
@@ -216,7 +220,7 @@ def witness_nfa_state_bound(a: CCA) -> int:
 def witness_nfa_state_count(a: CCA) -> int:
     """The number of states of ``build_potential_witness_nfa(a)``, counted
     by walking the phase table without building the NFA."""
-    return len(_structure_ids(_Table(a, _partition(a, "the witness-structure NFA"))))
+    return len(_structure_ids(_Table(a)))
 
 
 def build_prefix_nfa(a: CCA) -> NFA:
@@ -270,13 +274,12 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     a row.  This is the reference ``decide`` is fuzzed
     against, not the production path.
     """
-    simple = _simple(a)
-    return _product(_Table(simple, partition(simple)))
+    return _product(_Table(simplify(a)))
 
 
 def _product(table: _Table) -> Optional[AcceptingWitness]:
-    simple, part = table.a, table.part
-    if _cannot_accept(part):
+    simple = table.a
+    if _cannot_accept(table.part):
         return None
     adjacency = simple.adjacency()
     phases, rows, row = table.phases, table.rows, table.row
@@ -305,7 +308,7 @@ def _product(table: _Table) -> Optional[AcceptingWitness]:
     if run is None:
         return None
     witness = _decode(*run, simple.counters)
-    if not _verify(simple, witness, part):
+    if not verify_witness(simple, witness):
         raise InternalCheckError("decoded witness failed verification")
     if not accepts(build_prefix_nfa(simple), witness.path):
         raise InternalCheckError("decoded witness path is not a realizable path")
@@ -328,10 +331,10 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     then marks it.  On a table that cannot accept (``_cannot_accept``) the
     answer is None without a search, and without a row.
     """
-    part = _partition(a, "the brute-force search")
+    table = _Table(a)
     if depth < 0:
         raise CCAError("depth must be nonnegative")
-    return _brute_force(_Table(a, part), depth)
+    return _brute_force(table, depth)
 
 
 def _brute_force(table: _Table, depth: int) -> Optional[AcceptingWitness]:
@@ -415,7 +418,7 @@ def scan_path(a: CCA, path: list[str] | tuple[str, ...]) -> Optional[AcceptingWi
     of the path per step, trying a move-on before a stay and remembering
     dead ends; usable on paths from any source.
     """
-    return _scan(path, _Table(a, _partition(a, "the path scan")))
+    return _scan(path, _Table(a))
 
 
 def _scan(path, table: _Table) -> Optional[AcceptingWitness]:

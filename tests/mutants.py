@@ -192,15 +192,15 @@ CATALOGUE = (
     Mutant(
         "the product reference has no dead-table exit",
         "src/countercheck/reference.py",
-        "    simple, part = table.a, table.part\n    if _cannot_accept(part):\n        return None\n",
-        "    simple, part = table.a, table.part\n",
+        "    simple = table.a\n    if _cannot_accept(table.part):\n        return None\n",
+        "    simple = table.a\n",
         ("tests/test_emptiness.py::test_a_dead_table_builds_nothing",),
     ),
     Mutant(
         "the product reference's dead-table exit also fires on a live table with one lettered state",
         "src/countercheck/reference.py",
-        "if _cannot_accept(part):",
-        "if _cannot_accept(part) or len(part.lettered) < 2:",
+        "    simple = table.a\n    if _cannot_accept(table.part):",
+        "    simple = table.a\n    if _cannot_accept(table.part) or len(table.part.lettered) < 2:",
         (
             "tests/test_emptiness.py::test_layered_search_matches_product_reference",
             "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
@@ -219,10 +219,11 @@ CATALOGUE = (
     Mutant(
         "the product reference shares one phase table across automata in a module global",
         "src/countercheck/reference.py",
-        "    return _product(_Table(simple, partition(simple)))\n",
+        "    return _product(_Table(simplify(a)))\n",
         """    global _shared
+    simple = simplify(a)
     if "_shared" not in globals() or _shared.a.counters != simple.counters:
-        _shared = _Table(simple, partition(simple))
+        _shared = _Table(simple)
     return _product(_shared)
 """,
         (
@@ -346,6 +347,23 @@ CATALOGUE = (
         "return _classification(a) is not None",
         "return _classify(a) is not None",
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
+    ),
+    Mutant(
+        "simplify rebuilds a simple automaton instead of returning it",
+        "src/countercheck/cca.py",
+        "    if is_simple(a):\n        return a\n    kept: list[Transition] = []\n",
+        "    kept: list[Transition] = []\n",
+        (
+            "tests/test_cca.py::test_an_automaton_derives_its_graph_once",
+            "tests/test_emptiness.py::test_examine_derives_one_graph_per_simple_case",
+        ),
+    ),
+    Mutant(
+        "verify_witness leaves the refusal of a non-simple automaton to partition",
+        "src/countercheck/emptiness.py",
+        '    if not is_simple(a):\n        raise CCAError("witness verification requires a simple automaton")\n',
+        "",
+        ("tests/test_emptiness.py::test_the_graph_memo_never_serves_a_stale_graph",),
     ),
     Mutant(
         "partition classifies again instead of reading the kept classification",

@@ -223,11 +223,10 @@ def test_the_dead_table_exit_is_exact():
     cases += dead_tables()
     dead = 0
     for a in cases:
-        part = partition(a)
-        table = _Table(a, part)
+        table = _Table(a)
         reached = _structure_ids(table)
         accepting = any(_ACCEPT_ID in afters for i in reached for afters in table.rows[i].values())
-        assert _cannot_accept(part) == (not accepting)
+        assert _cannot_accept(partition(a)) == (not accepting)
         dead += not accepting
     assert all(_cannot_accept(partition(a)) for a in dead_tables())
     assert 200 <= dead <= len(cases) - 200
@@ -293,7 +292,7 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
                     if after not in phases:
                         phases.add(after)
                         todo.append(after)
-        table = _Table(a, part)
+        table = _Table(a)
         assert {table.phases[i] for i in _structure_ids(table)} == phases
 
 
@@ -1249,9 +1248,9 @@ def test_examine_builds_one_phase_table_per_case(monkeypatch):
     class Counted(reference._Table):
         __slots__ = ()
 
-        def __init__(self, a, part):
+        def __init__(self, a):
             built.append(a)
-            super().__init__(a, part)
+            super().__init__(a)
 
     monkeypatch.setattr(reference, "_Table", Counted)
     monkeypatch.setattr(harness, "_Table", Counted)

@@ -114,6 +114,64 @@ def test_emptiness_imports_the_references_only_in_its_alias():
     assert found == []
 
 
+def _sources() -> dict[str, ast.Module]:
+    """The syntax tree of every module of the package, by module name."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "countercheck").glob("*.py"))
+    }
+
+
+def _private_imports(source: str) -> dict[str, list[str]]:
+    """Per module of the package, the underscore names it imports from the
+    module ``source``."""
+    found = {}
+    for module, tree in _sources().items():
+        names = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == source
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        if names:
+            found[module] = names
+    return found
+
+
+def test_only_harness_imports_private_names_and_only_from_the_references():
+    # the decision's checker is public, so no module needs a private name of
+    # emptiness; harness builds one phase table per fuzz case and hands it
+    # to the references it runs, which is the one reason to reach into them
+    assert _private_imports("emptiness") == {}
+    assert set(_private_imports("reference")) == {"harness"}
+
+
+def test_every_name_no_code_calls_is_exported():
+    # a module-level function or class that nothing in the package names is
+    # either public API, listed in _EXPORTS, or dead code to delete
+    trees = _sources()
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unnamed = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    }
+    exported = {(module, name) for module, names in countercheck._EXPORTS.items() for name in names}
+    assert unnamed - exported == set()
+
+
 def test_commands_without_a_decision_leave_emptiness_unloaded():
     loaded = json.loads(_fresh("""
         import contextlib, io, json, sys
