@@ -24,10 +24,10 @@ imports nothing from it, so ``empty`` and ``verify`` never load it.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import deque
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cca import CCA, CCAError, InternalCheckError, is_simple, partition, simplify
 from .expr import Record
@@ -142,29 +142,36 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 # one the language is empty, decided before any spread, and the search
 # then covers the candidates alone.
 #
-# Every closed walk is one sweep: 2N+1 breadth-first spreads through the
-# layers in witness order, each seeded with the costs at the layer the one
-# before reached, plus Lk at an inc-k layer: O(N·(|S|+|E|)).  Swept
-# backward over every candidate's layers at once, from every anchor back to
-# any anchor, the sweep bounds every anchor from below, so only anchors
-# whose bound can still win are swept forward, and none when the language
-# is empty.  A least bound above MAX_WITNESS states refuses the input
-# before any forward spread.  A sweep keeps only the spread it is seeding
-# from and, per layer, the seed of each state it reached there, which is
-# all that tracing the winner's chain back reads; the loop memo keeps
-# lengths, and the winner's loops are walked again when its path is built.
-# Every state is in at most two layers, so besides the certificate a
-# decision holds O(|S|+|E|), whatever N is.
+# A candidate whose inc and check layers hold one state each is *forced*:
+# every witness through it runs along the same p1..pN, c1..cN, read off its
+# row.  So the middle of every such witness, L1(p1) + d+(p1, p2) + ... +
+# d+(c(N-1), cN), is one sum, found by walking that chain once, segment by
+# segment, and one backward spread from p1 and one forward spread from cN
+# give every anchor t of the component its d+(t, p1) and d+(cN, t), hence
+# its exact total: two spreads per forced candidate, whatever N is.  The
+# walks are kept for the best forced candidate so far, which builds its
+# certificate from them, and only up to MAX_WITNESS states, so a refused
+# chain holds no more than the graph.
 #
-# A candidate whose inc and check layers hold one state each forces every
-# witness through it along the same p1..pN, c1..cN, read off its row.  Its
-# anchors' bounds are then exact but for the last segment, d+(cN, any
-# anchor) where the witness needs d+(cN, t), so one forward spread from cN
-# gives every one of its anchors its exact total, and none of them is
-# swept.  What follows a spread reads its costs only at the states of the
-# next layer, so every spread stops once it has marked the last of them.
-# The winner's exact length is refused when it exceeds MAX_WITNESS, before
-# its path is built.
+# Every other candidate's closed walks are one sweep: 2N+1 breadth-first
+# spreads through the layers in witness order, each seeded with the costs
+# at the layer the one before reached, plus Lk at an inc-k layer:
+# O(N·(|S|+|E|)).  Swept backward over those candidates' layers at once,
+# from every anchor back to any anchor, the sweep bounds each of their
+# anchors from below, so once the forced totals seed the best, only anchors
+# whose bound can still beat it are swept forward, and none when the
+# language is empty.  The least bound, a forced anchor's counted as if it
+# had been swept (d+(cN, the nearest anchor) in place of d+(cN, t)),
+# refuses the input before any forward sweep when it is above MAX_WITNESS
+# states.  A sweep keeps only the spread it is seeding from and, per layer,
+# the seed of each state it reached there, which is all that tracing the
+# winner's chain back reads; the loop memo keeps lengths, and the winner's
+# loops are walked again when its path is built.  Every state is in at most
+# two layers, so besides the certificate a decision holds O(|S|+|E|),
+# whatever N is.  What follows a spread reads its costs only at the states
+# of the next layer, so every spread stops once it has marked the last of
+# them.  The winner's exact length is refused when it exceeds MAX_WITNESS,
+# before its path is built.
 #
 # One breadth-first pass from the initial state, successors in adjacency
 # order, finds the reachable states with their distances and parents.  They
@@ -177,7 +184,7 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 
 # the longest certificate, in states, that a decision may return: n = 100
 # letters of the flat word (a b a b ...)^w need 99,900, and `countercheck
-# empty` prints them in 0.22-0.33 s at 18.7 MB on a 2-vCPU machine; a
+# empty` prints them in 0.18-0.24 s at 19 MB on a 2-vCPU machine; a
 # shortest witness grows about as 10·n², so the certificate, not the
 # search, is what the limit bounds
 MAX_WITNESS = 100_000
@@ -249,23 +256,22 @@ def _walk(succ: list, source: int, target: int, avoid=frozenset()) -> Optional[l
     that enters no state of ``avoid``, both ends included; breadth-first
     with successors in adjacency order, so the first shortest walk wins."""
     parent: dict = {}
-    queue = deque([source])
-    while queue and target not in parent:
-        here = queue.popleft()
+    queue = [source]
+    for here in queue:  # the queue grows behind the loop
         for there in succ[here]:
-            if there not in parent and there not in avoid:
-                parent[there] = here
-                queue.append(there)
-    if target not in parent:
-        return None
-    walk = [target]
-    here = parent[target]
-    while here != source:
-        walk.append(here)
-        here = parent[here]
-    walk.append(source)
-    walk.reverse()
-    return walk
+            if there in parent or there in avoid:
+                continue
+            parent[there] = here
+            if there == target:  # marked once, so the search is done
+                walk = [target]
+                while here != source:
+                    walk.append(here)
+                    here = parent[here]
+                walk.append(source)
+                walk.reverse()
+                return walk
+            queue.append(there)
+    return None
 
 
 def _spread(succ: list, seeds: list, targets, limit: float = math.inf) -> tuple[list, list]:
@@ -351,6 +357,18 @@ def _sweep(
     return (*_spread(graph, seeds, ends, limit), origins)
 
 
+def _segments(succ: list, chain: list[int], avoid: list) -> Iterator[Optional[list[int]]]:
+    """The walks of a witness along ``chain``, p1..pN then c1..cN, in
+    order: at each pk the shortest closed walk that enters no state of
+    ``avoid[k - 1]`` (None when there is none), and from each state of the
+    chain to the next the walk :func:`_walk` finds."""
+    for i, here in enumerate(chain):
+        if i < len(avoid):
+            yield _walk(succ, here, here, avoid[i])
+        if i + 1 < len(chain):
+            yield _walk(succ, here, chain[i + 1])
+
+
 class EmptinessReport(Record):
     empty: bool
     witness: Optional[AcceptingWitness]
@@ -361,12 +379,12 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
     """The layered search on a simple automaton.
 
     Tie-breaks: of the anchors with the least total the smallest name wins.
-    Its chain of inc and check states is traced back from the anchor
-    through the seed each spread recorded, every layer's seeds in name
-    order, or is read off its component's table when every layer there
-    holds one state; each segment between them is the walk :func:`_walk`
-    finds.  Raises ``CCAError`` when a shortest witness has more than
-    ``MAX_WITNESS`` states.
+    Its chain of inc and check states is read off its component's row when
+    every inc and check layer there holds one state, and is otherwise
+    traced back from the anchor through the seed each spread recorded,
+    every layer's seeds in name order; each segment between them is the
+    walk :func:`_walk` finds.  Raises ``CCAError`` when a shortest witness
+    has more than ``MAX_WITNESS`` states.
     """
     part = partition(a)
     adjacency = a.adjacency()
@@ -407,9 +425,38 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
             for there in out:
                 back[there].append(here)
 
-    # every candidate's layers at once, for the backward pass
-    joined = [[s for row in candidates.values() for s in row[i]] for i in range(len(kinds))]
-    avoid = [frozenset(checks) for checks in joined[n + 1 :]]
+    # the check-k states a loop at an inc-k state avoids
+    avoid = [frozenset(s for row in candidates.values() for s in row[i]) for i in range(n + 1, 2 * n + 1)]
+
+    # the forced candidates: every witness runs through the one chain of
+    # their row, so each is walked once and spread from at both ends
+    best = (math.inf, -1, None, None)  # (total, anchor, its chain p1..cN, the walks between)
+    floor = math.inf  # the least backward bound of a forced anchor
+    free = []  # the other candidates' rows
+    for row in candidates.values():
+        if any(len(layer) > 1 for layer in row[1:]):
+            free.append(row)
+            continue
+        chain = [layer[0] for layer in row[1:]]
+        middle, kept = 0, []
+        for walk in _segments(local, chain, avoid):
+            if walk is None:
+                break  # some pk has no loop free of check-k: no witness here
+            middle += len(walk) - 1
+            if kept is not None:
+                kept.append(walk)
+                if middle >= MAX_WITNESS:
+                    kept = None  # too long to be returned: its length will do
+        else:
+            into = _spread(back, [(0, chain[0])], row[0])[0]
+            out = _spread(local, [(0, chain[-1])], row[0])[0]
+            nearest = min(out[u] for u in row[0])
+            for u in row[0]:
+                depth = dist[names[u]] + into[u] + middle
+                floor = min(floor, depth + nearest)
+                if (depth + out[u], u) < best[:2]:
+                    best = (depth + out[u], u, chain, kept)
+
     loops: dict[tuple[int, int], Optional[int]] = {}  # lengths only
 
     def loop(k: int, p: int) -> Optional[int]:
@@ -418,55 +465,34 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
             loops[k, p] = None if walk is None else len(walk) - 1
         return loops[k, p]
 
-    # backward: the least closed walk from each anchor to any anchor
-    anchors = joined[0]
-    cost = _sweep(back, joined, anchors, loop, backward=True)[0]
-    bounds = sorted((dist[names[t]] + cost[t], t) for t in anchors if cost[t] is not None)
-    if not bounds:
+    # backward over every other candidate's layers at once: the least
+    # closed walk from each anchor to any anchor
+    bounds = []
+    if free:
+        joined = [[s for row in free for s in row[i]] for i in range(len(kinds))]
+        cost = _sweep(back, joined, joined[0], loop, backward=True)[0]
+        bounds = sorted((dist[names[t]] + cost[t], t) for t in joined[0] if cost[t] is not None)
+    least = min([floor, *(bound for bound, _ in bounds[:1])])
+    if least == math.inf:
         return None
-    if bounds[0][0] + 1 > MAX_WITNESS:
-        raise CCAError(
-            f"a shortest witness has at least {bounds[0][0] + 1} states, more than {MAX_WITNESS}"
-        )
+    if least + 1 > MAX_WITNESS:
+        raise CCAError(f"a shortest witness has at least {least + 1} states, more than {MAX_WITNESS}")
 
     # forward, anchor by anchor, while the bound can still win
-    measured: set[int] = set()  # components whose anchors all have exact totals
-    best = None  # (total, anchor, its chain t, p1..pN, c1..cN, t)
     for bound, t in bounds:
-        if best is not None and (bound, t) > best[:2]:
+        if (bound, t) > best[:2]:
             break  # neither this anchor nor a later one can beat the best
-        root = component[t]
-        row = candidates[root]
-        if all(len(layer) == 1 for layer in row[1:]):
-            # one state in every inc and check layer: every witness here runs
-            # through the chain p1..pN, c1..cN, so each anchor's backward
-            # bound is exact but for its last segment: it ends with
-            # d+(cN, t') for the nearest anchor t' where the witness needs
-            # d+(cN, u); every anchor of the component has a bound, so one
-            # spread from cN gives both
-            if root not in measured:
-                measured.add(root)
-                chain = [layer[0] for layer in row[1:]]
-                reach = _spread(local, [(0, chain[-1])], row[0])[0]
-                nearest = min(reach[u] for u in row[0])
-                for u in row[0]:
-                    total = dist[names[u]] + cost[u] - nearest + reach[u]
-                    if best is None or (total, u) < best[:2]:
-                        best = (total, u, [u, *chain, u])
-            continue
         depth = dist[names[t]]
         # a later name has to be strictly shorter to win
-        limit = math.inf if best is None else best[0] - depth - (1 if t > best[1] else 0)
-        closing, origin, origins = _sweep(local, row, (t,), loop, limit=limit)
-        if closing[t] is not None:
-            total = depth + closing[t]
-            if best is None or (total, t) < best[:2]:
-                chain = [t, origin[t]]
-                for seeds in reversed(origins):
-                    chain.append(seeds[chain[-1]])
-                best = (total, t, chain[::-1])
+        limit = best[0] - depth - (1 if t > best[1] else 0)
+        closing, origin, origins = _sweep(local, candidates[component[t]], (t,), loop, limit=limit)
+        if closing[t] is not None and (depth + closing[t], t) < best[:2]:
+            chain = [origin[t]]
+            for seeds in reversed(origins):
+                chain.append(seeds[chain[-1]])
+            best = (depth + closing[t], t, chain[-2::-1], None)
 
-    total, t, chain = best
+    total, t, chain, middle = best
     if total + 1 > MAX_WITNESS:
         raise CCAError(f"a shortest witness has {total + 1} states, more than {MAX_WITNESS}")
     prefix = [names[t]]
@@ -474,21 +500,21 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
         prefix.append(parent[prefix[-1]])
     path = [number[s] for s in reversed(prefix)]
     begin = len(path) - 1
-    pairs = []
-    for k, (here, pump) in enumerate(zip(chain, chain[1 : n + 1])):
-        path += _walk(local, here, pump)[1:]
-        opened = len(path) - 1
-        path += _walk(local, pump, pump, avoid[k])[1:]
-        pairs.append((opened, len(path) - 1))
-    checks = []
-    for here, there in zip(chain[n:], chain[n + 1 :]):
-        path += _walk(local, here, there)[1:]
-        checks.append(len(path) - 1)
-    end = checks.pop()
+    # a mark after every walk: into each pk and around its loop (a pair),
+    # into each ck (a check), and back to t (the end)
+    marks = []
+    inner = middle or _segments(local, chain, avoid)  # a free winner's walks are found now
+    for walk in itertools.chain([_walk(local, t, chain[0])], inner, [_walk(local, chain[-1], t)]):
+        path += walk[1:]
+        marks.append(len(path) - 1)
     if len(path) - 1 != total:
         raise InternalCheckError("certificate length differs from the layered minimum")
     return AcceptingWitness(
-        tuple(names[i] for i in path), begin, tuple(pairs), tuple(checks), end
+        tuple(names[i] for i in path),
+        begin,
+        tuple(zip(marks[: 2 * n : 2], marks[1 : 2 * n : 2])),
+        tuple(marks[2 * n : 3 * n]),
+        marks[3 * n],
     )
 
 

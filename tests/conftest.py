@@ -3,7 +3,7 @@ import random
 import pytest
 
 from countercheck import expr as ex
-from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition
+from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition, partition
 from countercheck.logic import free_vars
 from countercheck.nfa import NFA, _closure, shortest_accepting_run
 
@@ -134,6 +134,32 @@ def flat_word(letters: int) -> str:
     """The expression ``(a b a b ...)^w`` with ``letters`` letters; its
     shortest witness has about 10 * letters**2 states."""
     return "(" + " ".join("ab"[i % 2] for i in range(letters)) + ")^w"
+
+
+def anchored_in_a_forced_component(report) -> bool:
+    """True when the witness's anchor lies in a strongly connected
+    component with one inc-k and one check-k state for every counter k, so
+    that every witness through it runs through the same chain."""
+    a, w = report.simple, report.witness
+    forward: dict = {s: [] for s in a.states}
+    backward: dict = {s: [] for s in a.states}
+    for t in a.transitions:
+        forward[t.source].append(t.target)
+        backward[t.target].append(t.source)
+
+    def reached(graph: dict, start: str) -> set:
+        seen, stack = {start}, [start]
+        while stack:
+            for there in graph[stack.pop()]:
+                if there not in seen:
+                    seen.add(there)
+                    stack.append(there)
+        return seen
+
+    anchor = w.path[w.begin]
+    component = reached(forward, anchor) & reached(backward, anchor)
+    part = partition(a)
+    return all(len(component & layer) == 1 for layer in (*part.inc, *part.check))
 
 
 def is_closed(f) -> bool:

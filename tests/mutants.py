@@ -241,8 +241,8 @@ CATALOGUE = (
     Mutant(
         "the anchor loop stops two short of the best total, not at its (total, anchor)",
         "src/countercheck/emptiness.py",
-        "if best is not None and (bound, t) > best[:2]:",
-        "if best is not None and bound + 2 > best[0]:",
+        "if (bound, t) > best[:2]:",
+        "if bound + 2 > best[0]:",
         ("tests/test_relations.py::test_subdividing_every_transition_doubles_a_shortest_witness",),
     ),
     Mutant(
@@ -276,8 +276,8 @@ CATALOGUE = (
     Mutant(
         "forced-chain detection accepts a component with two states in one layer",
         "src/countercheck/emptiness.py",
-        "if all(len(layer) == 1 for layer in row[1:]):",
-        "if sum(map(len, row[1:])) <= 2 * n + 1:",
+        "if any(len(layer) > 1 for layer in row[1:]):",
+        "if sum(map(len, row[1:])) > 2 * n + 1:",
         (
             "tests/test_emptiness.py::test_random_witnesses_are_pinned",
             "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
@@ -286,19 +286,42 @@ CATALOGUE = (
     Mutant(
         "forced-chain detection never fires",
         "src/countercheck/emptiness.py",
-        "if all(len(layer) == 1 for layer in row[1:]):",
-        "if all(len(layer) == -1 for layer in row[1:]):",
+        "if any(len(layer) > 1 for layer in row[1:]):",
+        "if any(len(layer) > -1 for layer in row[1:]):",
         ("tests/test_emptiness.py::test_spreads_per_decision",),
     ),
     Mutant(
-        "a forced anchor's total keeps the backward bound's last segment",
+        "a forced total drops d+(anchor, p1)",
         "src/countercheck/emptiness.py",
-        "cost[u] - nearest + reach[u]",
-        "cost[u] + reach[u]",
+        "depth = dist[names[u]] + into[u] + middle",
+        "depth = dist[names[u]] + middle",
         (
             "tests/test_emptiness.py::test_ladder_certificates_are_pinned",
             "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
         ),
+    ),
+    Mutant(
+        "forced middle walks are kept past MAX_WITNESS",
+        "src/countercheck/emptiness.py",
+        "if middle >= MAX_WITNESS:",
+        "if middle < 0:",
+        ("tests/test_emptiness.py::test_a_refused_decision_holds_memory_linear_in_the_automaton",),
+    ),
+    Mutant(
+        "the backward sweep still covers forced candidates",
+        "src/countercheck/emptiness.py",
+        "    if free:\n        joined = [[s for row in free for s in row[i]]",
+        "    if candidates:\n        joined = [[s for row in candidates.values() for s in row[i]]",
+        ("tests/test_emptiness.py::test_spreads_per_decision",),
+    ),
+    Mutant(
+        "the anchor loop forgets the forced candidates' best",
+        "src/countercheck/emptiness.py",
+        "    # forward, anchor by anchor, while the bound can still win\n",
+        "    # forward, anchor by anchor, while the bound can still win\n"
+        "    if bounds:\n"
+        "        best = (math.inf, -1, None, None)\n",
+        ("tests/test_relations.py::test_a_silent_initial_choice_takes_the_shorter_certificate",),
     ),
     Mutant(
         "a spread stops at the first of its targets, not the last",
@@ -322,7 +345,7 @@ CATALOGUE = (
         "src/countercheck/emptiness.py",
         "origins.append({s: origin[s] for _, s in seeds})",
         "origins.append(origin)",
-        ("tests/test_emptiness.py::test_a_refused_decision_holds_memory_linear_in_the_automaton",),
+        ("tests/test_emptiness.py::test_a_refused_sweep_holds_memory_linear_in_the_automaton",),
     ),
     Mutant(
         "the witness limit is checked on the least backward bound alone",

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -41,7 +42,15 @@ from countercheck.reference import (
 )
 from countercheck.translate import compile_expression
 
-from conftest import LADDER, atom_a, atom_empty, flat_word, nonempty_witness, twin_of
+from conftest import (
+    LADDER,
+    anchored_in_a_forced_component,
+    atom_a,
+    atom_empty,
+    flat_word,
+    nonempty_witness,
+    twin_of,
+)
 
 
 def closed_atom() -> CCA:
@@ -846,16 +855,30 @@ def counted_spreads(monkeypatch) -> list:
     return settled
 
 
+def chain_of(factors: int) -> str:
+    """The expression ``(a^T b a^T b ...)^w`` with ``factors`` factors."""
+    return "(" + " ".join(["a^T b"] * factors) + ")^w"
+
+
 @pytest.mark.parametrize(
     "text, counters, spreads",
-    [(flat_word(20), 39, 80), ("(a^T b)^w", 5, 12), ("(a + b)^w", 3, 14)],
-    ids=["flat_word(20)", "(a^T b)^w", "(a + b)^w"],
+    [
+        (flat_word(1), 1, 2),
+        (flat_word(8), 15, 2),
+        (flat_word(20), 39, 2),
+        ("(a^T b)^w", 5, 2),
+        (chain_of(10), 59, 2),
+        ("(a + b)^w", 3, 14),
+    ],
+    ids=["flat_word(1)", "flat_word(8)", "flat_word(20)", "(a^T b)^w", "chain_of(10)", "(a + b)^w"],
 )
 def test_spreads_per_decision(monkeypatch, text, counters, spreads):
-    # a component with one inc-k and one check-k state for every k takes
-    # the 2N+1 backward spreads and one forward spread from its check-N
-    # state; (a + b)^w has two check states for one counter, so the one
-    # anchor its bounds leave takes 2N+1 forward spreads of its own
+    # a component with one inc-k and one check-k state for every k is
+    # decided by walking its chain once and by two spreads, one backward
+    # from its inc-1 state and one forward from its check-N state, whatever
+    # N is, and no sweep runs when every candidate is such; (a + b)^w has
+    # two check states for one counter, so it takes the 2N+1 backward
+    # spreads and 2N+1 forward spreads for the one anchor its bounds leave
     a = decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple
     assert a.counters == counters
     settled = counted_spreads(monkeypatch)
@@ -865,13 +888,29 @@ def test_spreads_per_decision(monkeypatch, text, counters, spreads):
 
 def test_states_settled_per_decision_stay_below_twice_the_certificate(monkeypatch):
     # every spread stops at the last state of the layer the next one reads,
-    # so a flat word settles about 1.4 states per certificate state; spreads
-    # that walk their whole component would settle about 2.8
-    settled = counted_spreads(monkeypatch)
-    for letters in (2, 3, 4, 8, 12, 16, 20):
+    # so a decision settles fewer states than its spreads run to their end
+    # would: on flat words, decided by the two spreads of their forced
+    # component, and on mixes, which have none and are swept; a flat word
+    # also settles fewer than half as many states as its certificate holds
+    spread = emptiness._spread
+    settled, whole = [], []
+
+    def counted(graph, seeds, targets, limit=math.inf):
+        cost, origin = spread(graph, seeds, targets, limit)
+        settled.append(sum(c is not None for c in cost))
+        everything = spread(graph, seeds, range(len(graph)), limit)[0]
+        whole.append(sum(c is not None for c in everything))
+        return cost, origin
+
+    monkeypatch.setattr(emptiness, "_spread", counted)
+    mixes = ["(" + "(a+b)" * k + ")^w" for k in (2, 3, 4)]
+    for text in [flat_word(letters) for letters in (2, 3, 4, 8, 12, 16, 20)] + mixes:
         settled.clear()
-        report = decide(compile_expression(parse_omega_t(flat_word(letters), "ab"), "ab"))
-        assert sum(settled) < 2 * len(report.witness.path), letters
+        whole.clear()
+        report = decide(compile_expression(parse_omega_t(text, "ab"), "ab"))
+        assert sum(settled) < sum(whole), text
+        if text not in mixes:
+            assert 2 * sum(settled) < len(report.witness.path), text
 
 
 def test_a_refused_decision_holds_memory_linear_in_the_automaton(monkeypatch):
@@ -883,6 +922,27 @@ def test_a_refused_decision_holds_memory_linear_in_the_automaton(monkeypatch):
     peaks = []
     for factors in (10, 20):
         text = "(" + " ".join(["a^T b"] * factors) + ")^w"
+        a = simplify(compile_expression(parse_omega_t(text, "ab"), "ab"))
+        partition(a)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CCAError, match="^a shortest witness has at least "):
+                decide(a)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 2.5, peaks
+
+
+def test_a_refused_sweep_holds_memory_linear_in_the_automaton(monkeypatch):
+    # the (a^T b) chains above are forced and decided without a sweep; a
+    # trailing (a + b) gives their component two check states for one
+    # counter, so it is swept backward, and a sweep that kept every
+    # spread's seeds would hold about 3x the memory for 2x the factors
+    monkeypatch.setattr(emptiness, "MAX_WITNESS", 1000)
+    peaks = []
+    for factors in (10, 20):
+        text = "(" + " ".join(["a^T b"] * factors) + " (a + b))^w"
         a = simplify(compile_expression(parse_omega_t(text, "ab"), "ab"))
         partition(a)
         tracemalloc.start()
@@ -925,30 +985,32 @@ def test_a_witness_over_the_limit_is_refused_at_its_exact_length(monkeypatch):
     assert len(decide(a).witness.path) == 13
 
 
-def anchored_in_a_forced_component(report) -> bool:
-    """True when the witness's anchor lies in a strongly connected
-    component with one inc-k and one check-k state for every counter k, so
-    that every witness through it runs through the same chain."""
-    a, w = report.simple, report.witness
-    forward: dict = {s: [] for s in a.states}
-    backward: dict = {s: [] for s in a.states}
-    for t in a.transitions:
-        forward[t.source].append(t.target)
-        backward[t.target].append(t.source)
+def test_a_forced_witness_over_the_limit_is_refused_before_its_path_is_built(monkeypatch):
+    # flat_word(8) is decided through one forced component, whose chain is
+    # walked once: N loops and the 2N - 1 segments between them.  A refusal
+    # walks nothing more, and an answer only the anchor's two ends, since its
+    # certificate reuses the chain's walks
+    a = decide(compile_expression(parse_omega_t(flat_word(8), "ab"), "ab")).simple
+    n, length = a.counters, 632
+    walk = emptiness._walk
+    walks = []
 
-    def reached(graph: dict, start: str) -> set:
-        seen, stack = {start}, [start]
-        while stack:
-            for there in graph[stack.pop()]:
-                if there not in seen:
-                    seen.add(there)
-                    stack.append(there)
-        return seen
+    def counted(*args):
+        walks.append(args[1:3])
+        return walk(*args)
 
-    anchor = w.path[w.begin]
-    component = reached(forward, anchor) & reached(backward, anchor)
-    part = partition(a)
-    return all(len(component & layer) == 1 for layer in (*part.inc, *part.check))
+    monkeypatch.setattr(emptiness, "_walk", counted)
+    for limit in (length - 1, length // 2):
+        walks.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(emptiness, "MAX_WITNESS", limit)
+            with pytest.raises(CCAError, match=f"^a shortest witness has at least {length} states, more than {limit}$"):
+                decide(a)
+        assert len(walks) == 3 * n - 1
+    monkeypatch.setattr(emptiness, "MAX_WITNESS", length)
+    walks.clear()
+    assert len(decide(a).witness.path) == length
+    assert len(walks) == 3 * n + 1
 
 
 def test_layered_search_matches_product_reference_on_4000_automata():
@@ -1017,8 +1079,9 @@ def tied_components(single: str, double: str, entered: tuple[str, ...]) -> CCA:
 @pytest.mark.parametrize("single, double", [("a1", "a2"), ("a2", "a1")])
 def test_of_two_tied_components_the_smaller_anchor_name_wins(single, double):
     # single's component has one inc-1 and one check-1 state, so its chain
-    # is read off its row and its anchors' totals come from one spread;
-    # double's anchor is searched after them, bounded by the best so far
+    # is read off its row and its anchors' totals come from walking it and
+    # two spreads; double's anchor is swept after them, bounded by the best
+    # they give
     for anchor in (single, double):
         alone = decide(tied_components(single, double, (anchor,))).witness
         assert (alone.path[alone.begin], len(alone.path)) == (anchor, 9)

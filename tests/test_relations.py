@@ -11,10 +11,16 @@ whose effect on the answer is known without deciding it again.
   empty.
 * Putting one prefix before every name, which keeps the names' order,
   renames the certificate and changes nothing else.
+* A fresh silent initial choice between two automata with the same
+  counters and disjoint names puts the choice before the shorter one's
+  certificate, of equal ones the one whose names come first: a shortest
+  witness of min(L1, L2) + 1 states, and EMPTY when both are empty.
 
-Each relation runs on 2000 seeded random automata, the smaller rungs of the
-ladder and the flat words of up to 20 letters; the new states of the second
-and third relations are named before every old name and after it.
+Each of the first four relations runs on 2000 seeded random automata, the
+smaller rungs of the ladder and the flat words of up to 20 letters; the new
+states of the second and third relations are named before every old name
+and after it.  The last runs on pairs of the 2000 with equal counter
+counts.
 """
 import random
 
@@ -26,7 +32,7 @@ from countercheck.expr import parse_omega_t
 from countercheck.harness import random_simple_cca
 from countercheck.translate import compile_expression
 
-from conftest import LADDER, flat_word
+from conftest import LADDER, anchored_in_a_forced_component, flat_word
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +89,33 @@ def with_silent_entry(a: CCA, chain: list[str]) -> CCA:
     return CCA(a.states | set(chain), a.alphabet, chain[0], a.counters, a.transitions | entry, a.final)
 
 
+def with_initial_choice(a: CCA, b: CCA, choice: str) -> CCA:
+    """``a`` and ``b``, whose names are disjoint and whose counter counts
+    are equal, behind the fresh initial state ``choice``, a silent no-op
+    into each one's initial state."""
+    assert a.counters == b.counters and not a.states & b.states and choice not in a.states | b.states
+    entry = {Transition(choice, None, a.initial, 1, NO_OP), Transition(choice, None, b.initial, 1, NO_OP)}
+    return CCA(
+        a.states | b.states | {choice},
+        a.alphabet | b.alphabet,
+        choice,
+        a.counters,
+        a.transitions | b.transitions | frozenset(entry),
+    )
+
+
+def behind(w: AcceptingWitness, chain: list[str]) -> AcceptingWitness:
+    """``w`` with the states ``chain`` before it and every mark shifted."""
+    k = len(chain)
+    return AcceptingWitness(
+        (*chain, *w.path),
+        w.begin + k,
+        tuple((i + k, j + k) for i, j in w.pairs),
+        tuple(i + k for i in w.checks),
+        w.end + k,
+    )
+
+
 def test_the_corpus_is_simple_and_mixed(corpus):
     assert all(is_simple(a) for a in corpus)
     nonempty = sum(not decide(a).empty for a in corpus)
@@ -131,14 +164,7 @@ def test_a_silent_entry_chain_comes_before_the_certificate(corpus, prefix, k):
         assert after.empty == before.empty
         if before.empty:
             continue
-        w = before.witness
-        assert after.witness == AcceptingWitness(
-            (*chain, *w.path),
-            w.begin + k,
-            tuple((i + k, j + k) for i, j in w.pairs),
-            tuple(i + k for i in w.checks),
-            w.end + k,
-        )
+        assert after.witness == behind(before.witness, chain)
 
 
 def test_an_order_preserving_renaming_renames_the_certificate(corpus):
@@ -150,3 +176,34 @@ def test_an_order_preserving_renaming_renames_the_certificate(corpus):
         w = before.witness
         renamed_path = tuple("x" + s for s in w.path)
         assert after.witness == AcceptingWitness(renamed_path, w.begin, w.pairs, w.checks, w.end)
+
+
+def test_a_silent_initial_choice_takes_the_shorter_certificate(corpus):
+    # every pair of neighbours among the seeded automata with one counter
+    # count, and of neighbours among the nonempty ones; "x" names the first
+    # operand before the second's "y", so the first wins a tie
+    groups: dict[int, list[CCA]] = {}
+    for a in corpus[:2000]:
+        groups.setdefault(a.counters, []).append(a)
+    pairs = []
+    for group in groups.values():
+        live = [a for a in group if not decide(a).empty]
+        pairs += [*zip(group, group[1:]), *zip(live, live[1:])]
+    kinds = set()
+    for a, b in pairs:
+        x, y = renamed(a, "x"), renamed(b, "y")
+        operands = [decide(x), decide(y)]
+        after = decide(with_initial_choice(x, y, "!"))
+        nonempty = [r for r in operands if not r.empty]
+        assert after.empty == (not nonempty)
+        if not nonempty:
+            continue
+        shorter = min(nonempty, key=lambda r: len(r.witness.path))
+        assert after.witness == behind(shorter.witness, ["!"])
+        if len(nonempty) == 2:
+            forced = [anchored_in_a_forced_component(r) for r in operands]
+            kinds.add((*forced, forced[operands.index(shorter)]))
+    # both operands nonempty, exactly one winner forced, and either of them
+    # the shorter, besides pairs of two forced and of two free winners
+    assert {(True, False, True), (True, False, False), (False, True, True), (False, True, False)} <= kinds
+    assert {(True, True, True), (False, False, False)} <= kinds
