@@ -202,8 +202,8 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     L, at depth >= L; an empty answer forbids any bounded-search hit.  The
     product reference and the bounded search answer at once, without a
     search, on an automaton whose phase table cannot accept; the structure
-    count alone still walks the table on every case.  An
-    ``InternalCheckError`` from any of the three searches is the case's
+    count alone still builds every row that scan reaches, on every case.
+    An ``InternalCheckError`` from any of the three searches is the case's
     failure.
 
     The three references read one phase table, which this call builds for

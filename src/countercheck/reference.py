@@ -10,15 +10,16 @@
   structure side from the phase rows and the path side from the graph,
   and hands the search each node's edges already in the product's
   tie-break order.  ``witness_nfa_state_count`` counts the structure NFA's
-  states by walking the same rows, for the size-bound check, without
-  building it.
+  states for the size-bound check without building it: it builds the row
+  of every numbered phase and reads the table's size.
 * ``brute_force_witness`` gives the same answer by a direct search over
   paths and serves as the independent oracle; ``scan_path`` marks a
   witness on one path.
 
 All of them follow one table of witness phases, kept as one row per phase
-(see the comment above ``_row``).  The phases of one automaton are numbered
-as the readers first meet them, and the rows are built over those numbers.
+(see the comment above ``_Table.row``).  The rows are built over phase
+numbers on first use, and a phase is numbered only when a built row leads
+to it, so the numbered phases are those that ``("scan",)`` reaches.
 Every reader takes the automaton alone, and a table reads the state
 partition the automaton keeps (``cca.partition``), so any automaton that
 is not simple is refused there.  A table belongs to the call that builds
@@ -58,47 +59,16 @@ from .nfa import NFA, accepts, breadth_first_run
 # open1, close1, ..., openN, closeN, check1, ..., checkN, end.  Neither
 # ``verify_witness`` nor ``decide`` reads this table, so a wrong move shows
 # up as a disagreement with them.
-#
-# The table is kept as one *row* per phase (``_row``): the states that do
-# more than keep the phase, each with the phases it leads to, move-on
-# before stay.  Every other state keeps the phase; accept has no move.
-# The readers follow one numbered copy, a ``_Table``: phases get ids as
-# they are first met (scan 0, accept 1), and each phase's row is built
-# over those ids on first use.  The call that builds a copy owns it and
-# drops it on return; ``harness.examine`` builds one per case and passes
-# it to the product search, the structure count and the oracle in turn.
 
 _SCAN = ("scan",)
 _ACCEPT = ("accept",)
 _SCAN_ID, _ACCEPT_ID = 0, 1
 
 
-def _row(phase: tuple, part: Partition, n: int) -> dict[str, tuple[tuple, ...]]:
-    """The states that do more than keep ``phase``, each with the phases it
-    leads to, a move-on listed before a stay."""
-    role = phase[0]
-    if role == "scan":
-        return {s: (("seek_inc", 1, s), phase) for s in part.lettered}
-    if role == "seek_inc":
-        _, k, t = phase
-        return {s: (("in_loop", k, t, s), phase) for s in part.inc[k - 1]}
-    if role == "in_loop":
-        _, k, t, p = phase
-        after = ("seek_inc", k + 1, t) if k < n else ("seek_check", 1, t)
-        return {p: (after, phase), **dict.fromkeys(part.check[k - 1], ())}
-    if role == "seek_check":
-        _, k, t = phase
-        after = ("seek_check", k + 1, t) if k < n else ("await_anchor", t)
-        return dict.fromkeys(part.check[k - 1], (after, phase))
-    if role == "await_anchor":
-        return {phase[1]: (_ACCEPT,)}
-    return {}
-
-
 class _Table:
-    """The witness phases of the simple automaton ``a``, numbered as they
-    are met, with the rows built so far over their ids; ``part`` is the
-    partition ``a`` keeps, and any other automaton is refused."""
+    """The witness phases of the simple automaton ``a``, numbered as rows
+    lead to them, with the rows built so far over their ids; ``part`` is
+    the partition ``a`` keeps, and any other automaton is refused."""
 
     __slots__ = ("a", "part", "phases", "ids", "rows")
 
@@ -108,45 +78,74 @@ class _Table:
         self.ids = {_SCAN: _SCAN_ID, _ACCEPT: _ACCEPT_ID}  # phase -> id
         self.rows: list = [None, {}]  # id -> row over ids, None until used
 
+    # The table is kept as one *row* per phase: the states that do more
+    # than keep the phase, each with the ids of the phases it leads to,
+    # move-on before stay.  Every other state keeps the phase; accept has
+    # no move.  A row is built on first use, and a move-on phase is
+    # numbered there once some state of the row moves to it, so every
+    # numbered phase is scan, accept or a phase scan reaches.  The call
+    # that builds a table owns it; ``harness.examine`` builds one per case
+    # for the product search, the structure count and the oracle in turn.
     def row(self, i: int) -> dict[str, tuple[int, ...]]:
-        """The row of phase ``i`` over ids, built on the first call.  An
-        entry of ``_row`` is empty or a move-on, then the stay if the phase
-        also stays, so only the move-on needs a number."""
+        """The row of phase ``i`` over ids, built on the first call."""
         rows = self.rows
         row = rows[i]
-        if row is None:
-            phases, ids = self.phases, self.ids
-            row = {}
-            for s, afters in _row(phases[i], self.part, self.a.counters).items():
-                if afters:
-                    on = afters[0]
-                    j = ids.get(on)
-                    if j is None:
-                        j = ids[on] = len(phases)
-                        phases.append(on)
-                        rows.append(None)
-                    row[s] = (j, i) if len(afters) == 2 else (j,)
-                else:
+        if row is not None:
+            return row
+        phases, ids, part = self.phases, self.ids, self.part
+        phase = phases[i]
+        role = phase[0]
+        row = rows[i] = {}
+        if role == "scan" or role == "seek_inc":
+            # one move-on per state: ("seek_inc", 1, s) or ("in_loop", k, t, s)
+            if role == "scan":
+                movers, head = part.lettered, ("seek_inc", 1)
+            else:
+                movers, head = part.inc[phase[1] - 1], ("in_loop", *phase[1:])
+            for s in movers:
+                on = (*head, s)
+                j = ids.get(on)
+                if j is None:
+                    j = ids[on] = len(phases)
+                    phases.append(on)
+                    rows.append(None)
+                row[s] = (j, i)
+        elif role == "in_loop" or role == "seek_check":
+            # one move-on for the row; in_loop's p is inc-k, so never check-k
+            _, k, t = phase[:3]
+            last = k == self.a.counters
+            checks = part.check[k - 1]
+            if role == "in_loop":
+                movers, on = phase[3:], ("seek_check", 1, t) if last else ("seek_inc", k + 1, t)
+            else:
+                movers, on = checks, ("await_anchor", t) if last else ("seek_check", k + 1, t)
+            if movers:
+                j = ids.get(on)
+                if j is None:
+                    j = ids[on] = len(phases)
+                    phases.append(on)
+                    rows.append(None)
+                for s in movers:
+                    row[s] = (j, i)
+            if role == "in_loop":
+                for s in checks:
                     row[s] = ()
-            rows[i] = row
+        elif role == "await_anchor":
+            row[phase[1]] = (_ACCEPT_ID,)
         return row
 
 
-def _structure_ids(table: _Table) -> set[int]:
-    """The ids of the structure NFA's states, the phases ``("scan",)``
-    reaches plus ``("accept",)``, with their rows built: a walk over the
-    rows' entries, O(sum of row sizes)."""
-    seen = {_SCAN_ID, _ACCEPT_ID}
-    todo = [_SCAN_ID]
-    rows, row = table.rows, table.row
-    while todo:
-        i = todo.pop()
-        for afters in (rows[i] or row(i)).values():
-            for j in afters:
-                if j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-    return seen
+def _structure_ids(table: _Table) -> range:
+    """The ids of the structure NFA's states, with their rows built.  A
+    phase is numbered only when a built row leads to it, so the numbered
+    phases are exactly scan, accept and the phases scan reaches: building
+    the row of each one in id order numbers the rest, and the ids are
+    ``range(len(table.phases))``, whichever reader built rows first."""
+    i = 0
+    while i < len(table.phases):
+        table.row(i)
+        i += 1
+    return range(len(table.phases))
 
 
 def _cannot_accept(part: Partition) -> bool:
@@ -165,7 +164,7 @@ def _cannot_accept(part: Partition) -> bool:
     does not matter.  The product reference and the brute-force oracle
     answer None on such a table without a search and without a row, since
     None is what their exhaustive searches return; the structure count
-    still walks it.
+    still builds every row that scan reaches.
     """
     return not part.lettered or not all(part.inc) or not all(part.check)
 
@@ -219,7 +218,7 @@ def witness_nfa_state_bound(a: CCA) -> int:
 
 def witness_nfa_state_count(a: CCA) -> int:
     """The number of states of ``build_potential_witness_nfa(a)``, counted
-    by walking the phase table without building the NFA."""
+    off the phase table without building the NFA."""
     return len(_structure_ids(_Table(a)))
 
 

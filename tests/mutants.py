@@ -165,11 +165,31 @@ CATALOGUE = (
     Mutant(
         "an in_loop row drops the check-k kill, so a pump loop may pass a check",
         "src/countercheck/reference.py",
-        "return {p: (after, phase), **dict.fromkeys(part.check[k - 1], ())}",
-        "return {p: (after, phase)}",
+        "                for s in checks:\n                    row[s] = ()\n",
+        "                pass\n",
         (
             "tests/test_emptiness.py::test_layered_search_matches_product_reference",
             "tests/test_emptiness.py::test_reference_answers_are_pinned",
+        ),
+    ),
+    Mutant(
+        "seek_check numbers its next phase with no check-k state",
+        "src/countercheck/reference.py",
+        "            if movers:\n",
+        "            if True:\n",
+        (
+            "tests/test_emptiness.py::test_structure_nfa_state_count_matches_the_built_nfa",
+            "tests/test_emptiness.py::test_the_dead_table_exit_is_exact",
+        ),
+    ),
+    Mutant(
+        "_structure_ids returns the ids numbered so far without building their rows",
+        "src/countercheck/reference.py",
+        "    while i < len(table.phases):\n        table.row(i)\n        i += 1\n",
+        "",
+        (
+            "tests/test_emptiness.py::test_structure_nfa_state_count_matches_the_built_nfa",
+            "tests/test_emptiness.py::test_the_structure_count_does_not_depend_on_which_reader_built_rows_first",
         ),
     ),
     Mutant(
@@ -235,7 +255,7 @@ CATALOGUE = (
         "the decision's module imports the phase table from the references",
         "src/countercheck/emptiness.py",
         "def __getattr__(name: str):",
-        "from .reference import _row\n\n\ndef __getattr__(name: str):",
+        "from .reference import _Table\n\n\ndef __getattr__(name: str):",
         ("tests/test_package.py::test_importing_emptiness_leaves_the_references_unloaded",),
     ),
     Mutant(

@@ -223,7 +223,7 @@ def dead_tables() -> list[CCA]:
 
 def test_the_dead_table_exit_is_exact():
     # the references' O(N) test against the table itself: dead iff no row the
-    # structure walk reaches leads to accept
+    # structure count builds leads to accept
     from countercheck.reference import _ACCEPT_ID, _Table, _cannot_accept, _structure_ids  # test-only access
 
     rng = random.Random(20261022)
@@ -278,10 +278,33 @@ def test_structure_nfa_size_bound(rng):
         assert n1.states - {("accept",)} <= reached
 
 
+def spec_row(phase: tuple, part, n: int) -> dict:
+    """The states that do more than keep ``phase``, each with the phases it
+    leads to, a move-on listed before a stay: the phase table's rows over
+    phase tuples, as the module's comment states them."""
+    role = phase[0]
+    if role == "scan":
+        return {s: (("seek_inc", 1, s), phase) for s in part.lettered}
+    if role == "seek_inc":
+        _, k, t = phase
+        return {s: (("in_loop", k, t, s), phase) for s in part.inc[k - 1]}
+    if role == "in_loop":
+        _, k, t, p = phase
+        after = ("seek_inc", k + 1, t) if k < n else ("seek_check", 1, t)
+        return {p: (after, phase), **dict.fromkeys(part.check[k - 1], ())}
+    if role == "seek_check":
+        _, k, t = phase
+        after = ("seek_check", k + 1, t) if k < n else ("await_anchor", t)
+        return dict.fromkeys(part.check[k - 1], (after, phase))
+    if role == "await_anchor":
+        return {phase[1]: (("accept",),)}
+    return {}
+
+
 def test_structure_nfa_state_count_matches_the_built_nfa():
     # the size-bound check counts the phases instead of building the NFA;
     # the ladder's rungs up to 43 states bring 3 to 9 counters
-    from countercheck.reference import _Table, _row, _structure_ids  # test-only access
+    from countercheck.reference import _Table, _structure_ids  # test-only access
 
     rng = random.Random(20261020)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(300)]
@@ -289,20 +312,63 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
         cases.append(decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple)
     for a in cases:
         assert witness_nfa_state_count(a) == len(build_potential_witness_nfa(a).states)
-        # the walk reads the phases' rows alone; it must reach what a
-        # closure over every state reaches
+        # the count reads the numbered phases alone; they must be what a
+        # closure of the spec's rows over every state reaches
         part = partition(a)
         phases, todo = {("scan",), ("accept",)}, [("scan",)]
         while todo:
             phase = todo.pop()
-            row = _row(phase, part, a.counters)
+            row = spec_row(phase, part, a.counters)
             for s in a.states:
                 for after in row.get(s, (phase,)):
                     if after not in phases:
                         phases.add(after)
                         todo.append(after)
         table = _Table(a)
-        assert {table.phases[i] for i in _structure_ids(table)} == phases
+        assert set(table.phases[i] for i in _structure_ids(table)) == phases
+        assert len(table.phases) == len(phases)
+        # and every row, read back through the phases, is the spec's row,
+        # its entries and each entry's order alike
+        for i, row in enumerate(table.rows):
+            back = [(s, tuple(table.phases[j] for j in afters)) for s, afters in row.items()]
+            assert back == list(spec_row(table.phases[i], part, a.counters).items())
+
+
+def test_the_structure_count_does_not_depend_on_which_reader_built_rows_first(monkeypatch):
+    # ``examine`` counts on the table whose rows the product search built
+    # first; a fresh table, built by the count alone, must give the same
+    from countercheck import harness
+    from countercheck.reference import _Table, _product, _structure_ids  # test-only access
+
+    counted = []
+
+    def recorded(table):
+        built = sum(row is not None for row in table.rows)
+        ids = _structure_ids(table)
+        counted.append((built, len(ids)))
+        return ids
+
+    monkeypatch.setattr(harness, "_structure_ids", recorded)
+    rng = random.Random(20261021)
+    shared = 0
+    for _ in range(2000):
+        a = random_simple_cca(rng, max_states=12, max_counters=3)
+        counted.clear()
+        harness.examine(a)
+        [(built, count)] = counted
+        assert count == witness_nfa_state_count(a)
+        shared += built > 1
+    assert shared >= 1000
+    # the ladder's rungs, where the oracle is too slow, through the product
+    # search and the count as ``examine`` calls them
+    rungs = 0
+    for text, _ in LADDER[:-2]:
+        a = decide(compile_expression(parse_omega_t(text, "ab"), "ab")).simple
+        table = _Table(a)
+        _product(table)
+        rungs += sum(row is not None for row in table.rows) > 1
+        assert len(_structure_ids(table)) == witness_nfa_state_count(a)
+    assert rungs >= 10
 
 
 def test_partition_matches_the_state_kinds(rng):

@@ -11,12 +11,16 @@ whose effect on the answer is known without deciding it again.
   empty.
 * Putting one prefix before every name, which keeps the names' order,
   renames the certificate and changes nothing else.
+* Any renaming, here a seeded shuffle of the names among the states, keeps
+  the verdict and the length of a shortest witness, and the old
+  certificate, renamed, is a witness of the renamed automaton; which
+  witness of that length is chosen may change with the names' order.
 * A fresh silent initial choice between two automata with the same
   counters and disjoint names puts the choice before the shorter one's
   certificate, of equal ones the one whose names come first: a shortest
   witness of min(L1, L2) + 1 states, and EMPTY when both are empty.
 
-Each of the first four relations runs on 2000 seeded random automata, the
+Each of the first five relations runs on 2000 seeded random automata, the
 smaller rungs of the ladder and the flat words of up to 20 letters; the new
 states of the second and third relations are named before every old name
 and after it.  The last runs on pairs of the 2000 with equal counter
@@ -61,7 +65,11 @@ def subdivided(a: CCA) -> CCA:
 def renamed(a: CCA, prefix: str) -> CCA:
     """``a`` with ``prefix`` before every state's name, which keeps the
     order of the names."""
-    name = {s: prefix + s for s in a.states}
+    return renamed_by(a, {s: prefix + s for s in a.states})
+
+
+def renamed_by(a: CCA, name: dict[str, str]) -> CCA:
+    """``a`` with each state ``s`` renamed ``name[s]``."""
     transitions = {Transition(name[t.source], t.label, name[t.target], t.counter, t.op) for t in a.transitions}
     return CCA(
         frozenset(name.values()), a.alphabet, name[a.initial], a.counters, frozenset(transitions), name.get(a.final)
@@ -176,6 +184,25 @@ def test_an_order_preserving_renaming_renames_the_certificate(corpus):
         w = before.witness
         renamed_path = tuple("x" + s for s in w.path)
         assert after.witness == AcceptingWitness(renamed_path, w.begin, w.pairs, w.checks, w.end)
+
+
+def test_any_renaming_keeps_the_verdict_and_the_length(corpus):
+    rng = random.Random(20261027)
+    shuffled = 0
+    for a in corpus:
+        names = sorted(a.states)
+        image = rng.sample(names, len(names))
+        name = dict(zip(names, image))
+        shuffled += image != names
+        before, after = decide(a), decide(renamed_by(a, name))
+        assert after.empty == before.empty
+        if before.empty:
+            continue
+        assert len(after.witness.path) == len(before.witness.path)
+        w = before.witness
+        moved = AcceptingWitness(tuple(name[s] for s in w.path), w.begin, w.pairs, w.checks, w.end)
+        assert verify_witness(after.simple, moved)
+    assert shuffled >= len(corpus) - 10
 
 
 def test_a_silent_initial_choice_takes_the_shorter_certificate(corpus):
