@@ -24,7 +24,7 @@ _EXPORTS = {
         "block_formula", "blockset_formula", "emit_phi", "free_vars", "is_regexp_formula", "pretty_formula",
         "t_condition",
     ),
-    "nfa": ("NFA", "intersect", "shortest_accepting_run", "thompson"),
+    "nfa": ("NFA", "accepts", "thompson"),
     "reference": (
         "brute_force_witness", "build_potential_witness_nfa", "build_prefix_nfa", "decide_by_product",
         "scan_path", "witness_nfa_state_count",

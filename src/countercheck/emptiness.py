@@ -40,6 +40,16 @@ class AcceptingWitness(Record):
     checks: tuple[int, ...]  # ordered check positions, one per counter
     end: int
 
+    @classmethod
+    def from_marks(cls, path, marks: list[int]) -> AcceptingWitness:
+        """The witness on ``path`` whose marks are ``marks``, in witness
+        order: begin, then open and close for each counter, then check 1..N,
+        then end."""
+        n = (len(marks) - 2) // 3
+        loops = marks[1 : 2 * n + 1]
+        pairs = tuple(zip(loops[::2], loops[1::2]))
+        return cls(tuple(path), marks[0], pairs, tuple(marks[2 * n + 1 : -1]), marks[-1])
+
     def to_json_dict(self) -> dict:
         return {
             "path": list(self.path),
@@ -499,23 +509,16 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
     while parent[prefix[-1]] is not None:
         prefix.append(parent[prefix[-1]])
     path = [number[s] for s in reversed(prefix)]
-    begin = len(path) - 1
-    # a mark after every walk: into each pk and around its loop (a pair),
-    # into each ck (a check), and back to t (the end)
-    marks = []
+    # the begin at t, then a mark after every walk: into each pk and around
+    # its loop (a pair), into each ck (a check), and back to t (the end)
+    marks = [len(path) - 1]
     inner = middle or _segments(local, chain, avoid)  # a free winner's walks are found now
     for walk in itertools.chain([_walk(local, t, chain[0])], inner, [_walk(local, chain[-1], t)]):
         path += walk[1:]
         marks.append(len(path) - 1)
     if len(path) - 1 != total:
         raise InternalCheckError("certificate length differs from the layered minimum")
-    return AcceptingWitness(
-        tuple(names[i] for i in path),
-        begin,
-        tuple(zip(marks[: 2 * n : 2], marks[1 : 2 * n : 2])),
-        tuple(marks[2 * n : 3 * n]),
-        marks[3 * n],
-    )
+    return AcceptingWitness.from_marks([names[i] for i in path], marks)
 
 
 def decide(a: CCA) -> EmptinessReport:

@@ -270,7 +270,7 @@ def shrink_failure(a: CCA, depth: int = 40) -> CCA:
         if changed:
             continue
         touched = {a.initial} | {s for t in a.transitions for s in (t.source, t.target)}
-        if a.final:
+        if a.final is not None:
             touched.add(a.final)
         for s in sorted(a.states - touched):
             candidate = CCA(

@@ -1,17 +1,18 @@
-"""Classical NFAs: construction from regular expressions, product, emptiness.
+"""Classical NFAs: construction from regular expressions, membership,
+shortest runs.
 
 One NFA type serves two jobs: word-level automata for regular expressions
-(built by the Thompson construction, with silent edges), and automata over a
-counter-check automaton's state set used by the emptiness pipeline (always
-silent-free).  State labels are arbitrary hashables; every public operation
-iterates in a deterministic order.
+(built by the Thompson construction, with silent edges), and the paper's
+two automata over a counter-check automaton's state set, which
+``reference`` builds (always silent-free).  State labels are arbitrary
+hashables; every public operation iterates in a deterministic order.
 
-Shortest accepted runs come from one breadth-first search,
-``breadth_first_run``, over any graph given by a successor function that
-yields each state's edges already in tie-break order: ``shortest_accepting_run``
-reads them from ``NFA.adjacency``, which sorts them by ``_edge_key``, and the
-emptiness module's product reference, which explores a product on the fly,
-yields its edges in that same order.  The same search finds a
+Shortest runs come from one breadth-first search, ``breadth_first_run``,
+over any graph given by a successor function that yields each state's edges
+already in tie-break order.  The product reference
+(``reference.decide_by_product``) explores the product of the paper's two
+automata on the fly and yields its edges in ``_edge_key``'s order, the
+order ``NFA.adjacency`` sorts them in.  The same search finds a
 counter-check automaton's run prefixes (``cca.has_run_prefix``): there the
 nodes are (state, position) pairs and each edge's label is the transition
 it fires.
@@ -50,10 +51,6 @@ class NFA(Record):
                 raise ValueError(f"transition {(source, label, target)} references unknown states")
             if label is not None and label not in self.alphabet:
                 raise ValueError(f"transition label {label!r} outside the alphabet")
-
-    @property
-    def has_silent_edges(self) -> bool:
-        return any(label is None for _, label, _ in self.transitions)
 
     def adjacency(self) -> dict:
         out = {s: [] for s in self.states}
@@ -142,30 +139,7 @@ def accepts(n: NFA, word) -> bool:
 
 
 # --------------------------------------------------------------------------
-# product and emptiness
-
-def intersect(n1: NFA, n2: NFA) -> NFA:
-    """Synchronous product; both operands must be silent-free and share an
-    alphabet.  The state set is the full Cartesian product."""
-    if n1.alphabet != n2.alphabet:
-        raise ValueError("product requires identical alphabets")
-    if n1.has_silent_edges or n2.has_silent_edges:
-        raise ValueError("product requires silent-free automata")
-    by_letter: dict = {}
-    for source, label, target in n2.transitions:
-        by_letter.setdefault(label, []).append((source, target))
-    transitions = set()
-    for source, label, target in n1.transitions:
-        for s2, t2 in by_letter.get(label, ()):
-            transitions.add(((source, s2), label, (target, t2)))
-    return NFA(
-        states=frozenset((p, q) for p in n1.states for q in n2.states),
-        alphabet=n1.alphabet,
-        transitions=frozenset(transitions),
-        initial=(n1.initial, n2.initial),
-        finals=frozenset((p, q) for p in n1.finals for q in n2.finals),
-    )
-
+# shortest runs
 
 def breadth_first_run(initial, is_final: Callable, successors: Callable) -> Optional[tuple[tuple, tuple]]:
     """Breadth-first (word, state path) from ``initial`` to a state
@@ -202,14 +176,4 @@ def breadth_first_run(initial, is_final: Callable, successors: Callable) -> Opti
     word.reverse()
     path.reverse()
     return tuple(word), tuple(path)
-
-
-def shortest_accepting_run(n: NFA) -> Optional[tuple[tuple, tuple]]:
-    """Breadth-first (word, state path) to some final state, or None.
-
-    Ties resolve by sorted labels then targets.  Silent-free automata only.
-    """
-    if n.has_silent_edges:
-        raise ValueError("shortest-run search requires a silent-free automaton")
-    return breadth_first_run(n.initial, n.finals.__contains__, n.adjacency().__getitem__)
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .cca import CCA, CCAError, InternalCheckError, Partition, partition, simplify
 from .emptiness import AcceptingWitness, verify_witness
-from .nfa import NFA, accepts, breadth_first_run
+from .nfa import NFA, breadth_first_run
 
 
 # --------------------------------------------------------------------------
@@ -56,7 +56,8 @@ from .nfa import NFA, accepts, breadth_first_run
 # Every phase also stays, except ("in_loop", k, ...) on a check-k state,
 # ("await_anchor", t) on t, and ("accept",), which has no move.  The
 # positions of the moves-on are the witness's marks, in the order begin,
-# open1, close1, ..., openN, closeN, check1, ..., checkN, end.  Neither
+# open1, close1, ..., openN, closeN, check1, ..., checkN, end, which is the
+# order ``AcceptingWitness.from_marks`` reads.  Neither
 # ``verify_witness`` nor ``decide`` reads this table, so a wrong move shows
 # up as a disagreement with them.
 
@@ -169,14 +170,6 @@ def _cannot_accept(part: Partition) -> bool:
     return not part.lettered or not all(part.inc) or not all(part.check)
 
 
-def _witness(path, marks: list[int]) -> AcceptingWitness:
-    """The witness on ``path`` whose marks, in table order, are ``marks``."""
-    n = (len(marks) - 2) // 3
-    loops = marks[1 : 2 * n + 1]
-    pairs = tuple(zip(loops[::2], loops[1::2]))
-    return AcceptingWitness(tuple(path), marks[0], pairs, tuple(marks[2 * n + 1 : -1]), marks[-1])
-
-
 # --------------------------------------------------------------------------
 # the witness-structure NFA (reads state sequences as words)
 
@@ -252,7 +245,7 @@ def _decode(word: tuple[str, ...], product_path: tuple, n: int) -> AcceptingWitn
     marks = [i for i, (before, after) in enumerate(steps) if before[0] != after[0]]
     if len(marks) != 3 * n + 2:
         raise InternalCheckError("accepted product run has no witness structure")
-    return _witness(word, marks)
+    return AcceptingWitness.from_marks(word, marks)
 
 
 def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
@@ -262,16 +255,18 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     Neither NFA is built.  A breadth-first search runs over the product's
     nodes, a phase id with a path state ``s``, reading each state ``u`` the
     graph leads to from ``s`` off the phase's row, and creates only the
-    nodes it reaches.  The nodes, letters and tie-break are those of
-    ``intersect(build_potential_witness_nfa(a), build_prefix_nfa(a))``, so
-    the run is the one a search of that product finds: each node's edges
-    come out ordered by the repr of their letter, then of their phase,
-    which is ``nfa._edge_key``'s order, with each state's letters sorted
-    once per call.  Returns the re-verified shortest witness, or None when
-    the language is empty.  On a table that cannot accept
-    (``_cannot_accept``) the answer is None without a search, and without
-    a row.  This is the reference ``decide`` is fuzzed
-    against, not the production path.
+    nodes it reaches.  The nodes, letters and tie-break are those of the
+    synchronous product of ``build_potential_witness_nfa(a)`` and
+    ``build_prefix_nfa(a)``, so the run is the one a breadth-first search
+    of that product, built in full, finds: each node's edges come out
+    ordered by the repr of their letter, then of their phase, which is
+    ``nfa._edge_key``'s order, with each state's letters sorted once per
+    call.  Returns the shortest witness, or None when the language is
+    empty.  The witness is re-verified by ``verify_witness``, whose path
+    check passes exactly the words ``build_prefix_nfa`` accepts.  On a
+    table that cannot accept (``_cannot_accept``) the answer is None
+    without a search, and without a row.  This is the reference ``decide``
+    is fuzzed against, not the production path.
     """
     return _product(_Table(simplify(a)))
 
@@ -309,8 +304,6 @@ def _product(table: _Table) -> Optional[AcceptingWitness]:
     witness = _decode(*run, simple.counters)
     if not verify_witness(simple, witness):
         raise InternalCheckError("decoded witness failed verification")
-    if not accepts(build_prefix_nfa(simple), witness.path):
-        raise InternalCheckError("decoded witness path is not a realizable path")
     return witness
 
 
@@ -442,4 +435,4 @@ def _scan(path, table: _Table) -> Optional[AcceptingWitness]:
             stack.pop()
         else:
             return None
-    return _witness(path, marks)
+    return AcceptingWitness.from_marks(path, marks)

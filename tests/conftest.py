@@ -5,7 +5,7 @@ import pytest
 from countercheck import expr as ex
 from countercheck.cca import CCA, CHECK, INC, NO_OP, Transition, partition
 from countercheck.logic import free_vars
-from countercheck.nfa import NFA, _closure, shortest_accepting_run
+from countercheck.nfa import NFA, _closure, breadth_first_run
 
 
 def atom_empty(alphabet="ab") -> CCA:
@@ -80,6 +80,47 @@ def accepts_extension(n: NFA, word) -> bool:
         if not frontier:
             return False
     return bool(frontier & productive)
+
+
+def has_silent_edges(n: NFA) -> bool:
+    return any(label is None for _, label, _ in n.transitions)
+
+
+def intersect(n1: NFA, n2: NFA) -> NFA:
+    """Synchronous product; both operands must be silent-free and share an
+    alphabet.  The state set is the full Cartesian product.
+
+    No code of the package builds this product: ``reference.decide_by_product``
+    searches the product of the paper's two NFAs without building it, and
+    the tests build it here to check that search against."""
+    if n1.alphabet != n2.alphabet:
+        raise ValueError("product requires identical alphabets")
+    if has_silent_edges(n1) or has_silent_edges(n2):
+        raise ValueError("product requires silent-free automata")
+    by_letter: dict = {}
+    for source, label, target in n2.transitions:
+        by_letter.setdefault(label, []).append((source, target))
+    transitions = set()
+    for source, label, target in n1.transitions:
+        for s2, t2 in by_letter.get(label, ()):
+            transitions.add(((source, s2), label, (target, t2)))
+    return NFA(
+        states=frozenset((p, q) for p in n1.states for q in n2.states),
+        alphabet=n1.alphabet,
+        transitions=frozenset(transitions),
+        initial=(n1.initial, n2.initial),
+        finals=frozenset((p, q) for p in n1.finals for q in n2.finals),
+    )
+
+
+def shortest_accepting_run(n: NFA):
+    """Breadth-first (word, state path) to some final state, or None.
+
+    Ties resolve by sorted labels then targets.  Silent-free automata only.
+    """
+    if has_silent_edges(n):
+        raise ValueError("shortest-run search requires a silent-free automaton")
+    return breadth_first_run(n.initial, n.finals.__contains__, n.adjacency().__getitem__)
 
 
 def nonempty_witness(n: NFA):

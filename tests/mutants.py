@@ -266,6 +266,30 @@ CATALOGUE = (
         ("tests/test_relations.py::test_subdividing_every_transition_doubles_a_shortest_witness",),
     ),
     Mutant(
+        "a witness pairs the opens of its loops with the closes of other counters",
+        "src/countercheck/emptiness.py",
+        "pairs = tuple(zip(loops[::2], loops[1::2]))",
+        "pairs = tuple(zip(loops[: len(loops) // 2], loops[len(loops) // 2 :]))",
+        ("tests/test_emptiness.py::test_a_witness_reads_its_marks_in_witness_order",),
+    ),
+    Mutant(
+        "a certificate's check-free loop ignores avoid",
+        "src/countercheck/emptiness.py",
+        "yield _walk(succ, here, here, avoid[i])",
+        "yield _walk(succ, here, here)",
+        (
+            "tests/test_emptiness.py::test_pumped_certificates_raise_every_counter_at_its_checks",
+            "tests/test_acceptance.py::test_criterion_2_certificate_soundness",
+        ),
+    ),
+    Mutant(
+        "the shrinker reads a final state named by the empty string as absent",
+        "src/countercheck/harness.py",
+        "if a.final is not None:",
+        "if a.final:",
+        ("tests/test_emptiness.py::test_shrinking_keeps_a_final_state_named_by_the_empty_string",),
+    ),
+    Mutant(
         "the fuzz oracle searches to the depth alone, not to the witness's length",
         "src/countercheck/harness.py",
         "depth if report.empty else max(depth, len(report.witness.path))",

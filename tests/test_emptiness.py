@@ -1,3 +1,4 @@
+import bisect
 import gc
 import hashlib
 import json
@@ -24,13 +25,14 @@ from countercheck.cca import (
     import_json,
     is_simple,
     partition,
+    replay,
     simplify,
 )
 from countercheck.cli import main
 from countercheck.emptiness import AcceptingWitness, decide, is_empty, verify_witness, witness_from_json
 from countercheck.expr import parse_omega_t
 from countercheck.harness import random_omega_expr, random_simple_cca, run_fuzz
-from countercheck.nfa import accepts, intersect, shortest_accepting_run
+from countercheck.nfa import accepts
 from countercheck.reference import (
     brute_force_witness,
     build_potential_witness_nfa,
@@ -48,7 +50,9 @@ from conftest import (
     atom_a,
     atom_empty,
     flat_word,
+    intersect,
     nonempty_witness,
+    shortest_accepting_run,
     twin_of,
 )
 
@@ -68,7 +72,7 @@ def kind_state(a: CCA, kind: str, counter: int) -> str:
 
 # the names ``reference`` took over from ``emptiness``
 MOVED = (
-    "_SCAN", "_ACCEPT", "_witness", "build_potential_witness_nfa", "_structure_nfa",
+    "_SCAN", "_ACCEPT", "build_potential_witness_nfa", "_structure_nfa",
     "witness_nfa_state_bound", "witness_nfa_state_count", "build_prefix_nfa", "_decode",
     "decide_by_product", "brute_force_witness", "scan_path", "_scan",
 )
@@ -143,6 +147,74 @@ def test_witness_requires_simple_automaton():
 def test_witness_json_round_trip():
     _, w = hand_witness()
     assert witness_from_json(json.dumps(w.to_json_dict())) == w
+
+
+@pytest.mark.parametrize(
+    "marks, pairs, checks",
+    [
+        ((0, 1, 2, 3, 4), ((1, 2),), (3,)),
+        ((0, 1, 2, 3, 4, 5, 6, 7), ((1, 2), (3, 4)), (5, 6)),
+        ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10), ((1, 2), (3, 4), (5, 6)), (7, 8, 9)),
+    ],
+)
+def test_a_witness_reads_its_marks_in_witness_order(marks, pairs, checks):
+    # begin, then open and close for each counter, then check 1..N, then end
+    path = [f"s{i}" for i in marks]
+    assert AcceptingWitness.from_marks(path, list(marks)) == AcceptingWitness(
+        tuple(path), marks[0], pairs, checks, marks[-1]
+    )
+
+
+# --------------------------------------------------------------------------
+# the accepting run a certificate promises: pumping its check-free loops
+# makes every counter's values at its checks grow without bound
+
+def pumped(w: AcceptingWitness, rounds: int) -> tuple[list[str], list[int]]:
+    """The state path of ``w``'s prefix and ``rounds`` rounds, round r
+    walking the witness from its anchor back to the anchor with each
+    check-free loop ``path[open_k..close_k]`` repeated r times; and the
+    index of the path where each round starts, then of its last state."""
+    path = list(w.path[: w.begin])
+    starts = []
+    for r in range(1, rounds + 1):
+        starts.append(len(path))
+        cut = w.begin
+        for loop_in, loop_out in w.pairs:
+            path += w.path[cut:loop_in] + w.path[loop_in:loop_out] * r
+            cut = loop_out
+        path += w.path[cut : w.end]
+    starts.append(len(path))
+    path.append(w.path[w.end])
+    return path, starts
+
+
+def test_pumped_certificates_raise_every_counter_at_its_checks():
+    # read off the search before verify_witness sees the certificate; from
+    # round 1 a counter may carry a value from the prefix into the anchor,
+    # so the rise is asked from round 2 on
+    rng = random.Random(20261101)
+    automata = [random_simple_cca(rng, max_counters=2 + i % 2) for i in range(4000)]
+    for text in [rung for rung, _ in LADDER] + [flat_word(8)]:
+        automata.append(compile_expression(parse_omega_t(text, "ab"), "ab"))
+    rounds, nonempty = 5, 0
+    for a in automata:
+        simple = simplify(a)
+        w = emptiness._shortest_witness(simple)
+        if w is None:
+            continue
+        nonempty += 1
+        path, starts = pumped(w, rounds)
+        run = replay(simple, path)  # raises unless the path is a run from the initial state
+        highest = {}  # (round - 1, k): the largest value a check on counter k reads in the round
+        for i, t in enumerate(run.steps):
+            r = bisect.bisect_right(starts, i) - 1
+            if r >= 0 and t.op == CHECK:
+                key = (r, t.counter)
+                highest[key] = max(highest.get(key, 0), run.configurations[i].counters[t.counter - 1])
+        for k in range(1, simple.counters + 1):
+            values = [highest.get((r, k)) for r in range(1, rounds)]
+            assert None not in values and values == sorted(set(values)), (simple, w, k, values)
+    assert nonempty >= 500
 
 
 # --------------------------------------------------------------------------
@@ -809,28 +881,27 @@ def test_product_reference_decides_non_simple_input():
 
 
 def refuse_the_product(monkeypatch, *names):
-    """Make ``intersect``, wherever it is looked up, and the named
-    ``reference`` functions fail when called."""
-    import countercheck.nfa as nfa
-    import countercheck.reference as reference
+    """Make the named ``reference`` functions fail when called.  The product
+    NFA itself is built only by ``conftest.intersect``, which no code of the
+    package can reach."""
 
     def refuse(*_):
         raise AssertionError("the product was built")
 
-    monkeypatch.setattr(nfa, "intersect", refuse)
-    monkeypatch.setattr(reference, "intersect", refuse, raising=False)
     for name in names:
         monkeypatch.setattr(reference, name, refuse)
 
 
 def test_decide_never_builds_the_product(monkeypatch):
-    refuse_the_product(monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "breadth_first_run")
+    refuse_the_product(
+        monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "build_prefix_nfa", "breadth_first_run"
+    )
     assert not decide(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")).empty
 
 
 def test_decide_by_product_never_calls_intersect(monkeypatch):
     expected = decide_by_product(closed_atom())
-    refuse_the_product(monkeypatch, "build_potential_witness_nfa", "_structure_nfa")
+    refuse_the_product(monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "build_prefix_nfa")
     assert decide_by_product(closed_atom()) == expected
     assert expected is not None
     assert decide_by_product(hat(atom_empty())) is None
@@ -1280,6 +1351,24 @@ def test_witness_limit_never_refuses_an_answer_that_fits(monkeypatch):
     monkeypatch.setattr(emptiness, "MAX_WITNESS", 20)
     with pytest.raises(CCAError, match="more than 20"):
         decide(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab"))
+
+
+def test_shrinking_keeps_a_final_state_named_by_the_empty_string(monkeypatch):
+    # a final state is absent only when it is None; the shrinker must not
+    # read the empty name as absent and delete the state
+    from countercheck import harness
+
+    monkeypatch.setattr(harness, "_fails", lambda a, depth: True)
+    a = CCA(
+        frozenset({"s", "", "x"}),
+        frozenset("a"),
+        "s",
+        1,
+        frozenset({Transition("s", "a", "s", 1, NO_OP)}),
+        final="",
+    )
+    small = harness.shrink_failure(a)
+    assert (small.states, small.transitions, small.final) == ({"s", ""}, frozenset(), "")
 
 
 def test_examine_runs_the_oracle_once_when_it_finds_the_witness(monkeypatch):

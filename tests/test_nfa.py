@@ -5,17 +5,10 @@ import pytest
 
 from countercheck.expr import RAlt, RCat, REmpty, RSym
 from countercheck.harness import random_regex
-from countercheck.nfa import (
-    NFA,
-    accepts,
-    breadth_first_run,
-    intersect,
-    shortest_accepting_run,
-    thompson,
-)
+from countercheck.nfa import NFA, accepts, breadth_first_run, thompson
 from countercheck.translate import FreshNames
 
-from conftest import accepts_extension, nonempty_witness
+from conftest import accepts_extension, intersect, nonempty_witness, shortest_accepting_run
 
 
 def matches(e, word: str) -> bool:
