@@ -183,8 +183,11 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 # them.  The winner's exact length is refused when it exceeds MAX_WITNESS,
 # before its path is built.
 #
-# One breadth-first pass from the initial state, successors in adjacency
-# order, finds the reachable states with their distances and parents.  They
+# An automaton with no lettered state, or no inc-k or no check-k state for
+# some k, has no witness and is answered from its partition alone.
+# Otherwise one breadth-first pass from the initial state, successors in
+# adjacency order, finds the reachable states with their distances and
+# parents, and the answer is empty unless they hold every kind.  They
 # are then numbered in name order: succ[i] lists the numbers of i's
 # successors in adjacency order, every layer lists state numbers and every
 # per-state array is indexed by them, so "smallest name" and "name order"
@@ -397,12 +400,14 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
     has more than ``MAX_WITNESS`` states.
     """
     part = partition(a)
-    adjacency = a.adjacency()
-    parent, dist = _breadth_first(adjacency, a.initial)
     # a witness visits a lettered state and, for every k, an inc-k and a
     # check-k state, all in one strongly connected component: first each
-    # must be reachable, then one component must hold them all
+    # must exist, then be reachable, then one component must hold them all
     kinds = (part.lettered, *part.inc, *part.check)
+    if not all(kinds):
+        return None
+    adjacency = a.adjacency()
+    parent, dist = _breadth_first(adjacency, a.initial)
     if any(dist.keys().isdisjoint(states) for states in kinds):
         return None
     names = sorted(dist)

@@ -201,9 +201,12 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     a witness of path length L forces a bounded-search hit, also of length
     L, at depth >= L; an empty answer forbids any bounded-search hit.  The
     product reference and the bounded search answer at once, without a
-    search, on an automaton whose phase table cannot accept; the structure
-    count alone still builds every row that scan reaches, on every case.
-    An ``InternalCheckError`` from any of the three searches is the case's
+    search, on an automaton whose phase table cannot accept, and, after
+    one walk of the reachable states that the first of them makes for the
+    case's table, on one whose reachable states lack a kind; ``decide``
+    answers the former from the partition alone.  The structure count
+    still builds every row that scan reaches, on every case.  An
+    ``InternalCheckError`` from any of the three searches is the case's
     failure.
 
     The three references read one phase table, which this call builds for

@@ -7,15 +7,15 @@ two automata over a counter-check automaton's state set, which
 ``reference`` builds (always silent-free).  State labels are arbitrary
 hashables; every public operation iterates in a deterministic order.
 
-Shortest runs come from one breadth-first search, ``breadth_first_run``,
-over any graph given by a successor function that yields each state's edges
-already in tie-break order.  The product reference
-(``reference.decide_by_product``) explores the product of the paper's two
-automata on the fly and yields its edges in ``_edge_key``'s order, the
-order ``NFA.adjacency`` sorts them in.  The same search finds a
-counter-check automaton's run prefixes (``cca.has_run_prefix``): there the
-nodes are (state, position) pairs and each edge's label is the transition
-it fires.
+``breadth_first_run`` finds shortest runs by breadth-first search over any
+graph given by a successor function that yields each state's edges already
+in tie-break order.  It finds a counter-check automaton's run
+prefixes (``cca.has_run_prefix``): there the nodes are (state, position)
+pairs and each edge's label is the transition it fires.  The product
+reference (``reference.decide_by_product``) runs a search loop of its own
+over the product of the paper's two automata, built on the fly, and
+follows each node's edges in ``_edge_key``'s order, the order
+``NFA.adjacency`` sorts them in.
 """
 from __future__ import annotations
 

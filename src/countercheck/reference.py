@@ -6,12 +6,12 @@
   accepts exactly the words over the state set that carry witness structure,
   ``build_prefix_nfa`` exactly the realizable state paths, and their product
   is empty iff the language of the automaton is.  The reference builds
-  neither NFA: it searches their product breadth-first, reading the
+  neither NFA: one breadth-first loop searches their product, reading the
   structure side from the phase rows and the path side from the graph,
-  and hands the search each node's edges already in the product's
-  tie-break order.  ``witness_nfa_state_count`` counts the structure NFA's
-  states for the size-bound check without building it: it builds the row
-  of every numbered phase and reads the table's size.
+  and follows each node's edges in the product's tie-break order.
+  ``witness_nfa_state_count`` counts the structure NFA's states for the
+  size-bound check without building it: it builds the row of every
+  numbered phase and reads the table's size.
 * ``brute_force_witness`` gives the same answer by a direct search over
   paths and serves as the independent oracle; ``scan_path`` marks a
   witness on one path.
@@ -36,7 +36,7 @@ from typing import Optional
 
 from .cca import CCA, CCAError, InternalCheckError, Partition, partition, simplify
 from .emptiness import AcceptingWitness, verify_witness
-from .nfa import NFA, breadth_first_run
+from .nfa import NFA
 
 
 # --------------------------------------------------------------------------
@@ -69,15 +69,40 @@ _SCAN_ID, _ACCEPT_ID = 0, 1
 class _Table:
     """The witness phases of the simple automaton ``a``, numbered as rows
     lead to them, with the rows built so far over their ids; ``part`` is
-    the partition ``a`` keeps, and any other automaton is refused."""
+    the partition ``a`` keeps, and any other automaton is refused.  Whether
+    the states reachable from the initial state hold every kind a witness
+    needs is worked out on the first request and kept
+    (``reaches_every_kind``)."""
 
-    __slots__ = ("a", "part", "phases", "ids", "rows")
+    __slots__ = ("a", "part", "phases", "ids", "rows", "_reaches")
 
     def __init__(self, a: CCA):
         self.a, self.part = a, partition(a)
         self.phases = [_SCAN, _ACCEPT]  # id -> phase
         self.ids = {_SCAN: _SCAN_ID, _ACCEPT: _ACCEPT_ID}  # phase -> id
         self.rows: list = [None, {}]  # id -> row over ids, None until used
+        self._reaches: Optional[bool] = None
+
+    def reaches_every_kind(self) -> bool:
+        """Whether the states reachable from the initial state hold a
+        lettered state and, for every counter k, an inc-k and a check-k
+        state.  Every witness path starts at the initial state and visits
+        one of each, so without them the language is empty.  The walk is
+        this table's own, over the adjacency, so the references read
+        nothing of the decision's search; it runs on the first call only."""
+        if self._reaches is None:
+            a, part = self.a, self.part
+            adjacency = a.adjacency()
+            reached = {a.initial}
+            queue = [a.initial]
+            for here in queue:  # the queue grows behind the loop
+                for t in adjacency[here]:
+                    if t.target not in reached:
+                        reached.add(t.target)
+                        queue.append(t.target)
+            kinds = (part.lettered, *part.inc, *part.check)
+            self._reaches = not any(reached.isdisjoint(states) for states in kinds)
+        return self._reaches
 
     # The table is kept as one *row* per phase: the states that do more
     # than keep the phase, each with the ids of the phases it leads to,
@@ -252,56 +277,75 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     """Decide emptiness the paper's way: intersect the witness-structure NFA
     with the path NFA and decode a shortest accepting run.
 
-    Neither NFA is built.  A breadth-first search runs over the product's
+    Neither NFA is built.  One breadth-first loop runs over the product's
     nodes, a phase id with a path state ``s``, reading each state ``u`` the
     graph leads to from ``s`` off the phase's row, and creates only the
-    nodes it reaches.  The nodes, letters and tie-break are those of the
-    synchronous product of ``build_potential_witness_nfa(a)`` and
-    ``build_prefix_nfa(a)``, so the run is the one a breadth-first search
-    of that product, built in full, finds: each node's edges come out
-    ordered by the repr of their letter, then of their phase, which is
-    ``nfa._edge_key``'s order, with each state's letters sorted once per
-    call.  Returns the shortest witness, or None when the language is
-    empty.  The witness is re-verified by ``verify_witness``, whose path
-    check passes exactly the words ``build_prefix_nfa`` accepts.  On a
-    table that cannot accept (``_cannot_accept``) the answer is None
-    without a search, and without a row.  This is the reference ``decide``
-    is fuzzed against, not the production path.
+    nodes it reaches; each node's parent is the node it was reached from,
+    and the word is read back from the states of the run's nodes.  The
+    nodes, letters and tie-break are those of the synchronous product of
+    ``build_potential_witness_nfa(a)`` and ``build_prefix_nfa(a)``, so the
+    run is the one a breadth-first search of that product, built in full,
+    finds: each node's edges are followed in the repr order of their
+    letter, then of their phase, which is ``nfa._edge_key``'s order, with
+    each state's letters sorted and each pair of phases one letter leads to
+    ordered once per call.  Returns the shortest witness, or None when the
+    language is empty.  The witness is re-verified by ``verify_witness``,
+    whose path check passes exactly the words ``build_prefix_nfa`` accepts.
+    The answer is None without a search, and without a row, on a table
+    that cannot accept (``_cannot_accept``) and on one whose reachable
+    states lack a kind (``_Table.reaches_every_kind``).  This is the
+    reference ``decide`` is fuzzed against, not the production path.
     """
     return _product(_Table(simplify(a)))
 
 
 def _product(table: _Table) -> Optional[AcceptingWitness]:
-    simple = table.a
-    if _cannot_accept(table.part):
+    if _cannot_accept(table.part) or not table.reaches_every_kind():
         return None
+    simple = table.a
     adjacency = simple.adjacency()
     phases, rows, row = table.phases, table.rows, table.row
-    letters_of: dict = {}  # the letters leaving each state, in repr order
-
-    def successors(node: tuple):
+    letters_of: dict = {None: (simple.initial,)}  # each state's letters, in repr order
+    # each two-way move with its phases in repr order, worked out once:
+    # every target of letter u ends in path state u, and no tuple's repr is
+    # a prefix of another's, so this orders the targets as ``_edge_key`` does
+    ordered: dict = {}
+    start = (_SCAN_ID, None)
+    parent = {start: None}
+    queue = [start]
+    for node in queue:  # the queue grows behind the loop
         i, s = node
-        if s not in letters_of:
-            targets = {simple.initial} if s is None else {t.target for t in adjacency[s]}
-            letters_of[s] = sorted(targets, key=repr)
+        letters = letters_of.get(s)
+        if letters is None:
+            letters = letters_of[s] = sorted({t.target for t in adjacency[s]}, key=repr)
         entries = rows[i] or row(i)
-        for u in letters_of[s]:
-            afters = entries.get(u)
-            if afters is None:
-                yield u, (i, u)
-                continue
-            # every target of letter u ends in path state u, and no tuple's
-            # repr is a prefix of another's, so ordering the phases by repr
-            # orders the targets as ``_edge_key`` does
-            if len(afters) == 2 and repr(phases[afters[1]]) < repr(phases[afters[0]]):
-                afters = afters[::-1]
+        for u in letters:
+            afters = entries.get(u, (i,))
+            if len(afters) == 2:
+                pair = ordered.get(afters)
+                if pair is None:
+                    j, k = afters
+                    pair = ordered[afters] = afters if repr(phases[j]) < repr(phases[k]) else (k, j)
+                afters = pair
             for j in afters:
-                yield u, (j, u)
+                after = (j, u)
+                if after in parent:
+                    continue
+                parent[after] = node
+                if j == _ACCEPT_ID:
+                    return _read_back(simple, parent, after)
+                queue.append(after)
+    return None
 
-    run = breadth_first_run((_SCAN_ID, None), lambda node: node[0] == _ACCEPT_ID, successors)
-    if run is None:
-        return None
-    witness = _decode(*run, simple.counters)
+
+def _read_back(simple: CCA, parent: dict, goal: tuple) -> AcceptingWitness:
+    """The verified witness of the product run that ``parent`` leads back
+    from ``goal``; the word is the path states of the run's nodes."""
+    run = [goal]
+    while parent[run[-1]] is not None:
+        run.append(parent[run[-1]])
+    run.reverse()
+    witness = _decode(tuple(s for _, s in run[1:]), run, simple.counters)
     if not verify_witness(simple, witness):
         raise InternalCheckError("decoded witness failed verification")
     return witness
@@ -320,8 +364,9 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     table: two paths reaching the same pair admit exactly the same witness
     completions, so deduplicating them discards no answers, and the first
     path whose set holds ``("accept",)`` is a shortest one.  ``scan_path``
-    then marks it.  On a table that cannot accept (``_cannot_accept``) the
-    answer is None without a search, and without a row.
+    then marks it.  The answer is None without a search, and without a
+    row, on a table that cannot accept (``_cannot_accept``) and on one whose
+    reachable states lack a kind (``_Table.reaches_every_kind``).
     """
     table = _Table(a)
     if depth < 0:
@@ -330,7 +375,7 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
 
 
 def _brute_force(table: _Table, depth: int) -> Optional[AcceptingWitness]:
-    if _cannot_accept(table.part):
+    if _cannot_accept(table.part) or not table.reaches_every_kind():
         return None
     a, rows = table.a, table.rows
     adjacency = a.adjacency()

@@ -212,18 +212,46 @@ CATALOGUE = (
     Mutant(
         "the product reference has no dead-table exit",
         "src/countercheck/reference.py",
-        "    simple = table.a\n    if _cannot_accept(table.part):\n        return None\n",
-        "    simple = table.a\n",
+        "    if _cannot_accept(table.part) or not table.reaches_every_kind():\n        return None\n    simple = table.a\n",
+        "    if not table.reaches_every_kind():\n        return None\n    simple = table.a\n",
         ("tests/test_emptiness.py::test_a_dead_table_builds_nothing",),
     ),
     Mutant(
         "the product reference's dead-table exit also fires on a live table with one lettered state",
         "src/countercheck/reference.py",
-        "    simple = table.a\n    if _cannot_accept(table.part):",
-        "    simple = table.a\n    if _cannot_accept(table.part) or len(table.part.lettered) < 2:",
+        "    if _cannot_accept(table.part) or not table.reaches_every_kind():\n        return None\n    simple = table.a\n",
+        "    if _cannot_accept(table.part) or len(table.part.lettered) < 2 or not table.reaches_every_kind():\n"
+        "        return None\n    simple = table.a\n",
         (
             "tests/test_emptiness.py::test_layered_search_matches_product_reference",
             "tests/test_emptiness.py::test_layered_search_matches_product_reference_on_4000_automata",
+        ),
+    ),
+    Mutant(
+        "the references' reachable walk stops after one step",
+        "src/countercheck/reference.py",
+        "                        queue.append(t.target)\n",
+        "                        pass\n",
+        ("tests/test_emptiness.py::test_the_reachable_exit_is_exact",),
+    ),
+    Mutant(
+        "the references' reachable exit ignores the check kinds",
+        "src/countercheck/reference.py",
+        "kinds = (part.lettered, *part.inc, *part.check)",
+        "kinds = (part.lettered, *part.inc)",
+        (
+            "tests/test_emptiness.py::test_the_reachable_exit_is_exact",
+            "tests/test_emptiness.py::test_a_table_whose_reachable_states_lack_a_kind_builds_nothing",
+        ),
+    ),
+    Mutant(
+        "the product search orders a two-way move by phase id instead of repr",
+        "src/countercheck/reference.py",
+        "afters if repr(phases[j]) < repr(phases[k]) else (k, j)",
+        "afters if j < k else (k, j)",
+        (
+            "tests/test_emptiness.py::test_product_reference_breaks_ties_in_repr_order",
+            "tests/test_emptiness.py::test_reference_answers_are_pinned",
         ),
     ),
     Mutant(
@@ -306,6 +334,13 @@ CATALOGUE = (
             "tests/test_emptiness.py::test_random_witnesses_are_pinned",
             "tests/test_emptiness.py::test_a_component_short_of_an_ingredient_decides_empty_without_a_spread",
         ),
+    ),
+    Mutant(
+        "the decision runs its breadth-first pass on a partition short of a kind",
+        "src/countercheck/emptiness.py",
+        "    if not all(kinds):\n        return None\n",
+        "",
+        ("tests/test_emptiness.py::test_a_decision_short_of_a_kind_runs_no_breadth_first_pass",),
     ),
     Mutant(
         "the reachability check counts only lettered states as reached ingredients",

@@ -275,22 +275,39 @@ def test_brute_force_depth_bounds_the_transitions():
     assert brute_force_witness(closed_atom(), 6) is None
 
 
+# each ring of a dead table below lacks one kind: a lettered state, an
+# inc-2 state, a check-2 state; the one-state ring after it holds that kind
+DEAD_RINGS = (
+    ([(None, 1, INC), (None, 2, INC), (None, 1, CHECK), (None, 2, CHECK)], ("a", 1, NO_OP)),
+    ([("a", 1, NO_OP), (None, 1, INC), (None, 1, CHECK), (None, 2, CHECK)], (None, 2, INC)),
+    ([("a", 1, NO_OP), (None, 1, INC), (None, 2, INC), (None, 1, CHECK)], (None, 2, CHECK)),
+)
+
+
+def rings(*loops: list[tuple[str | None, int, str]]) -> CCA:
+    """A simple two-counter automaton of disjoint rings, one state per
+    (label, counter, op) step; the initial state ``r0`` opens the first."""
+    names, transitions = [], set()
+    for ring, ops in zip("rs", loops):
+        here = [f"{ring}{i}" for i in range(len(ops))]
+        names += here
+        transitions |= {
+            Transition(here[i], label, here[(i + 1) % len(here)], k, op) for i, (label, k, op) in enumerate(ops)
+        }
+    return CCA(frozenset(names), frozenset("a"), "r0", 2, frozenset(transitions))
+
+
 def dead_tables() -> list[CCA]:
     """Three simple two-counter automata whose phase table cannot accept:
     no lettered state, no inc-2 state, no check-2 state."""
-    def ring(ops: list[tuple[str | None, int, str]]) -> CCA:
-        names = [f"r{i}" for i in range(len(ops))]
-        transitions = frozenset(
-            Transition(names[i], label, names[(i + 1) % len(names)], k, op)
-            for i, (label, k, op) in enumerate(ops)
-        )
-        return CCA(frozenset(names), frozenset("a"), "r0", 2, transitions)
+    return [rings(ring) for ring, _ in DEAD_RINGS]
 
-    return [
-        ring([(None, 1, INC), (None, 2, INC), (None, 1, CHECK), (None, 2, CHECK)]),
-        ring([("a", 1, NO_OP), (None, 1, INC), (None, 1, CHECK), (None, 2, CHECK)]),
-        ring([("a", 1, NO_OP), (None, 1, INC), (None, 2, INC), (None, 1, CHECK)]),
-    ]
+
+def unreachable_kind_tables() -> list[CCA]:
+    """The dead tables, each with the kind it lacks on a ring that the
+    initial state does not reach: the partition holds every kind, the
+    reachable states do not."""
+    return [rings(ring, [missing]) for ring, missing in DEAD_RINGS]
 
 
 def test_the_dead_table_exit_is_exact():
@@ -310,16 +327,36 @@ def test_the_dead_table_exit_is_exact():
         assert _cannot_accept(partition(a)) == (not accepting)
         dead += not accepting
     assert all(_cannot_accept(partition(a)) for a in dead_tables())
+    assert not any(_cannot_accept(partition(a)) for a in unreachable_kind_tables())
     assert 200 <= dead <= len(cases) - 200
+
+
+def test_the_reachable_exit_is_exact(monkeypatch):
+    # where the references answer None because the reachable states lack a
+    # kind, their searches, run with that exit bypassed, find nothing either
+    from countercheck.reference import _Table, _brute_force, _cannot_accept, _product  # test-only access
+
+    rng = random.Random(20261022)
+    cases = [random_simple_cca(rng, max_counters=3) for _ in range(2000)]
+    cases += dead_tables() + unreachable_kind_tables()
+    fired = [a for a in cases if not _cannot_accept(partition(a)) and not _Table(a).reaches_every_kind()]
+    monkeypatch.setattr(_Table, "reaches_every_kind", lambda table: True)
+    for a in fired:
+        assert _product(_Table(a)) is None
+        assert _brute_force(_Table(a), 10**9) is None
+    assert all(a in fired for a in unreachable_kind_tables())
+    assert len(fired) == 377
 
 
 def test_a_dead_table_builds_nothing(monkeypatch):
     # every reader builds the scan phase's row first, so a table that
-    # builds no row is walked by nothing
+    # builds no row is searched by nothing; nor are its reachable states
+    # walked, since the partition alone answers
     def refused(*args):
-        raise AssertionError("a phase table was built")
+        raise AssertionError("a phase table was built or walked")
 
     monkeypatch.setattr(reference._Table, "row", refused)
+    monkeypatch.setattr(reference._Table, "reaches_every_kind", refused)
     for a in dead_tables():
         assert brute_force_witness(a, 40) is None
         assert decide_by_product(a) is None
@@ -329,6 +366,48 @@ def test_a_dead_table_builds_nothing(monkeypatch):
         brute_force_witness(closed_atom(), 40)
     with pytest.raises(AssertionError, match="phase table"):
         decide_by_product(closed_atom())
+
+
+def test_a_table_whose_reachable_states_lack_a_kind_builds_nothing(monkeypatch):
+    # the reachable states are walked once per table, by the first reader
+    # that asks, and then neither reader builds a row or searches a node
+    from countercheck.reference import _Table, _brute_force, _product  # test-only access
+
+    def refused(*args):
+        raise AssertionError("a phase table was built")
+
+    walks = []
+    adjacency = CCA.adjacency
+
+    def counted(a):
+        walks.append(a)
+        return adjacency(a)
+
+    monkeypatch.setattr(reference._Table, "row", refused)
+    monkeypatch.setattr(CCA, "adjacency", counted)
+    for a in unreachable_kind_tables():
+        assert decide_by_product(a) is None
+        assert brute_force_witness(a, 40) is None
+        table = _Table(a)
+        walks.clear()
+        assert _product(table) is None
+        assert _brute_force(table, 40) is None
+        assert walks == [a]
+    with pytest.raises(AssertionError, match="phase table"):
+        decide_by_product(closed_atom())
+
+
+def test_a_decision_short_of_a_kind_runs_no_breadth_first_pass(monkeypatch):
+    # without a lettered, an inc-k or a check-k state the partition answers
+    def refused(*args):
+        raise AssertionError("the breadth-first pass ran")
+
+    monkeypatch.setattr(emptiness, "_breadth_first", refused)
+    for a in dead_tables():
+        assert decide(a).empty
+    for a in unreachable_kind_tables():
+        with pytest.raises(AssertionError, match="breadth-first"):
+            decide(a)
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +487,10 @@ def test_structure_nfa_state_count_matches_the_built_nfa():
 
 def test_the_structure_count_does_not_depend_on_which_reader_built_rows_first(monkeypatch):
     # ``examine`` counts on the table whose rows the product search built
-    # first; a fresh table, built by the count alone, must give the same
+    # first; a fresh table, built by the count alone, must give the same.
+    # The product builds no row on a table that cannot accept or whose
+    # reachable states lack a kind, about four in five of these draws, so
+    # 6000 are drawn for at least 1000 shared tables
     from countercheck import harness
     from countercheck.reference import _Table, _product, _structure_ids  # test-only access
 
@@ -423,7 +505,7 @@ def test_the_structure_count_does_not_depend_on_which_reader_built_rows_first(mo
     monkeypatch.setattr(harness, "_structure_ids", recorded)
     rng = random.Random(20261021)
     shared = 0
-    for _ in range(2000):
+    for _ in range(6000):
         a = random_simple_cca(rng, max_states=12, max_counters=3)
         counted.clear()
         harness.examine(a)
@@ -894,7 +976,7 @@ def refuse_the_product(monkeypatch, *names):
 
 def test_decide_never_builds_the_product(monkeypatch):
     refuse_the_product(
-        monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "build_prefix_nfa", "breadth_first_run"
+        monkeypatch, "build_potential_witness_nfa", "_structure_nfa", "build_prefix_nfa", "_product"
     )
     assert not decide(compile_expression(parse_omega_t("(a^T b)^w", "ab"), "ab")).empty
 
