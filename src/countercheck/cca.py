@@ -160,10 +160,6 @@ def step(a: CCA, config: Configuration, t: Transition) -> Configuration:
 # --------------------------------------------------------------------------
 # simple automata and their state partition
 
-def _is_choice(out: tuple[Transition, ...]) -> bool:
-    return all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out)
-
-
 class Partition(Record):
     lettered: frozenset[str]  # states firing a lettered transition
     inc: tuple[frozenset[str], ...]  # per counter, 1-based at index k-1
@@ -188,17 +184,21 @@ def _slots(by_counter: dict[int, set[str]], n: int) -> tuple[frozenset[str], ...
     return tuple(slots)
 
 
-def _classify(a: CCA) -> Optional[Partition]:
+def _classify(a: CCA) -> Partition | list[tuple[str, tuple[Transition, ...]]]:
     """One pass over the adjacency: the partition when every state either
     fires exactly one transition or only silent no-op choices (possibly
-    none), else None.  A state firing one transition is inc-k or check-k by
-    that transition's op and lettered by its label.  Stuck and choice
-    states are in no set: a stuck state has no out-edge, a choice state has
-    some.  The inc and check states are filed by counter in dicts, so only
-    the counters that have such a state get a set of their own."""
+    none), else the states that do neither, with their out-transitions,
+    for ``simplify`` to split; only the partition, or None, is kept on the
+    automaton beside its adjacency.  A state firing one transition is
+    inc-k or check-k by that transition's op and lettered by its label.
+    Stuck and choice states are in no set: a stuck state has no out-edge, a
+    choice state has some.  The inc and check states are filed by counter
+    in dicts, so only the counters that have such a state get a set of
+    their own."""
     lettered: set[str] = set()
     inc: defaultdict[int, set[str]] = defaultdict(set)
     check: defaultdict[int, set[str]] = defaultdict(set)
+    offending: list[tuple[str, tuple[Transition, ...]]] = []
     for s, out in a.adjacency().items():
         if len(out) == 1:
             t = out[0]
@@ -208,17 +208,19 @@ def _classify(a: CCA) -> Optional[Partition]:
                 check[t.counter].add(s)
             if t.label is not None:
                 lettered.add(s)
-        elif out and not _is_choice(out):
-            return None
-    return Partition(_frozen(lettered), _slots(inc, a.counters), _slots(check, a.counters))
+        elif out and not all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out):
+            offending.append((s, out))
+    part = a.__dict__["_partition"] = None if offending else Partition(
+        _frozen(lettered), _slots(inc, a.counters), _slots(check, a.counters)
+    )
+    return offending or part
 
 
 def _classification(a: CCA) -> Optional[Partition]:
-    """``_classify(a)``, made on the first call and kept on the automaton
-    beside its adjacency."""
+    """What ``_classify`` keeps on ``a``, classifying on the first call."""
     kept = a.__dict__
     if "_partition" not in kept:
-        kept["_partition"] = _classify(a)
+        _classify(a)
     return kept["_partition"]
 
 
@@ -239,23 +241,18 @@ def partition(a: CCA) -> Partition:
 
 def simplify(a: CCA) -> CCA:
     """Split every offending state into a silent choice over one fresh
-    carrier state per original transition; returns ``a`` itself when the
-    kept classification finds it simple.  Adds at most one state per
-    transition and preserves which words admit a run prefix.
+    carrier state per original transition; returns ``a`` itself when it is
+    simple.  Adds at most one state per transition and preserves which
+    words admit a run prefix.  A kept partition answers at once, else one
+    classification pass finds the states to split.
 
     The carriers of ``s`` are named ``s.0``, ``s.1``, ... in the order of
     its out-transitions, skipping names ``a`` already has.  A carrier name
     ends in its index, so carriers of different states never collide.
     """
-    if is_simple(a):
+    offending = a.__dict__.get("_partition") or _classify(a)
+    if isinstance(offending, Partition):
         return a
-    kept: list[Transition] = []
-    offending: list[tuple[str, tuple[Transition, ...]]] = []
-    for s, out in a.adjacency().items():
-        if len(out) == 1 or _is_choice(out):
-            kept += out
-        else:
-            offending.append((s, out))
     taken = a.states
     carriers: list[str] = []
 
@@ -272,6 +269,7 @@ def simplify(a: CCA) -> CCA:
                 yield s, None, carrier, 1, NO_OP
                 yield carrier, label, target, counter, op
 
+    kept = a.transitions.difference(*(out for _, out in offending))
     # rows() runs to its end here, which completes carriers; each row becomes
     # a transition as it comes, so the rows are never all held at once
     transitions = transitions_from(rows()).union(kept)

@@ -4,8 +4,8 @@ Subcommands: parse, compile, empty, dot, simulate, formula, classify,
 verify, fuzz.  Wherever an expression is accepted, ``--automaton FILE``
 substitutes a JSON automaton instead.  Exit codes: 0 success, 1 failed
 check (fuzz disagreement, invalid witness), 2 usage or parse errors,
-3 internal invariant violation, 141 when the reader of stdout closes it
-early.
+3 internal invariant violation or any other exception (one line on
+stderr, no traceback), 141 when the reader of stdout closes it early.
 
 A subcommand imports the modules only it needs (``emptiness``, ``logic``,
 ``exponents``, ``harness``) when it runs, so the other commands never load
@@ -259,6 +259,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory: the input is too large to process", file=sys.stderr)
         return 2
+    except Exception as err:  # a bug: 1 is kept for a failed check
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -181,7 +181,9 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
 # whatever N is.  What follows a spread reads its costs only at the states
 # of the next layer, so every spread stops once it has marked the last of
 # them.  The winner's exact length is refused when it exceeds MAX_WITNESS,
-# before its path is built.
+# before its path is built.  A forward sweep is cut at the longest total
+# that still beats the best, one shorter for a later name than the best's,
+# so an anchor whose sweep closes is the new best.
 #
 # An automaton with no lettered state, or no inc-k or no check-k state for
 # some k, has no witness and is answered from its partition alone.
@@ -498,10 +500,9 @@ def _shortest_witness(a: CCA) -> Optional[AcceptingWitness]:
         if (bound, t) > best[:2]:
             break  # neither this anchor nor a later one can beat the best
         depth = dist[names[t]]
-        # a later name has to be strictly shorter to win
         limit = best[0] - depth - (1 if t > best[1] else 0)
         closing, origin, origins = _sweep(local, candidates[component[t]], (t,), loop, limit=limit)
-        if closing[t] is not None and (depth + closing[t], t) < best[:2]:
+        if closing[t] is not None:
             chain = [origin[t]]
             for seeds in reversed(origins):
                 chain.append(seeds[chain[-1]])

@@ -200,12 +200,11 @@ def examine(a: CCA, depth: int = 40) -> CaseOutcome:
     bounded-search witness forces a nonempty answer; a nonempty answer with
     a witness of path length L forces a bounded-search hit, also of length
     L, at depth >= L; an empty answer forbids any bounded-search hit.  The
-    product reference and the bounded search answer at once, without a
-    search, on an automaton whose phase table cannot accept, and, after
-    one walk of the reachable states that the first of them makes for the
-    case's table, on one whose reachable states lack a kind; ``decide``
-    answers the former from the partition alone.  The structure count
-    still builds every row that scan reaches, on every case.  An
+    product reference and the bounded search answer without a search when
+    the case's table finds that its reachable states lack a kind
+    (``_Table.reaches_every_kind``, asked once per table), and without a
+    walk when the partition lacks one, as ``decide`` does.  The structure
+    count still builds every row that scan reaches, on every case.  An
     ``InternalCheckError`` from any of the three searches is the case's
     failure.
 

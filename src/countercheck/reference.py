@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .cca import CCA, CCAError, InternalCheckError, Partition, partition, simplify
+from .cca import CCA, CCAError, InternalCheckError, partition, simplify
 from .emptiness import AcceptingWitness, verify_witness
 from .nfa import NFA
 
@@ -87,21 +87,38 @@ class _Table:
         """Whether the states reachable from the initial state hold a
         lettered state and, for every counter k, an inc-k and a check-k
         state.  Every witness path starts at the initial state and visits
-        one of each, so without them the language is empty.  The walk is
-        this table's own, over the adjacency, so the references read
-        nothing of the decision's search; it runs on the first call only."""
+        one of each, so without them the language is empty, and the
+        references answer None as their exhaustive searches would, without
+        a search or a row.  Worked out on the first call and kept.
+
+        The partition is tested first, and a missing kind answers without a
+        walk.  That test is exact: no phase that ``("scan",)`` reaches is
+        ``("accept",)`` iff a kind is missing.  Every route from scan to
+        accept reads a lettered anchor (scan's only move-on), then for each
+        k an inc-k state (seek_inc k's only move-on) and a check-k state
+        (seek_check k's only move-on), so a missing kind leaves accept out
+        of reach.  When all of them exist, every reached phase can still
+        reach accept: scan moves on at a lettered t; seek_inc k at an inc-k
+        p; in_loop k at p itself, which fires one transition and so is no
+        check-k state; seek_check k at a check-k state; await_anchor at t.
+        The table reads states as letters, so the graph does not matter.
+        The walk is the table's own, over the adjacency, so the references
+        read nothing of the decision's search.
+        """
         if self._reaches is None:
             a, part = self.a, self.part
-            adjacency = a.adjacency()
-            reached = {a.initial}
-            queue = [a.initial]
-            for here in queue:  # the queue grows behind the loop
-                for t in adjacency[here]:
-                    if t.target not in reached:
-                        reached.add(t.target)
-                        queue.append(t.target)
             kinds = (part.lettered, *part.inc, *part.check)
-            self._reaches = not any(reached.isdisjoint(states) for states in kinds)
+            self._reaches = all(kinds)
+            if self._reaches:
+                adjacency = a.adjacency()
+                reached = {a.initial}
+                queue = [a.initial]
+                for here in queue:  # the queue grows behind the loop
+                    for t in adjacency[here]:
+                        if t.target not in reached:
+                            reached.add(t.target)
+                            queue.append(t.target)
+                self._reaches = not any(reached.isdisjoint(states) for states in kinds)
         return self._reaches
 
     # The table is kept as one *row* per phase: the states that do more
@@ -172,27 +189,6 @@ def _structure_ids(table: _Table) -> range:
         table.row(i)
         i += 1
     return range(len(table.phases))
-
-
-def _cannot_accept(part: Partition) -> bool:
-    """Whether no phase that ``("scan",)`` reaches is ``("accept",)``: the
-    automaton has no lettered state, or some counter k has no inc-k or no
-    check-k state.
-
-    The test is exact.  Every route from scan to accept reads a lettered
-    anchor (scan's only move-on), then for each k an inc-k state (seek_inc
-    k's only move-on) and a check-k state (seek_check k's only move-on), so
-    a missing kind leaves accept out of reach.  When all of them exist,
-    every reached phase can still reach accept: scan moves on at a lettered
-    t; seek_inc k at an inc-k p; in_loop k at p itself, which fires one
-    transition and so is no check-k state; seek_check k at a check-k state;
-    await_anchor at t.  The table reads states as letters, so the graph
-    does not matter.  The product reference and the brute-force oracle
-    answer None on such a table without a search and without a row, since
-    None is what their exhaustive searches return; the structure count
-    still builds every row that scan reaches.
-    """
-    return not part.lettered or not all(part.inc) or not all(part.check)
 
 
 # --------------------------------------------------------------------------
@@ -291,16 +287,15 @@ def decide_by_product(a: CCA) -> Optional[AcceptingWitness]:
     ordered once per call.  Returns the shortest witness, or None when the
     language is empty.  The witness is re-verified by ``verify_witness``,
     whose path check passes exactly the words ``build_prefix_nfa`` accepts.
-    The answer is None without a search, and without a row, on a table
-    that cannot accept (``_cannot_accept``) and on one whose reachable
-    states lack a kind (``_Table.reaches_every_kind``).  This is the
-    reference ``decide`` is fuzzed against, not the production path.
+    The answer is None without a search, and without a row, when
+    ``_Table.reaches_every_kind`` is False.  This is the reference
+    ``decide`` is fuzzed against, not the production path.
     """
     return _product(_Table(simplify(a)))
 
 
 def _product(table: _Table) -> Optional[AcceptingWitness]:
-    if _cannot_accept(table.part) or not table.reaches_every_kind():
+    if not table.reaches_every_kind():
         return None
     simple = table.a
     adjacency = simple.adjacency()
@@ -365,8 +360,7 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
     completions, so deduplicating them discards no answers, and the first
     path whose set holds ``("accept",)`` is a shortest one.  ``scan_path``
     then marks it.  The answer is None without a search, and without a
-    row, on a table that cannot accept (``_cannot_accept``) and on one whose
-    reachable states lack a kind (``_Table.reaches_every_kind``).
+    row, when ``_Table.reaches_every_kind`` is False.
     """
     table = _Table(a)
     if depth < 0:
@@ -375,7 +369,7 @@ def brute_force_witness(a: CCA, depth: int = 40) -> Optional[AcceptingWitness]:
 
 
 def _brute_force(table: _Table, depth: int) -> Optional[AcceptingWitness]:
-    if _cannot_accept(table.part) or not table.reaches_every_kind():
+    if not table.reaches_every_kind():
         return None
     a, rows = table.a, table.rows
     adjacency = a.adjacency()

@@ -193,34 +193,40 @@ CATALOGUE = (
         ),
     ),
     Mutant(
-        "the oracle's dead-table exit ignores the check layers",
+        "the references' partition test ignores the check layers, so a table short of a check kind is walked",
         "src/countercheck/reference.py",
-        "return not part.lettered or not all(part.inc) or not all(part.check)",
-        "return not part.lettered or not all(part.inc)",
-        ("tests/test_emptiness.py::test_the_dead_table_exit_is_exact",),
+        "self._reaches = all(kinds)\n",
+        "self._reaches = all(kinds[: 1 + len(part.inc)])\n",
+        (
+            "tests/test_emptiness.py::test_a_dead_table_builds_nothing",
+            "tests/test_emptiness.py::test_a_table_whose_reachable_states_lack_a_kind_builds_nothing",
+        ),
     ),
     Mutant(
-        "the oracle's dead-table exit also fires on a live table with one lettered state",
+        "the references' partition test also fails a live table with one lettered state",
         "src/countercheck/reference.py",
-        "return not part.lettered or",
-        "return len(part.lettered) < 2 or",
+        "self._reaches = all(kinds)\n",
+        "self._reaches = all(kinds) and len(part.lettered) > 1\n",
         (
-            "tests/test_emptiness.py::test_the_dead_table_exit_is_exact",
+            "tests/test_emptiness.py::test_the_reachable_exit_is_exact",
             "tests/test_emptiness.py::test_reference_answers_are_pinned",
         ),
     ),
     Mutant(
-        "the product reference has no dead-table exit",
+        "the references skip the partition test, so a table short of a kind is walked",
         "src/countercheck/reference.py",
-        "    if _cannot_accept(table.part) or not table.reaches_every_kind():\n        return None\n    simple = table.a\n",
-        "    if not table.reaches_every_kind():\n        return None\n    simple = table.a\n",
-        ("tests/test_emptiness.py::test_a_dead_table_builds_nothing",),
+        "self._reaches = all(kinds)\n",
+        "self._reaches = True\n",
+        (
+            "tests/test_emptiness.py::test_a_dead_table_builds_nothing",
+            "tests/test_emptiness.py::test_a_table_whose_reachable_states_lack_a_kind_builds_nothing",
+        ),
     ),
     Mutant(
-        "the product reference's dead-table exit also fires on a live table with one lettered state",
+        "the product reference also answers None on a live table with one lettered state",
         "src/countercheck/reference.py",
-        "    if _cannot_accept(table.part) or not table.reaches_every_kind():\n        return None\n    simple = table.a\n",
-        "    if _cannot_accept(table.part) or len(table.part.lettered) < 2 or not table.reaches_every_kind():\n"
+        "    if not table.reaches_every_kind():\n        return None\n    simple = table.a\n",
+        "    if not table.reaches_every_kind() or len(table.part.lettered) < 2:\n"
         "        return None\n    simple = table.a\n",
         (
             "tests/test_emptiness.py::test_layered_search_matches_product_reference",
@@ -230,8 +236,8 @@ CATALOGUE = (
     Mutant(
         "the references' reachable walk stops after one step",
         "src/countercheck/reference.py",
-        "                        queue.append(t.target)\n",
-        "                        pass\n",
+        "                            queue.append(t.target)\n",
+        "                            pass\n",
         ("tests/test_emptiness.py::test_the_reachable_exit_is_exact",),
     ),
     Mutant(
@@ -434,6 +440,33 @@ CATALOGUE = (
         ("tests/test_emptiness.py::test_a_witness_over_the_limit_is_refused_at_its_exact_length",),
     ),
     Mutant(
+        "the forward sweep's limit lets a later name win one state longer than the best",
+        "src/countercheck/emptiness.py",
+        "limit = best[0] - depth - (1 if t > best[1] else 0)",
+        "limit = best[0] - depth + (1 if t > best[1] else 0)",
+        (
+            "tests/test_emptiness.py::test_shortest_witness_lengths_agree",
+            "tests/test_emptiness.py::test_random_witnesses_are_pinned",
+        ),
+    ),
+    Mutant(
+        "the forward sweep's limit lets a later name win at the best's length",
+        "src/countercheck/emptiness.py",
+        "limit = best[0] - depth - (1 if t > best[1] else 0)",
+        "limit = best[0] - depth - (0 if t > best[1] else 0)",
+        ("tests/test_relations.py::test_a_silent_initial_choice_takes_the_shorter_certificate",),
+    ),
+    Mutant(
+        "verify_witness admits indexes up to one past the path's end",
+        "src/countercheck/emptiness.py",
+        "n = len(w.path) - 1",
+        "n = len(w.path) + 1",
+        (
+            "tests/test_emptiness.py::test_witness_rejects_a_mark_outside_its_path",
+            "tests/test_cli.py::test_verify_rejects_tampered_witness",
+        ),
+    ),
+    Mutant(
         "adjacency is derived again on every call",
         "src/countercheck/cca.py",
         'kept = self.__dict__.get("_adjacency")',
@@ -447,14 +480,21 @@ CATALOGUE = (
         "is_simple classifies again instead of reading the kept classification",
         "src/countercheck/cca.py",
         "return _classification(a) is not None",
-        "return _classify(a) is not None",
+        "return isinstance(_classify(a), Partition)",
+        ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
+    ),
+    Mutant(
+        "simplify classifies a fresh automaton that is not simple twice",
+        "src/countercheck/cca.py",
+        'offending = a.__dict__.get("_partition") or _classify(a)',
+        "offending = _classification(a) or _classify(a)",
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
     ),
     Mutant(
         "simplify rebuilds a simple automaton instead of returning it",
         "src/countercheck/cca.py",
-        "    if is_simple(a):\n        return a\n    kept: list[Transition] = []\n",
-        "    kept: list[Transition] = []\n",
+        "    if isinstance(offending, Partition):\n        return a\n",
+        "    if isinstance(offending, Partition):\n        offending = []\n",
         (
             "tests/test_cca.py::test_an_automaton_derives_its_graph_once",
             "tests/test_emptiness.py::test_examine_derives_one_graph_per_simple_case",
@@ -471,7 +511,7 @@ CATALOGUE = (
         "partition classifies again instead of reading the kept classification",
         "src/countercheck/cca.py",
         "part = _classification(a)",
-        "part = _classify(a)",
+        'part = _classify(a) and a.__dict__["_partition"]',
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
     ),
     Mutant(

@@ -638,11 +638,15 @@ def test_json_import_rejects_non_string_transition_names():
 
 
 def test_an_automaton_derives_its_graph_once(monkeypatch):
-    passes = []
-    classify = cca._classify
+    passes, walks = [], []
+    classify, adjacency = cca._classify, cca.CCA.adjacency
     monkeypatch.setattr(cca, "_classify", lambda a: passes.append(a) or classify(a))
+    monkeypatch.setattr(cca.CCA, "adjacency", lambda a: walks.append(a) or adjacency(a))
     a = cca.hat(atom_a())
     simple = cca.simplify(a)
+    # simplify of an automaton that is not simple is one classification
+    # pass, which also finds the states it splits
+    assert passes == [a] and walks == [a]
     assert a.adjacency() is a.adjacency()
     assert cca.is_simple(simple) and cca.is_simple(simple)
     assert cca.partition(simple) is cca.partition(simple)
@@ -654,13 +658,16 @@ def test_an_automaton_derives_its_graph_once(monkeypatch):
     assert passes == [a, simple]
     assert cca.simplify(simple) is simple
     assert passes == [a, simple]
+    # the states to split are not kept, so simplifying again is one more pass
+    assert cca.simplify(a) == simple
+    assert passes == [a, simple, a]
     # what an automaton keeps is outside its fields: an equal twin compares
     # and hashes alike and derives its own
     twin = twin_of(simple)
     assert twin == simple and hash(twin) == hash(simple) and repr(twin) == repr(simple)
     assert twin.adjacency() == simple.adjacency() and twin.adjacency() is not simple.adjacency()
     assert cca.partition(twin) == cca.partition(simple)
-    assert passes == [a, simple, twin]
+    assert passes == [a, simple, a, twin]
 
 
 def test_partition_slots_are_disjoint(rng):

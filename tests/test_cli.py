@@ -102,14 +102,17 @@ def test_verify_rejects_tampered_witness(capsys, tmp_path):
     automaton_file.write_text(compiled, encoding="utf-8")
     code, out, _ = run(capsys, "empty", "--automaton", str(automaton_file))
     witness = json.loads("\n".join(out.splitlines()[1:]))
-    witness["begin"] = witness["end"]
-    witness_file = tmp_path / "witness.json"
-    witness_file.write_text(json.dumps(witness), encoding="utf-8")
-    code, out, _ = run(
-        capsys, "verify", "--automaton", str(automaton_file), "--witness", str(witness_file)
-    )
-    assert code == 1
-    assert out.strip() == "WITNESS INVALID"
+    length = len(witness["path"])
+    # the begin moved onto the end, and marks at and past the path's ends
+    for tampered in ({"begin": witness["end"]}, {"end": length}, {"end": length + 1}, {"begin": -1}):
+        witness_file = tmp_path / "witness.json"
+        witness_file.write_text(json.dumps({**witness, **tampered}), encoding="utf-8")
+        code, out, err = run(
+            capsys, "verify", "--automaton", str(automaton_file), "--witness", str(witness_file)
+        )
+        assert code == 1, tampered
+        assert out.strip() == "WITNESS INVALID"
+        assert err == ""
 
 
 def test_compile_output_imports(capsys):
@@ -326,6 +329,22 @@ def test_internal_invariant_violation_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "empty", "(a b)^w")
     assert code == 3
     assert "internal error" in err
+
+
+def test_an_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
+    # exit 1 is a failed check, so a bug of any other kind must not end
+    # with Python's traceback and its exit 1
+    from countercheck import emptiness
+
+    def explode(_):
+        raise KeyError("s0")
+
+    monkeypatch.setattr(emptiness, "decide", explode)
+    code, out, err = run(capsys, "empty", "(a b)^w")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: KeyError: 's0'\n"
+    assert "Traceback" not in err
 
 
 def test_deep_nesting_exits_with_one_line_error(capsys):

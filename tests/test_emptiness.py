@@ -139,6 +139,18 @@ def test_witness_rejects_wrong_arity():
     assert not verify_witness(a, AcceptingWitness(w.path, w.begin, (), w.checks, w.end))
 
 
+def test_witness_rejects_a_mark_outside_its_path():
+    # each mark in turn at -1, len(path) and len(path) + 1 is refused with
+    # False; an end past the path keeps the marks in order, so only the
+    # range check stands between it and an IndexError
+    a, w = hand_witness()
+    marks = [w.begin, *w.pairs[0], *w.checks, w.end]
+    for index in (-1, len(w.path), len(w.path) + 1):
+        for i in range(len(marks)):
+            moved = AcceptingWitness.from_marks(w.path, marks[:i] + [index] + marks[i + 1 :])
+            assert verify_witness(a, moved) is False, (i, index)
+
+
 def test_witness_requires_simple_automaton():
     with pytest.raises(Exception):
         verify_witness(hat(atom_a()), hand_witness()[1])
@@ -310,10 +322,18 @@ def unreachable_kind_tables() -> list[CCA]:
     return [rings(ring, [missing]) for ring, missing in DEAD_RINGS]
 
 
+def lacks_a_kind(a: CCA) -> bool:
+    """Whether the partition of ``a`` has no lettered state, or no inc-k or
+    no check-k state for some counter k."""
+    part = partition(a)
+    return not all((part.lettered, *part.inc, *part.check))
+
+
 def test_the_dead_table_exit_is_exact():
-    # the references' O(N) test against the table itself: dead iff no row the
-    # structure count builds leads to accept
-    from countercheck.reference import _ACCEPT_ID, _Table, _cannot_accept, _structure_ids  # test-only access
+    # the partition test that ``_Table.reaches_every_kind`` makes first,
+    # against the table itself: a kind is missing iff no row the structure
+    # count builds leads to accept, and then the table answers False
+    from countercheck.reference import _ACCEPT_ID, _Table, _structure_ids  # test-only access
 
     rng = random.Random(20261022)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(2000)]
@@ -324,22 +344,23 @@ def test_the_dead_table_exit_is_exact():
         table = _Table(a)
         reached = _structure_ids(table)
         accepting = any(_ACCEPT_ID in afters for i in reached for afters in table.rows[i].values())
-        assert _cannot_accept(partition(a)) == (not accepting)
+        assert lacks_a_kind(a) == (not accepting)
+        assert table.reaches_every_kind() <= accepting
         dead += not accepting
-    assert all(_cannot_accept(partition(a)) for a in dead_tables())
-    assert not any(_cannot_accept(partition(a)) for a in unreachable_kind_tables())
+    assert all(lacks_a_kind(a) for a in dead_tables())
+    assert not any(lacks_a_kind(a) for a in unreachable_kind_tables())
     assert 200 <= dead <= len(cases) - 200
 
 
 def test_the_reachable_exit_is_exact(monkeypatch):
     # where the references answer None because the reachable states lack a
     # kind, their searches, run with that exit bypassed, find nothing either
-    from countercheck.reference import _Table, _brute_force, _cannot_accept, _product  # test-only access
+    from countercheck.reference import _Table, _brute_force, _product  # test-only access
 
     rng = random.Random(20261022)
     cases = [random_simple_cca(rng, max_counters=3) for _ in range(2000)]
     cases += dead_tables() + unreachable_kind_tables()
-    fired = [a for a in cases if not _cannot_accept(partition(a)) and not _Table(a).reaches_every_kind()]
+    fired = [a for a in cases if not lacks_a_kind(a) and not _Table(a).reaches_every_kind()]
     monkeypatch.setattr(_Table, "reaches_every_kind", lambda table: True)
     for a in fired:
         assert _product(_Table(a)) is None
@@ -351,26 +372,30 @@ def test_the_reachable_exit_is_exact(monkeypatch):
 def test_a_dead_table_builds_nothing(monkeypatch):
     # every reader builds the scan phase's row first, so a table that
     # builds no row is searched by nothing; nor are its reachable states
-    # walked, since the partition alone answers
+    # walked, since the partition alone answers.  Each automaton keeps its
+    # partition before the graph is refused, so only a walk reads it
     def refused(*args):
         raise AssertionError("a phase table was built or walked")
 
+    dead, live = dead_tables(), closed_atom()
+    assert all(lacks_a_kind(a) for a in dead) and not lacks_a_kind(live)
     monkeypatch.setattr(reference._Table, "row", refused)
-    monkeypatch.setattr(reference._Table, "reaches_every_kind", refused)
-    for a in dead_tables():
+    monkeypatch.setattr(CCA, "adjacency", refused)
+    for a in dead:
         assert brute_force_witness(a, 40) is None
         assert decide_by_product(a) is None
         with pytest.raises(CCAError):
             brute_force_witness(a, -1)
     with pytest.raises(AssertionError, match="phase table"):
-        brute_force_witness(closed_atom(), 40)
+        brute_force_witness(live, 40)
     with pytest.raises(AssertionError, match="phase table"):
-        decide_by_product(closed_atom())
+        decide_by_product(live)
 
 
 def test_a_table_whose_reachable_states_lack_a_kind_builds_nothing(monkeypatch):
     # the reachable states are walked once per table, by the first reader
-    # that asks, and then neither reader builds a row or searches a node
+    # that asks, and then neither reader builds a row or searches a node;
+    # a table whose partition lacks a kind answers without the walk
     from countercheck.reference import _Table, _brute_force, _product  # test-only access
 
     def refused(*args):
@@ -393,6 +418,12 @@ def test_a_table_whose_reachable_states_lack_a_kind_builds_nothing(monkeypatch):
         assert _product(table) is None
         assert _brute_force(table, 40) is None
         assert walks == [a]
+    for a in dead_tables():
+        table = _Table(a)
+        walks.clear()
+        assert _product(table) is None
+        assert _brute_force(table, 40) is None
+        assert walks == []
     with pytest.raises(AssertionError, match="phase table"):
         decide_by_product(closed_atom())
 
