@@ -14,11 +14,20 @@ finite witnesses.
 
 A compilation builds many thousands of transitions, so a transition is a
 named tuple, hashed and compared at C level.  Code that builds transitions
-in bulk (renaming, simplification, JSON import) passes plain
+in bulk (renaming, JSON import) passes plain
 ``(source, label, target, counter, op)`` rows to ``transitions_from``,
 which makes them with ``tuple.__new__`` and skips the named tuple's
-Python-level constructor; the automaton's constructor validates every
-transition however it was made.
+Python-level constructor; simplification makes its own the same way, since
+it files each one in the simple form's adjacency as it is made.  The
+automaton's constructor validates every transition however it was made,
+except in ``simplify``, which builds the simple form from the fields of an
+automaton already validated and from transitions made of them.
+
+An automaton derives its adjacency and state partition once and keeps
+them outside its fields.  ``simplify`` is the one classification pass of
+an automaton that is not simple: the simple form it returns already
+keeps the partition and adjacency that pass gives it, so no reader walks
+or classifies the simple form again.
 
 The JSON and DOT forms are written to a text stream piece by piece
 (``write_export``), one transition's text at a time, so that the whole
@@ -169,12 +178,6 @@ class Partition(Record):
 _NO_STATES: frozenset[str] = frozenset()
 
 
-def _frozen(states: set[str]) -> frozenset[str]:
-    """``states`` as a frozenset; every empty slot of every partition is
-    the one empty frozenset, which this interpreter does not share itself."""
-    return frozenset(states) if states else _NO_STATES
-
-
 def _slots(by_counter: dict[int, set[str]], n: int) -> tuple[frozenset[str], ...]:
     """One slot per counter 1..n: the states filed under it, or the one
     empty frozenset for a counter with none."""
@@ -184,17 +187,24 @@ def _slots(by_counter: dict[int, set[str]], n: int) -> tuple[frozenset[str], ...
     return tuple(slots)
 
 
-def _classify(a: CCA) -> Partition | list[tuple[str, tuple[Transition, ...]]]:
-    """One pass over the adjacency: the partition when every state either
-    fires exactly one transition or only silent no-op choices (possibly
-    none), else the states that do neither, with their out-transitions,
-    for ``simplify`` to split; only the partition, or None, is kept on the
-    automaton beside its adjacency.  A state firing one transition is
-    inc-k or check-k by that transition's op and lettered by its label.
-    Stuck and choice states are in no set: a stuck state has no out-edge, a
-    choice state has some.  The inc and check states are filed by counter
-    in dicts, so only the counters that have such a state get a set of
-    their own."""
+def _filed(lettered: set[str], inc: dict[int, set[str]], check: dict[int, set[str]], n: int) -> Partition:
+    """The partition of the states filed as lettered, inc-k and check-k.
+    Every empty slot is the one empty frozenset, which this interpreter
+    does not share itself."""
+    return Partition(frozenset(lettered) if lettered else _NO_STATES, _slots(inc, n), _slots(check, n))
+
+
+def _classify(a: CCA) -> tuple[set[str], dict[int, set[str]], dict[int, set[str]], list]:
+    """One pass over the adjacency: the lettered states, the inc and check
+    states by counter, and the states that neither fire exactly one
+    transition nor only silent no-op choices (possibly none), with their
+    out-transitions, for ``simplify`` to split.  The partition is kept on
+    the automaton beside its adjacency when no state offends, else None.
+    A state firing one transition is inc-k or check-k by that transition's
+    op and lettered by its label.  Stuck and choice states are in no set: a
+    stuck state has no out-edge, a choice state has some.  The inc and
+    check states are filed by counter in dicts, so only the counters that
+    have such a state get a set of their own."""
     lettered: set[str] = set()
     inc: defaultdict[int, set[str]] = defaultdict(set)
     check: defaultdict[int, set[str]] = defaultdict(set)
@@ -210,10 +220,8 @@ def _classify(a: CCA) -> Partition | list[tuple[str, tuple[Transition, ...]]]:
                 lettered.add(s)
         elif out and not all(t.label is None and t.op == NO_OP and t.counter == 1 for t in out):
             offending.append((s, out))
-    part = a.__dict__["_partition"] = None if offending else Partition(
-        _frozen(lettered), _slots(inc, a.counters), _slots(check, a.counters)
-    )
-    return offending or part
+    a.__dict__["_partition"] = None if offending else _filed(lettered, inc, check, a.counters)
+    return lettered, inc, check, offending
 
 
 def _classification(a: CCA) -> Optional[Partition]:
@@ -246,43 +254,64 @@ def simplify(a: CCA) -> CCA:
     words admit a run prefix.  A kept partition answers at once, else one
     classification pass finds the states to split.
 
+    That pass is the only one: the simple automaton returned keeps its
+    partition and adjacency from it.  Each carrier fires exactly its
+    original transition and is filed by it, and a split state is a silent
+    choice in no set.  An unsplit state keeps its tuple of ``a``'s
+    adjacency, a carrier gets a 1-tuple, and a split state's choices are
+    sorted by carrier name, as ``CCA.adjacency`` sorts them.
+
     The carriers of ``s`` are named ``s.0``, ``s.1``, ... in the order of
     its out-transitions, skipping names ``a`` already has.  A carrier name
     ends in its index, so carriers of different states never collide.
     """
-    offending = a.__dict__.get("_partition") or _classify(a)
-    if isinstance(offending, Partition):
+    if a.__dict__.get("_partition"):
+        return a
+    lettered, inc, check, offending = _classify(a)
+    if not offending:
         return a
     taken = a.states
-    carriers: list[str] = []
-
-    def rows():
-        for s, out in offending:
-            index = 0
-            for _, label, target, counter, op in out:
-                carrier = f"{s}.{index}"
-                while carrier in taken:
-                    index += 1
-                    carrier = f"{s}.{index}"
+    adjacency = dict(a.adjacency())
+    made: list[Transition] = []  # a pointer each: the adjacency holds them
+    new = tuple.__new__
+    for s, out in offending:
+        index = 0
+        choices = []
+        for _, label, target, counter, op in out:
+            carrier = f"{s}.{index}"
+            while carrier in taken:
                 index += 1
-                carriers.append(carrier)
-                yield s, None, carrier, 1, NO_OP
-                yield carrier, label, target, counter, op
-
-    kept = a.transitions.difference(*(out for _, out in offending))
-    # rows() runs to its end here, which completes carriers; each row becomes
-    # a transition as it comes, so the rows are never all held at once
-    transitions = transitions_from(rows()).union(kept)
-    return CCA(
-        # copied from a set, a frozenset's table fits its size; a union that
-        # adds more carriers than there are states can keep one twice as large
-        states=frozenset({*taken, *carriers}),
+                carrier = f"{s}.{index}"
+            index += 1
+            fired = new(Transition, (carrier, label, target, counter, op))
+            adjacency[carrier] = (fired,)
+            made.append(fired)
+            choices.append(new(Transition, (s, None, carrier, 1, NO_OP)))
+            if op == INC:
+                inc[counter].add(carrier)
+            elif op == CHECK:
+                check[counter].add(carrier)
+            if label is not None:
+                lettered.add(carrier)
+        choices.sort()  # s.10 before s.2
+        adjacency[s] = tuple(choices)
+        made += choices
+    # every field and transition comes from ``a``, whose constructor checked
+    # them, or is made here from them, so the simple form is built without
+    # checking its transitions again; its fields come first, in field order
+    simple = object.__new__(CCA)
+    simple.__dict__.update(
+        # copied from a dict, as from a set, a frozenset's table fits its size
+        states=frozenset(adjacency),
         alphabet=a.alphabet,
         initial=a.initial,
         counters=a.counters,
-        transitions=transitions,
+        transitions=frozenset(made).union(a.transitions.difference(*(out for _, out in offending))),
         final=a.final,
+        _adjacency=adjacency,
+        _partition=_filed(lettered, inc, check, a.counters),
     )
+    return simple
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,9 @@ Every entry point takes the automaton alone and reads its adjacency and
 state partition (lettered, inc-k and check-k states) from ``cca``, which
 derives both once per automaton and keeps them on it, so the entry points
 a fuzz case calls in turn on one automaton share one graph.  ``decide``
-starts from ``simplify``, which returns a simple automaton itself.
+starts from ``simplify``, which returns a simple automaton itself, or
+else a simple form that keeps the partition and adjacency of its one
+classification pass, so neither is derived again here.
 
 This module holds the decision alone.  The cross-checks, the paper's
 product construction and the brute-force oracle, are in ``reference``,
@@ -105,12 +107,20 @@ def verify_witness(a: CCA, w: AcceptingWitness) -> bool:
     if any(left >= right for left, right in zip(indexes, indexes[1:])):
         return False
 
-    # realizable path from the initial state
+    # realizable path from the initial state: each step against the
+    # targets of its state, gathered once per distinct state of the path;
+    # every state stepped from is the initial state or a target, so a
+    # state of the automaton
     if w.path[0] != a.initial:
         return False
-    edges = {(t.source, t.target) for t in a.transitions}
-    if any((s, t) not in edges for s, t in zip(w.path, w.path[1:])):
-        return False
+    adjacency = a.adjacency()
+    targets: dict[str, set[str]] = {}
+    for here, there in zip(w.path, w.path[1:]):
+        reached = targets.get(here)
+        if reached is None:
+            reached = targets[here] = {t.target for t in adjacency[here]}
+        if there not in reached:
+            return False
 
     anchor = w.path[w.begin]
     if anchor not in part.lettered:

@@ -480,24 +480,48 @@ CATALOGUE = (
         "is_simple classifies again instead of reading the kept classification",
         "src/countercheck/cca.py",
         "return _classification(a) is not None",
-        "return isinstance(_classify(a), Partition)",
+        "return not _classify(a)[3]",
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
     ),
     Mutant(
         "simplify classifies a fresh automaton that is not simple twice",
         "src/countercheck/cca.py",
-        'offending = a.__dict__.get("_partition") or _classify(a)',
-        "offending = _classification(a) or _classify(a)",
+        'if a.__dict__.get("_partition"):',
+        "if _classification(a):",
         ("tests/test_cca.py::test_an_automaton_derives_its_graph_once",),
     ),
     Mutant(
         "simplify rebuilds a simple automaton instead of returning it",
         "src/countercheck/cca.py",
-        "    if isinstance(offending, Partition):\n        return a\n",
-        "    if isinstance(offending, Partition):\n        offending = []\n",
+        "    if not offending:\n        return a\n",
+        "",
         (
             "tests/test_cca.py::test_an_automaton_derives_its_graph_once",
             "tests/test_emptiness.py::test_examine_derives_one_graph_per_simple_case",
+        ),
+    ),
+    Mutant(
+        "simplify leaves a letter-reading carrier out of the handed lettered set",
+        "src/countercheck/cca.py",
+        "lettered.add(carrier)",
+        "pass",
+        ("tests/test_cca.py::test_simplify_hands_over_the_partition_and_adjacency_a_twin_derives",),
+    ),
+    Mutant(
+        "simplify hands a split state's choices over in carrier order, unsorted",
+        "src/countercheck/cca.py",
+        "        choices.sort()  # s.10 before s.2\n",
+        "",
+        ("tests/test_cca.py::test_simplify_hands_over_the_partition_and_adjacency_a_twin_derives",),
+    ),
+    Mutant(
+        "verify_witness checks every step against the targets of the first state it gathered",
+        "src/countercheck/emptiness.py",
+        "reached = targets.get(here)",
+        "reached = next(iter(targets.values()), None)",
+        (
+            "tests/test_emptiness.py::test_hand_built_witness_verifies",
+            "tests/test_emptiness.py::test_random_witnesses_are_pinned",
         ),
     ),
     Mutant(

@@ -304,6 +304,82 @@ def test_simplify_preserves_run_prefixes_100_random(rng):
         assert _word_set(a, 4) == _word_set(simple, 4)
 
 
+def many_carriers() -> CCA:
+    """An automaton whose state ``s`` fires twelve transitions, silent and
+    lettered ones mixed, so ``sort_key`` orders them and their carriers
+    skip the taken ``s.1`` and ``s.11`` and run past ``s.9``.  ``t.u`` mixes
+    a silent check with a letter, ``s.11`` makes silent choices and ``s.1``
+    and ``x`` fire one transition each."""
+    out_of_s = [
+        Transition("s", None, "x", 1, INC),
+        Transition("s", None, "x", 2, INC),
+        Transition("s", None, "x", 1, CHECK),
+        Transition("s", None, "x", 2, CHECK),
+        Transition("s", None, "t.u", 1, NO_OP),
+        Transition("s", None, "s.1", 1, NO_OP),
+        Transition("s", "a", "x", 1, NO_OP),
+        Transition("s", "b", "x", 1, NO_OP),
+        Transition("s", "a", "s.1", 1, INC),
+        Transition("s", "b", "s.1", 2, CHECK),
+        Transition("s", "a", "t.u", 2, INC),
+        Transition("s", "a", "s", 1, NO_OP),
+    ]
+    others = [
+        Transition("s.1", "b", "s", 1, NO_OP),
+        Transition("s.11", None, "s", 1, NO_OP),
+        Transition("s.11", None, "x", 1, NO_OP),
+        Transition("t.u", None, "s", 2, CHECK),
+        Transition("t.u", "a", "x", 1, NO_OP),
+        Transition("x", None, "s", 2, INC),
+    ]
+    return CCA(
+        states=frozenset({"s", "s.1", "s.11", "t.u", "x"}),
+        alphabet=frozenset("ab"),
+        initial="s",
+        counters=2,
+        transitions=frozenset(out_of_s + others),
+    )
+
+
+def assert_handed_over(a: CCA) -> None:
+    """``simplify(a)`` keeps the partition and adjacency an equal twin,
+    which validates its fields, derives from scratch; an unsplit state
+    keeps its tuple of ``a``'s adjacency."""
+    simple = cca.simplify(a)
+    if simple is a:
+        return
+    kept = vars(simple)
+    assert tuple(kept) == (*CCA._fields, "_adjacency", "_partition")
+    twin = twin_of(simple)
+    assert kept["_partition"] == cca.partition(twin)
+    assert kept["_adjacency"] == twin.adjacency()
+    for s, out in a.adjacency().items():
+        if kept["_adjacency"][s] == out:
+            assert kept["_adjacency"][s] is out
+
+
+def test_simplify_hands_over_the_partition_and_adjacency_a_twin_derives():
+    rng = random.Random(20261024)
+    wide = many_carriers()
+    assert_handed_over(wide)
+    graph = cca.simplify(wide).adjacency()
+    # s.0, s.2 ... s.10, then s.12 and s.13 past the taken s.11, in name order
+    carriers = [f"s.{i}" for i in (0, *range(2, 11), 12, 13)]
+    assert [t.target for t in graph["s"]] == sorted(carriers)
+    assert [t.target for t in graph["s"]][:4] == ["s.0", "s.10", "s.12", "s.13"]
+    assert graph["t.u"] == tuple(Transition("t.u", None, f"t.u.{i}", 1, NO_OP) for i in (0, 1))
+    split = 0
+    for _ in range(2000):
+        a = random_general_cca(rng, max_states=rng.randint(2, 8), max_counters=3)
+        split += not cca.is_simple(a)
+        assert_handed_over(a)
+    for _ in range(500):
+        a = compile_expression(random_omega_expr(rng, 3), "ab")
+        split += not cca.is_simple(a)
+        assert_handed_over(a)
+    assert split >= 1800  # most of the 2500 are split
+
+
 # --------------------------------------------------------------------------
 # hat
 
@@ -640,34 +716,54 @@ def test_json_import_rejects_non_string_transition_names():
 def test_an_automaton_derives_its_graph_once(monkeypatch):
     passes, walks = [], []
     classify, adjacency = cca._classify, cca.CCA.adjacency
+
+    def derive(a):
+        if "_adjacency" not in vars(a):
+            walks.append(a)
+        return adjacency(a)
+
     monkeypatch.setattr(cca, "_classify", lambda a: passes.append(a) or classify(a))
-    monkeypatch.setattr(cca.CCA, "adjacency", lambda a: walks.append(a) or adjacency(a))
+    monkeypatch.setattr(cca.CCA, "adjacency", derive)
     a = cca.hat(atom_a())
     simple = cca.simplify(a)
     # simplify of an automaton that is not simple is one classification
-    # pass, which also finds the states it splits
+    # pass, which also finds the states it splits, and the only walk
+    assert passes == [a] and walks == [a]
+    # the simple form is handed its partition and adjacency, after its
+    # fields, and is never walked or classified: each reader returns the
+    # object it was given
+    kept = vars(simple)
+    assert tuple(kept) == (*cca.CCA._fields, "_adjacency", "_partition")
+    graph, part = kept["_adjacency"], kept["_partition"]
+    assert simple.adjacency() is graph and cca.partition(simple) is part
+    assert cca.is_simple(simple) and cca.simplify(simple) is simple
+    # s0 fires one transition and keeps its tuple; s1 is split
+    assert graph["s0"] is a.adjacency()["s0"]
+    assert [t.target for t in graph["s1"]] == ["s1.0", "s1.1"]
+    assert graph["s1.0"] == (cca.Transition("s1.0", None, "s0", 1, CHECK),)
+    assert part == cca.Partition(frozenset({"s0"}), (frozenset({"s1.1"}),), (frozenset({"s1.0"}),))
     assert passes == [a] and walks == [a]
     assert a.adjacency() is a.adjacency()
-    assert cca.is_simple(simple) and cca.is_simple(simple)
-    assert cca.partition(simple) is cca.partition(simple)
     assert not cca.is_simple(a) and not cca.is_simple(a)
     with pytest.raises(cca.CCAError, match="requires a simple automaton"):
         cca.partition(a)
-    # simplify reads the classification of its argument first, and a simple
-    # automaton is its own simplification without a second pass
-    assert passes == [a, simple]
-    assert cca.simplify(simple) is simple
-    assert passes == [a, simple]
-    # the states to split are not kept, so simplifying again is one more pass
-    assert cca.simplify(a) == simple
-    assert passes == [a, simple, a]
+    assert passes == [a] and walks == [a]
+    # the states to split are not kept, so simplifying again is one more
+    # pass over the kept adjacency
+    again = cca.simplify(a)
+    assert again == simple and again.adjacency() == graph and cca.partition(again) == part
+    assert passes == [a, a] and walks == [a]
     # what an automaton keeps is outside its fields: an equal twin compares
-    # and hashes alike and derives its own
+    # and hashes alike and derives its own in one pass, and a simple
+    # automaton is its own simplification without a second
     twin = twin_of(simple)
     assert twin == simple and hash(twin) == hash(simple) and repr(twin) == repr(simple)
-    assert twin.adjacency() == simple.adjacency() and twin.adjacency() is not simple.adjacency()
-    assert cca.partition(twin) == cca.partition(simple)
-    assert passes == [a, simple, a, twin]
+    assert cca.simplify(twin) is twin
+    assert passes == [a, a, twin] and walks == [a, twin]
+    assert twin.adjacency() == graph and twin.adjacency() is not graph
+    assert cca.partition(twin) == part and cca.partition(twin) is not part
+    assert cca.simplify(twin) is twin
+    assert passes == [a, a, twin] and walks == [a, twin]
 
 
 def test_partition_slots_are_disjoint(rng):

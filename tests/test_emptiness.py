@@ -127,6 +127,18 @@ def test_witness_rejects_nonwalk_path():
     assert not verify_witness(a, AcceptingWitness(broken, w.begin, w.pairs, w.checks, w.end))
 
 
+def test_witness_rejects_a_path_state_outside_the_automaton():
+    # a step from or to a name the automaton lacks is refused with False,
+    # never a KeyError, wherever it is on the path
+    a, w = hand_witness()
+    for i in range(1, len(w.path)):
+        stranger = w.path[:i] + ("nowhere",) + w.path[i + 1 :]
+        moved = AcceptingWitness(stranger, w.begin, w.pairs, w.checks, w.end)
+        assert verify_witness(a, moved) is False, i
+    longer = AcceptingWitness(w.path + ("nowhere",), w.begin, w.pairs, w.checks, w.end)
+    assert verify_witness(a, longer) is False
+
+
 def test_witness_rejects_silent_anchor():
     a, w = hand_witness()
     # position 1 is the silent choice state, so no letter can fire there
